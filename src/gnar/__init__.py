@@ -15,7 +15,7 @@ from .model import (GnarCoefficients, GnarOrder, NodewiseCoefficients,
                     write_model)
 from .network import (Network, UNREACHABLE, bfs_distances, build_network,
                       default_weights, mask_weights, max_stage, read_edge_list,
-                      stage_adjacency, write_edge_list)
+                      stage_adjacency, stage_weights, write_edge_list)
 from .panel import TimeSeriesPanel, read_panel, write_panel
 from .partition import CommunityPartition, read_partition, single_community, write_partition
 from .simulate import simulate
@@ -36,7 +36,7 @@ __all__ = [
     "mask_weights", "max_stage", "nacf", "naive_forecast", "parse_order",
     "pnacf", "read_edge_list", "read_model", "read_panel", "read_partition",
     "render_corbit", "render_rcorbit", "rmspe", "simulate",
-    "single_community", "stage_adjacency", "stationarity_margin",
+    "single_community", "stage_adjacency", "stage_weights", "stationarity_margin",
     "theta_index", "to_local_alpha", "to_var", "write_edge_list",
     "write_model", "write_panel", "write_partition",
 ]

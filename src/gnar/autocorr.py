@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GnarError
-from .network import Network, bfs_distances, max_stage, stage_adjacency
+from .errors import DataError, GnarError
+from .network import Network, stage_weights
 from .panel import TimeSeriesPanel
 from .partition import CommunityPartition
 
@@ -44,18 +44,6 @@ def _centred(values: np.ndarray) -> np.ndarray:
     return values - values.mean(axis=1, keepdims=True)
 
 
-def _stage_weight(net: Network, W: np.ndarray, r: int) -> np.ndarray | None:
-    """W . S_r, or None for the stage-0 (pooled) convention."""
-    if r == 0:
-        return None
-    dist = bfs_distances(net)
-    rmax = max_stage(dist)
-    if r > rmax:
-        raise GnarError(f"stage {r} exceeds the network's largest stage {rmax}")
-    S = stage_adjacency(dist)
-    return W * S[r - 1]
-
-
 def _subset_indices(d: int, nodes) -> list[int]:
     idx = [int(i) - 1 for i in nodes]
     if not idx:
@@ -68,26 +56,66 @@ def _subset_indices(d: int, nodes) -> list[int]:
     return idx
 
 
-def _lambda(B: np.ndarray | None) -> float:
-    if B is None or not np.any(B):
+def _inputs(panel: TimeSeriesPanel, net: Network, W: np.ndarray, max_lag: int,
+            r: int, nodes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Checked kernel inputs: the centred panel and B_1..B_r, cut to ``nodes``."""
+    if panel.d != net.d:
+        raise DataError(f"panel has {panel.d} nodes, network has {net.d}")
+    if not 1 <= max_lag < panel.T:
+        raise GnarError(f"lag {max_lag} outside 1..{panel.T - 1} "
+                        f"(panel has {panel.T} time steps)")
+    E = _centred(panel.values)
+    Bs = stage_weights(net, W, r)
+    if nodes is not None:
+        idx = _subset_indices(panel.d, nodes)
+        E = E[idx]
+        Bs = [B[np.ix_(idx, idx)] for B in Bs]
+    return E, Bs
+
+
+def _lambda(Bs: list[np.ndarray]) -> float:
+    """lambda_r for the last stage in Bs (1 at stage 0 or for zero weights)."""
+    if not Bs or not np.any(Bs[-1]):
         return 1.0
-    return 1.0 + float(np.linalg.norm(B, 2))
+    return 1.0 + float(np.linalg.norm(Bs[-1], 2))
 
 
-def _apply_A(B: np.ndarray | None, E: np.ndarray) -> np.ndarray:
-    """(I + B) E, with B possibly absent (stage 0)."""
-    return E if B is None else E + B @ E
+def _apply_A(Bs: list[np.ndarray], E: np.ndarray) -> np.ndarray:
+    """(I + B_r) E, with B_0 = 0."""
+    return E + Bs[-1] @ E if Bs else E
 
 
-def _nacf_cell(E: np.ndarray, B: np.ndarray | None, h: int,
+# The two cell kernels take the centred panel E, the stage weights B_1..B_r
+# and lambda_r, so that a grid derives them once per community.
+
+def _nacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
                subset: bool) -> AcfCell:
-    if subset and B is not None and not np.any(B):
+    if subset and Bs and not np.any(Bs[-1]):
         return AcfCell(0.0, True, "no within-subset stage pairs")
-    den = _lambda(B) * float(np.sum(E * E))
+    den = lam * float(np.sum(E * E))
     if den == 0.0:
         return AcfCell(0.0, True, "zero variance")
-    AE = _apply_A(B, E)
+    AE = _apply_A(Bs, E)
     num = float(np.sum(E[:, h:] * AE[:, :-h]))
+    return AcfCell(num / den)
+
+
+def _pnacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
+                subset: bool) -> AcfCell:
+    if h == 1 or (subset and Bs and not np.any(Bs[-1])):
+        return _nacf_cell(E, Bs, lam, h, subset)  # lag 1, or no stage pairs
+    F, note = _aux_residuals(E, Bs, h - 1)
+    if F is None:
+        return AcfCell(0.0, True, note)
+    G_rev, note = _aux_residuals(E[:, ::-1], Bs, h - 1)
+    if G_rev is None:
+        return AcfCell(0.0, True, note + " (reversed)")
+    G = G_rev[:, ::-1]
+    den = lam * float(np.sqrt(np.sum(F * F) * np.sum(G * G)))
+    if den == 0.0:
+        return AcfCell(0.0, True, "zero residual variance")
+    AG = _apply_A(Bs, G)
+    num = float(np.sum(F[:, 1:] * AG[:, :-1]))
     return AcfCell(num / den)
 
 
@@ -98,20 +126,8 @@ def nacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
     ``nodes`` restricts the computation to a node subset with the weight
     matrix masked to within-subset pairs.
     """
-    if h < 1:
-        raise GnarError(f"lag must be >= 1, got {h}")
-    if h >= panel.T:
-        raise GnarError(f"lag {h} needs more than {panel.T} time steps")
-    if r < 0:
-        raise GnarError(f"stage must be >= 0, got {r}")
-    E = _centred(panel.values)
-    B = _stage_weight(net, W, r)
-    if nodes is not None:
-        idx = _subset_indices(panel.d, nodes)
-        E = E[idx]
-        if B is not None:
-            B = B[np.ix_(idx, idx)]
-    return _nacf_cell(E, B, h, subset=nodes is not None)
+    E, Bs = _inputs(panel, net, W, h, r, nodes)
+    return _nacf_cell(E, Bs, _lambda(Bs), h, nodes is not None)
 
 
 def _aux_residuals(E: np.ndarray, Bs: list[np.ndarray], n_lags: int):
@@ -145,41 +161,8 @@ def pnacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
     Equals ``nacf`` at h = 1.  For larger lags the order-(h-1) auxiliary
     regressions must be estimable; failures surface as degenerate cells.
     """
-    if h < 1:
-        raise GnarError(f"lag must be >= 1, got {h}")
-    if h >= panel.T:
-        raise GnarError(f"lag {h} needs more than {panel.T} time steps")
-    if r < 0:
-        raise GnarError(f"stage must be >= 0, got {r}")
-    if h == 1:
-        return nacf(panel, net, W, h, r, nodes=nodes)
-    E = _centred(panel.values)
-    dist = bfs_distances(net)
-    rmax = max_stage(dist)
-    if r > rmax:
-        raise GnarError(f"stage {r} exceeds the network's largest stage {rmax}")
-    S = stage_adjacency(dist)
-    Bs = [W * S[j - 1] for j in range(1, r + 1)]
-    if nodes is not None:
-        idx = _subset_indices(panel.d, nodes)
-        E = E[idx]
-        Bs = [B[np.ix_(idx, idx)] for B in Bs]
-    B_target = Bs[r - 1] if r >= 1 else None
-    if nodes is not None and B_target is not None and not np.any(B_target):
-        return AcfCell(0.0, True, "no within-subset stage pairs")
-    F, note = _aux_residuals(E, Bs, h - 1)
-    if F is None:
-        return AcfCell(0.0, True, note)
-    G_rev, note = _aux_residuals(E[:, ::-1], Bs, h - 1)
-    if G_rev is None:
-        return AcfCell(0.0, True, note + " (reversed)")
-    G = G_rev[:, ::-1]
-    den = _lambda(B_target) * float(np.sqrt(np.sum(F * F) * np.sum(G * G)))
-    if den == 0.0:
-        return AcfCell(0.0, True, "zero residual variance")
-    AG = _apply_A(B_target, G)
-    num = float(np.sum(F[:, 1:] * AG[:, :-1]))
-    return AcfCell(num / den)
+    E, Bs = _inputs(panel, net, W, h, r, nodes)
+    return _pnacf_cell(E, Bs, _lambda(Bs), h, nodes is not None)
 
 
 @dataclass(frozen=True)
@@ -225,53 +208,32 @@ class CorbitGrid:
 def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
                 max_lag: int, max_stage: int, kind: str,
                 part: CommunityPartition | None = None) -> CorbitGrid:
-    """Evaluate the full lag/stage grid; cell failures become degenerate flags."""
+    """Evaluate the full lag/stage grid; failed cells carry degenerate flags."""
     if kind not in KINDS:
         raise GnarError(f"kind must be one of {KINDS}, got {kind!r}")
-    if max_lag < 1 or max_lag >= panel.T:
-        raise GnarError(f"max lag must satisfy 1 <= H < T={panel.T}, got {max_lag}")
-    rmax = max_stage_of(net)
-    if max_stage < 1 or max_stage > rmax:
-        raise GnarError(f"max stage must satisfy 1 <= R <= r_max={rmax}, "
-                        f"got {max_stage}")
-    fn = nacf if kind == "nacf" else pnacf
+    if max_stage < 1:
+        raise GnarError(f"max stage must be >= 1, got {max_stage}")
+    cell = _nacf_cell if kind == "nacf" else _pnacf_cell
     H, R = max_lag, max_stage
 
-    def cell(h: int, r: int, nodes) -> AcfCell:
-        try:
-            return fn(panel, net, W, h, r, nodes=nodes)
-        except GnarError as exc:
-            return AcfCell(0.0, True, str(exc))
+    def layer(nodes) -> tuple[np.ndarray, np.ndarray]:
+        E, Bs = _inputs(panel, net, W, H, R, nodes)
+        lams = [_lambda(Bs[:r]) for r in range(1, R + 1)]
+        cells = [[cell(E, Bs[:r], lams[r - 1], h, nodes is not None)
+                  for r in range(1, R + 1)] for h in range(1, H + 1)]
+        return (np.array([[c.value for c in row] for row in cells]),
+                np.array([[c.degenerate for c in row] for row in cells]))
 
     if part is None:
-        values = np.zeros((H, R))
-        degs = np.zeros((H, R), dtype=bool)
-        for h in range(1, H + 1):
-            for r in range(1, R + 1):
-                c = cell(h, r, None)
-                values[h - 1, r - 1] = c.value
-                degs[h - 1, r - 1] = c.degenerate
+        values, degs = layer(None)
         return CorbitGrid(kind=kind, max_lag=H, max_stage=R,
                           values=values, degenerate=degs)
     if part.d != panel.d:
         raise GnarError("partition and panel node counts differ")
-    C = part.n_communities
-    values = np.zeros((C, H, R))
-    degs = np.zeros((C, H, R), dtype=bool)
-    for g in range(1, C + 1):
-        members = part.members(g)
-        for h in range(1, H + 1):
-            for r in range(1, R + 1):
-                c = cell(h, r, members)
-                values[g - 1, h - 1, r - 1] = c.value
-                degs[g - 1, h - 1, r - 1] = c.degenerate
-    mean_values = values.mean(axis=0)
-    mean_deg = degs.all(axis=0)
+    layers = [layer(part.members(g)) for g in range(1, part.n_communities + 1)]
+    values = np.stack([v for v, _ in layers])
+    degs = np.stack([g for _, g in layers])
     return CorbitGrid(kind=kind, max_lag=H, max_stage=R, values=values,
                       degenerate=degs, communities=part.labels,
-                      mean_values=mean_values, mean_degenerate=mean_deg)
-
-
-def max_stage_of(net: Network) -> int:
-    """Largest shortest-path distance realised in the network."""
-    return max_stage(bfs_distances(net))
+                      mean_values=values.mean(axis=0),
+                      mean_degenerate=degs.all(axis=0))

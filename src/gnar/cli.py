@@ -23,8 +23,8 @@ from . import autocorr, corbit_svg, elections, estimate
 from .errors import GnarError
 from .forecast import ModelSpec, compare, forecast, load_external_forecast
 from .model import format_model, parse_order, read_model
-from .network import (bfs_distances, default_weights, format_edge_list,
-                      load_weight_overrides, read_edge_list)
+from .network import (default_weights, format_edge_list, load_weight_overrides,
+                      read_edge_list)
 from .panel import TimeSeriesPanel, format_panel, read_panel
 from .partition import format_partition, read_partition
 from .simulate import simulate
@@ -51,10 +51,22 @@ def _write_panel_atomic(panel: TimeSeriesPanel, path: str | Path) -> None:
 
 def _load_network(args):
     net = read_edge_list(args.network, d=args.d)
-    W = default_weights(bfs_distances(net))
+    W = default_weights(net.distances)
     if getattr(args, "weights", None):
         W = load_weight_overrides(args.weights, W)
     return net, W
+
+
+def _split_named(item: str, flag: str, what: str) -> list[str]:
+    """Split a ``name=VALUE`` argument into name and value; ``=`` is required."""
+    if "=" not in item:
+        raise GnarError(f"{flag} needs name={what}, got {item!r}")
+    return item.split("=", 1)
+
+
+def _load_externals(args, d: int):
+    return [load_external_forecast(*_split_named(item, "--external", "FILE"), d)
+            for item in args.external or []]
 
 
 def _load_partition(args):
@@ -158,16 +170,9 @@ def _cmd_compare(args) -> int:
     panel = read_panel(args.panel)
     specs = []
     for item in args.spec or []:
-        if "=" not in item:
-            raise GnarError(f"--spec needs name=ORDER, got {item!r}")
-        name, text = item.split("=", 1)
+        name, text = _split_named(item, "--spec", "ORDER")
         specs.append(ModelSpec(name=name, order=parse_order(text)))
-    externals = []
-    for item in args.external or []:
-        if "=" not in item:
-            raise GnarError(f"--external needs name=FILE, got {item!r}")
-        name, file = item.split("=", 1)
-        externals.append(load_external_forecast(name, file, panel.d))
+    externals = _load_externals(args, panel.d)
     report = compare(panel, net, W, specs, part, holdout=args.holdout,
                         external=externals)
     write_text_atomic(args.out, report.to_csv_text())
@@ -178,10 +183,11 @@ def _cmd_compare(args) -> int:
 def _cmd_elections(args) -> int:
     out_dir = Path(args.out_dir)
     data = elections.load_returns(args.returns)
+    externals = _load_externals(args, data.panel.d)
     classification = elections.classify(data)
     part = classification.partition
     net = elections.us_border_network()
-    W = default_weights(bfs_distances(net))
+    W = default_weights(net.distances)
 
     _write_panel_atomic(data.panel, out_dir / "panel_raw.csv")
     write_text_atomic(out_dir / "classification.csv", classification.to_csv_text())
@@ -225,10 +231,6 @@ def _cmd_elections(args) -> int:
         ModelSpec("GNAR*", parse_order("global:2;[1,0]")),
         ModelSpec("GNAR+", parse_order("local:2;[1,0]")),
     ]
-    externals = []
-    for item in args.external or []:
-        name, file = item.split("=", 1)
-        externals.append(load_external_forecast(name, file, data.panel.d))
     report = compare(data.panel, net, W, specs, part, holdout=args.holdout,
                         external=externals)
     write_text_atomic(out_dir / "comparison.csv", report.to_csv_text())

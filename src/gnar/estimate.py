@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CovarianceError, DesignError, OrderError, RankDeficiencyError
+from .errors import CovarianceError, DesignError, RankDeficiencyError
 from .model import (GnarCoefficients, GnarOrder, ThetaEntry, stationarity_margin,
                     theta_index, to_var)
-from .network import Network, bfs_distances, mask_weights, stage_adjacency
+from .network import Network, mask_weights, stage_weights
 from .panel import TimeSeriesPanel
 from .partition import CommunityPartition
 
@@ -87,19 +87,6 @@ class FitResult:
                                            noise_sd=float(np.sqrt(self.sigma2)), d=d)
 
 
-def _neighbourhood_series(X: np.ndarray, W: np.ndarray,
-                          S: list[np.ndarray], stages: int) -> list[np.ndarray]:
-    """(W . S_r) X for r = 1..stages; entry r-1 has shape d x T."""
-    return [(W * S[r - 1]) @ X for r in range(1, stages + 1)]
-
-
-def _group_mask_weights(order: GnarOrder, W: np.ndarray,
-                        part: CommunityPartition | None, g: int) -> np.ndarray:
-    if order.variant == "community":
-        return mask_weights(W, part, g)
-    return W
-
-
 def _build_columns(X: np.ndarray, order: GnarOrder, net: Network, W: np.ndarray,
                    part: CommunityPartition | None, entries: list[ThetaEntry],
                    lag_offset: int, row_nodes: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -109,23 +96,19 @@ def _build_columns(X: np.ndarray, order: GnarOrder, net: Network, W: np.ndarray,
     if T <= p0:
         raise DesignError(f"panel length {T} cannot support maximum lag {p0}; "
                           f"need at least {p0 + 1} time steps")
-    S = stage_adjacency(bfs_distances(net))
-    if order.r_star > len(S):
-        raise OrderError(f"order uses stage {order.r_star}, but the network's "
-                         f"largest stage is {len(S)}")
+    Bs = stage_weights(net, W, order.r_star)
     rows = [i - 1 for i in row_nodes]
     n_t = T - p0
     groups = sorted({e.group for e in entries})
     z_cache: dict[int, list[np.ndarray]] = {}
     xi_cache: dict[int, np.ndarray] = {}
     for g in groups:
-        smax_g = max(order.stages[g - 1]) if order.stages[g - 1] else 0
-        Wg = _group_mask_weights(order, W, part, g)
-        z_cache[g] = _neighbourhood_series(X, Wg, S, smax_g)
+        Bg = Bs[:max(order.stages[g - 1])]
+        xi_cache[g] = np.ones(d)
         if order.variant == "community":
+            Bg = [mask_weights(B, part, g) for B in Bg]
             xi_cache[g] = part.indicator(g)
-        else:
-            xi_cache[g] = np.ones(d)
+        z_cache[g] = [B @ X for B in Bg]
     cols = np.empty((n_t * len(rows), len(entries)))
     for j, e in enumerate(entries):
         lo, hi = p0 - e.lag, T - e.lag

@@ -29,6 +29,8 @@ def forecast(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     """Iterated one-step predictions; returns an array of shape (horizon, d)."""
     if horizon < 1:
         raise GnarError(f"horizon must be >= 1, got {horizon}")
+    if panel.d != net.d:
+        raise DataError(f"panel has {panel.d} nodes, network has {net.d}")
     phi = to_var(coeffs, order, net, W, part)
     p = phi.shape[0]
     if panel.T < p:

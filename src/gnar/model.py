@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, OrderError
-from .network import Network, bfs_distances, mask_weights, stage_adjacency
+from .network import Network, mask_weights, stage_weights
 from .partition import CommunityPartition
 
 VARIANTS = ("global", "community", "local")
@@ -305,22 +305,13 @@ def to_var(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     """Transition matrices of the equivalent VAR(p), shape (p_max, d, d).
 
     Group g contributes a diagonal block of its alphas on its member nodes
-    plus its stage betas times the community-masked, stage-masked weight
-    matrix; lags beyond a group's own order contribute zero.
+    (node-wise alphas for the local variant) plus its stage betas times the
+    community-masked, stage-masked weight matrix; lags beyond a group's own
+    order contribute zero.
     """
     coeffs.validate_against(order, d=net.d)
-    S = stage_adjacency(bfs_distances(net))
-    if order.r_star > len(S):
-        raise OrderError(f"order uses stage {order.r_star}, but the network's "
-                         f"largest stage is {len(S)}")
+    Bs = stage_weights(net, W, order.r_star)
     d, p = net.d, order.p_max
-    phi = np.zeros((p, d, d))
-    if order.variant == "local":
-        for k in range(1, p + 1):
-            phi[k - 1] += np.diag(coeffs.alpha_nodes[:, k - 1])
-            for r in range(1, order.stages[0][k - 1] + 1):
-                phi[k - 1] += coeffs.beta[0][k - 1][r - 1] * (W * S[r - 1])
-        return phi
     if order.variant == "community":
         if part is None:
             raise OrderError("community models need a partition")
@@ -329,17 +320,18 @@ def to_var(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
                              f"partition has {part.n_communities}")
         if part.d != d:
             raise OrderError("partition and network node counts differ")
+    phi = np.zeros((p, d, d))
     for g in range(1, order.n_groups + 1):
+        xi, Bg = np.ones(d), Bs
         if order.variant == "community":
-            xi = part.indicator(g)
-            Wg = mask_weights(W, part, g)
-        else:
-            xi = np.ones(d)
-            Wg = W
+            xi, Bg = part.indicator(g), [mask_weights(B, part, g) for B in Bs]
         for k in range(1, order.lags[g - 1] + 1):
-            phi[k - 1] += np.diag(coeffs.alpha[g - 1][k - 1] * xi)
+            if order.variant == "local":
+                phi[k - 1] += np.diag(coeffs.alpha_nodes[:, k - 1])
+            else:
+                phi[k - 1] += np.diag(coeffs.alpha[g - 1][k - 1] * xi)
             for r in range(1, order.stages[g - 1][k - 1] + 1):
-                phi[k - 1] += coeffs.beta[g - 1][k - 1][r - 1] * (Wg * S[r - 1])
+                phi[k - 1] += coeffs.beta[g - 1][k - 1][r - 1] * Bg[r - 1]
     return phi
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NetworkError
+from .errors import DataError, NetworkError, OrderError
 
 #: Sentinel distance for unreachable pairs.
 UNREACHABLE = -1
@@ -28,6 +29,8 @@ class Network:
     """Simple undirected graph on nodes 1..d.
 
     Edges are stored as sorted 1-based pairs.  No self-loops, no duplicates.
+    The distance and stage matrices are derived on first use, once per
+    network, and returned as read-only arrays.
     """
 
     d: int
@@ -47,6 +50,26 @@ class Network:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """All-pairs shortest-path distances (see :func:`bfs_distances`)."""
+        dist = bfs_distances(self)
+        dist.flags.writeable = False
+        return dist
+
+    @cached_property
+    def stages(self) -> tuple[np.ndarray, ...]:
+        """Binary stage matrices S_1..S_rmax (see :func:`stage_adjacency`)."""
+        S = stage_adjacency(self.distances)
+        for s in S:
+            s.flags.writeable = False
+        return tuple(S)
+
+    @property
+    def r_max(self) -> int:
+        """Largest shortest-path distance realised in the network."""
+        return len(self.stages)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (d x d, zero diagonal, symmetric)."""
@@ -129,6 +152,21 @@ def stage_adjacency(dist: np.ndarray) -> list[np.ndarray]:
     return [(dist == r).astype(float) for r in range(1, rmax + 1)]
 
 
+def stage_weights(net: Network, W: np.ndarray, r: int) -> list[np.ndarray]:
+    """Stage-masked weights W . S_1, ..., W . S_r (an empty list for r = 0).
+
+    This is the one place that checks W against the network's size and r
+    against the network's largest stage.
+    """
+    W = np.asarray(W)
+    if W.shape != (net.d, net.d):
+        raise NetworkError(f"weight matrix has shape {W.shape}, "
+                           f"network has {net.d} nodes")
+    if not 0 <= r <= net.r_max:
+        raise OrderError(f"stage {r} outside the network's stages 0..{net.r_max}")
+    return [W * S for S in net.stages[:r]]
+
+
 def default_weights(dist: np.ndarray) -> np.ndarray:
     """Equal-split association weights: w_ij = 1 / #{stage-d(i,j) neighbours of i}.
 
@@ -178,14 +216,22 @@ def read_edge_list(path: str | Path, d: int | None = None) -> Network:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.lower().startswith("d:"):
-                meta_d = int(body.split(":", 1)[1])
+                try:
+                    meta_d = int(body.split(":", 1)[1])
+                except ValueError:
+                    raise DataError(f"{path}:{ln}: node count must be an integer, "
+                                    f"got {line!r}") from None
             continue
         if line.lower().replace(" ", "") == "from,to":
             continue
         parts = line.split(",")
         if len(parts) != 2:
             raise DataError(f"{path}:{ln}: expected 'from,to', got {line!r}")
-        rows.append((int(parts[0]), int(parts[1])))
+        try:
+            rows.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise DataError(f"{path}:{ln}: node ids must be integers, "
+                            f"got {line!r}") from None
     n = d if d is not None else meta_d
     if n is None:
         raise DataError(f"{path}: node count missing (no '# d: N' line and no override)")
@@ -220,7 +266,11 @@ def load_weight_overrides(path: str | Path, W: np.ndarray) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != 3:
             raise DataError(f"{path}:{ln}: expected 'from,to,w', got {line!r}")
-        i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{ln}: expected integer node ids and a numeric "
+                            f"weight, got {line!r}") from None
         if i == j:
             raise DataError(f"{path}:{ln}: self-pair ({i},{j}) cannot carry weight")
         if not (1 <= i <= d) or not (1 <= j <= d):

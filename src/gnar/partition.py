@@ -83,15 +83,23 @@ def read_partition(path: str | Path) -> CommunityPartition:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.lower().startswith("label "):
-                head, name = body.split(":", 1)
-                labels[int(head.split()[1])] = name.strip()
+                try:
+                    head, name = body.split(":", 1)
+                    labels[int(head.split()[1])] = name.strip()
+                except (ValueError, IndexError):
+                    raise DataError(f"{path}:{ln}: expected '# label C: name', "
+                                    f"got {line!r}") from None
             continue
         if line.lower().replace(" ", "") == "node,community":
             continue
         parts = line.split(",")
         if len(parts) != 2:
             raise DataError(f"{path}:{ln}: expected 'node,community', got {line!r}")
-        node, c = int(parts[0]), int(parts[1])
+        try:
+            node, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{ln}: node and community must be integers, "
+                            f"got {line!r}") from None
         if node in pairs:
             raise DataError(f"{path}:{ln}: node {node} assigned twice")
         pairs[node] = c

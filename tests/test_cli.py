@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnar.cli import main
-from gnar.panel import read_panel
+from gnar.panel import TimeSeriesPanel, default_node_labels, read_panel, write_panel
 
 from conftest import DATA_DIR
 
@@ -144,6 +144,31 @@ def test_domain_errors_exit_one(tmp_path):
                "--max-lag", "2", "--max-stage", "1", "--out",
                str(tmp_path / "x.csv"))
     assert code == 1
+
+
+def test_elections_external_without_name_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "study"
+    code = run("elections", "--returns", RETURNS, "--external", "foo",
+               "--out-dir", str(out_dir))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "name=FILE" in err[0]
+    assert not out_dir.exists()
+
+
+def test_panel_network_size_mismatch_exits_one(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    write_panel(TimeSeriesPanel(np.random.default_rng(0).normal(size=(4, 20)),
+                                default_node_labels(4), [str(t) for t in range(20)]),
+                panel_path)
+    for argv in (("nacf", "--max-lag", "2", "--max-stage", "1",
+                  "--out", str(tmp_path / "grid.csv")),
+                 ("forecast", "--partition", PART, "--model", MODEL,
+                  "--out", str(tmp_path / "forecast.csv"))):
+        code = run(argv[0], "--network", EDGES, "--panel", str(panel_path), *argv[1:])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "panel has 4 nodes, network has 5" in err[0]
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -74,3 +74,13 @@ def test_partition_read_rejects_gaps(tmp_path):
     path.write_text("node,community\n1,1\n1,2\n")
     with pytest.raises(DataError, match="twice"):
         read_partition(path)
+
+
+def test_partition_read_rejects_non_numeric(tmp_path):
+    path = tmp_path / "part.csv"
+    for body, ln in [("node,community\n1,x\n", 2), ("node,community\nx,1\n", 2),
+                     ("# label x: Red\nnode,community\n1,1\n", 1),
+                     ("# label 1 Red\nnode,community\n1,1\n", 1)]:
+        path.write_text(body)
+        with pytest.raises(DataError, match=f"part.csv:{ln}: "):
+            read_partition(path)

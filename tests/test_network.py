@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gnar.errors import DataError, GnarError, NetworkError
+from gnar.errors import DataError, GnarError, NetworkError, OrderError
 from gnar.network import (UNREACHABLE, bfs_distances, build_network,
                           default_weights, load_weight_overrides, mask_weights,
                           max_stage, read_edge_list, stage_adjacency,
-                          write_edge_list)
+                          stage_weights, write_edge_list)
 from gnar.partition import CommunityPartition, single_community
 
 from oracles import floyd_warshall, random_graph
@@ -216,8 +216,47 @@ def test_weight_overrides(tmp_path, fivenet_weights):
 
 def test_weight_overrides_rejects_bad_rows(tmp_path, fivenet_weights):
     for body, msg in [("1,1,0.5", "self-pair"), ("1,9,0.5", "out of range"),
-                      ("1,2,1.5", "outside")]:
+                      ("1,2,1.5", "outside"), ("1,x,0.5", "w.csv:2: .*numeric"),
+                      ("1,2,heavy", "w.csv:2: .*numeric")]:
         path = tmp_path / "w.csv"
         path.write_text(f"from,to,w\n{body}\n")
         with pytest.raises(DataError, match=msg):
             load_weight_overrides(path, fivenet_weights)
+
+
+def test_edge_list_rejects_non_numeric_cells(tmp_path):
+    path = tmp_path / "edges.csv"
+    for body, ln in [("# d: x\nfrom,to\n1,2\n", 1), ("# d: 3\nfrom,to\n1,x\n", 3)]:
+        path.write_text(body)
+        with pytest.raises(DataError, match=f"edges.csv:{ln}: "):
+            read_edge_list(path)
+
+
+def test_geometry_is_derived_once_and_read_only(fivenet, monkeypatch):
+    import gnar.network
+
+    calls = []
+    monkeypatch.setattr(gnar.network, "bfs_distances",
+                        lambda net: calls.append(net) or bfs_distances(net))
+    net = build_network(fivenet.d, sorted(fivenet.edges))
+    assert net.distances is net.distances
+    assert net.stages is net.stages and net.r_max == 3
+    assert len(calls) == 1
+    assert np.array_equal(net.distances, bfs_distances(fivenet))
+    for arr in (net.distances, *net.stages):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7
+
+
+def test_stage_weights(fivenet, fivenet_weights):
+    S = stage_adjacency(bfs_distances(fivenet))
+    Bs = stage_weights(fivenet, fivenet_weights, 3)
+    assert len(Bs) == 3
+    for B, S_r in zip(Bs, S):
+        assert np.array_equal(B, fivenet_weights * S_r)
+    assert stage_weights(fivenet, fivenet_weights, 0) == []
+    for r in (-1, 4):
+        with pytest.raises(OrderError, match="stage"):
+            stage_weights(fivenet, fivenet_weights, r)
+    with pytest.raises(NetworkError, match="5 nodes"):
+        stage_weights(fivenet, np.zeros((4, 4)), 1)

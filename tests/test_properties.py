@@ -1,0 +1,97 @@
+"""Property tests on random graphs, including disconnected ones and singleton
+communities: the design reproduces the VAR form, the (P)NACF grid agrees
+with single-cell calls, and every autocorrelation is bounded by one.
+
+Runs are derandomised and bounded so the suite stays deterministic and fast.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gnar.autocorr import KINDS, corbit_grid, nacf, pnacf
+from gnar.estimate import build_design
+from gnar.model import GnarCoefficients, GnarOrder, theta_index, to_var
+from gnar.network import build_network, default_weights
+from gnar.panel import TimeSeriesPanel, default_node_labels
+from gnar.partition import CommunityPartition
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def graphs(draw, min_edges=0):
+    """A simple graph on 1..d, possibly disconnected, and a partition of it."""
+    d = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=min_edges,
+                          max_size=len(pairs), unique=True))
+    raw = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    relabel = {c: k for k, c in enumerate(sorted(set(raw)), start=1)}
+    part = CommunityPartition(assignment=tuple(relabel[c] for c in raw),
+                              n_communities=len(relabel))
+    return build_network(d, edges), part
+
+
+def random_panel(seed: int, d: int, T: int, rho: float = 0.0) -> TimeSeriesPanel:
+    """Per-node AR(1) series with coefficient rho (white noise at rho = 0)."""
+    noise = np.random.default_rng(seed).normal(size=(d, T))
+    values = np.zeros((d, T))
+    values[:, 0] = noise[:, 0]
+    for t in range(1, T):
+        values[:, t] = rho * values[:, t - 1] + noise[:, t]
+    return TimeSeriesPanel(values, default_node_labels(d), [str(t) for t in range(T)])
+
+
+@st.composite
+def orders(draw, r_max: int, n_communities: int):
+    variant = draw(st.sampled_from(("global", "community", "local")))
+    groups = n_communities if variant == "community" else 1
+    lags = [draw(st.integers(1, 2)) for _ in range(groups)]
+    stages = [[draw(st.integers(0, r_max)) for _ in range(p)] for p in lags]
+    if variant == "community":
+        return GnarOrder.community_order(lags, stages)
+    return GnarOrder(variant, tuple(lags), tuple(tuple(s) for s in stages))
+
+
+@PROPERTY
+@given(st.data(), graphs(), st.integers(0, 2**32 - 1))
+def test_design_times_theta_is_var_prediction(data, graph, seed):
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities))
+    panel = random_panel(seed, net.d, 12)
+    W = default_weights(net.distances)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-0.5, 0.5, size=len(theta_index(order, d=net.d)))
+    coeffs = GnarCoefficients.from_theta(theta, order, d=net.d)
+    ds = build_design(panel, order, net, W, part)
+    phi = to_var(coeffs, order, net, W, part)
+    X, p = panel.values, order.p_max
+    var_pred = np.stack([sum(phi[k - 1] @ X[:, t - k] for k in range(1, p + 1))
+                         for t in range(p, panel.T)])
+    assert np.max(np.abs(ds.R @ theta - var_pred.ravel())) <= 1e-12
+
+
+@PROPERTY
+@given(graphs(min_edges=1), st.integers(0, 2**32 - 1), st.sampled_from(KINDS),
+       st.booleans(), st.integers(6, 16), st.sampled_from((0.0, 0.9, 0.99)))
+def test_grid_cells_equal_single_calls_and_are_bounded(graph, seed, kind,
+                                                       communities, T, rho):
+    net, part = graph
+    part = part if communities else None
+    panel = random_panel(seed, net.d, T, rho)
+    W = default_weights(net.distances)
+    H, R = 3, net.r_max
+    grid = corbit_grid(panel, net, W, H, R, kind, part)
+    fn = nacf if kind == "nacf" else pnacf
+    layers = [None] if part is None else [part.members(g)
+                                          for g in range(1, part.n_communities + 1)]
+    for ci, nodes in enumerate(layers):
+        values = grid.values if part is None else grid.values[ci]
+        degs = grid.degenerate if part is None else grid.degenerate[ci]
+        for h in range(1, H + 1):
+            for r in range(1, R + 1):
+                cell = fn(panel, net, W, h, r, nodes=nodes)
+                assert values[h - 1, r - 1] == cell.value
+                assert degs[h - 1, r - 1] == cell.degenerate
+    assert np.all(np.abs(grid.values) <= 1 + 1e-12)
