@@ -181,51 +181,23 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_elections(args) -> int:
-    out_dir = Path(args.out_dir)
+    """Compute every fit, grid and comparison first, so a bad argument writes nothing."""
     data = elections.load_returns(args.returns)
     externals = _load_externals(args, data.panel.d)
     classification = elections.classify(data)
     part = classification.partition
     net = elections.us_border_network()
     W = default_weights(net.distances)
-
-    _write_panel_atomic(data.panel, out_dir / "panel_raw.csv")
-    write_text_atomic(out_dir / "classification.csv", classification.to_csv_text())
-    write_text_atomic(out_dir / "network_edges.csv", format_edge_list(net))
-    write_text_atomic(out_dir / "partition.csv", format_partition(part))
-
     std = elections.standardize(data.panel)
-    _write_panel_atomic(std, out_dir / "panel_standardised.csv")
     order_std = parse_order("community:[2,2,2];{[1,0],[1,0],[1,0]}")
     fit_std = estimate.fit_ols(estimate.build_design(std, order_std, net, W, part))
-    write_text_atomic(out_dir / "fit_standardised.csv",
-                      estimate.coefficient_table(fit_std))
-    _write_panel_atomic(fit_std.residuals, out_dir / "residuals_standardised.csv")
-    if not fit_std.stationary:
-        print("note: standardised fit violates the stationarity condition "
-              f"(largest sum {np.max(fit_std.stationarity_sums):.3f}); "
-              "see the differenced fit", file=sys.stderr)
-
     grid_std = autocorr.corbit_grid(std, net, W, args.max_lag, args.max_stage,
                                     "pnacf", part)
-    write_text_atomic(out_dir / "pnacf_grid_standardised.csv", grid_std.to_csv_text())
-    write_text_atomic(out_dir / "rcorbit_pnacf_standardised.svg",
-                      corbit_svg.render_rcorbit(grid_std, corbit_svg.RenderOptions()))
-
     diff = elections.standardize(elections.difference(data.panel))
-    _write_panel_atomic(diff, out_dir / "panel_differenced_standardised.csv")
     order_diff = parse_order("community:[3,3,3];{[0,0,0],[0,0,0],[0,0,0]}")
     fit_diff = estimate.fit_ols(estimate.build_design(diff, order_diff, net, W, part))
-    write_text_atomic(out_dir / "fit_differenced.csv",
-                      estimate.coefficient_table(fit_diff))
-    _write_panel_atomic(fit_diff.residuals, out_dir / "residuals_differenced.csv")
-
     grid_diff = autocorr.corbit_grid(diff, net, W, min(args.max_lag, diff.T - 1),
                                      args.max_stage, "pnacf", part)
-    write_text_atomic(out_dir / "pnacf_grid_differenced.csv", grid_diff.to_csv_text())
-    write_text_atomic(out_dir / "rcorbit_pnacf_differenced.svg",
-                      corbit_svg.render_rcorbit(grid_diff, corbit_svg.RenderOptions()))
-
     specs = [
         ModelSpec("GNAR", order_std),
         ModelSpec("GNAR*", parse_order("global:2;[1,0]")),
@@ -233,7 +205,32 @@ def _cmd_elections(args) -> int:
     ]
     report = compare(data.panel, net, W, specs, part, holdout=args.holdout,
                         external=externals)
-    write_text_atomic(out_dir / "comparison.csv", report.to_csv_text())
+    outputs = {
+        "panel_raw.csv": format_panel(data.panel),
+        "classification.csv": classification.to_csv_text(),
+        "network_edges.csv": format_edge_list(net),
+        "partition.csv": format_partition(part),
+        "panel_standardised.csv": format_panel(std),
+        "fit_standardised.csv": estimate.coefficient_table(fit_std),
+        "residuals_standardised.csv": format_panel(fit_std.residuals),
+        "pnacf_grid_standardised.csv": grid_std.to_csv_text(),
+        "rcorbit_pnacf_standardised.svg":
+            corbit_svg.render_rcorbit(grid_std, corbit_svg.RenderOptions()),
+        "panel_differenced_standardised.csv": format_panel(diff),
+        "fit_differenced.csv": estimate.coefficient_table(fit_diff),
+        "residuals_differenced.csv": format_panel(fit_diff.residuals),
+        "pnacf_grid_differenced.csv": grid_diff.to_csv_text(),
+        "rcorbit_pnacf_differenced.svg":
+            corbit_svg.render_rcorbit(grid_diff, corbit_svg.RenderOptions()),
+        "comparison.csv": report.to_csv_text(),
+    }
+    out_dir = Path(args.out_dir)
+    for name, text in outputs.items():
+        write_text_atomic(out_dir / name, text)
+    if not fit_std.stationary:
+        print("note: standardised fit violates the stationarity condition "
+              f"(largest sum {np.max(fit_std.stationarity_sums):.3f}); "
+              "see the differenced fit", file=sys.stderr)
     print(f"wrote election study outputs to {out_dir} "
           f"(hold-out {report.holdout_label})")
     return 0

@@ -20,9 +20,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CovarianceError, DesignError, RankDeficiencyError
-from .model import (GnarCoefficients, GnarOrder, ThetaEntry, stationarity_margin,
-                    theta_index, to_var)
-from .network import Network, mask_weights, stage_weights
+from .model import (GnarCoefficients, GnarOrder, ThetaEntry, _group_bases,
+                    stationarity_margin, theta_index)
+from .network import Network, stage_weights
 from .panel import TimeSeriesPanel
 from .partition import CommunityPartition
 
@@ -96,30 +96,21 @@ def _build_columns(X: np.ndarray, order: GnarOrder, net: Network, W: np.ndarray,
     if T <= p0:
         raise DesignError(f"panel length {T} cannot support maximum lag {p0}; "
                           f"need at least {p0 + 1} time steps")
-    Bs = stage_weights(net, W, order.r_star)
+    xi, Bs = _group_bases(order, d, part, stage_weights(net, W, order.r_star))
     rows = [i - 1 for i in row_nodes]
     n_t = T - p0
-    groups = sorted({e.group for e in entries})
-    z_cache: dict[int, list[np.ndarray]] = {}
-    xi_cache: dict[int, np.ndarray] = {}
-    for g in groups:
-        Bg = Bs[:max(order.stages[g - 1])]
-        xi_cache[g] = np.ones(d)
-        if order.variant == "community":
-            Bg = [mask_weights(B, part, g) for B in Bg]
-            xi_cache[g] = part.indicator(g)
-        z_cache[g] = [B @ X for B in Bg]
+    z = {g: [B @ X for B in Bs[g - 1]] for g in sorted({e.group for e in entries})}
     cols = np.empty((n_t * len(rows), len(entries)))
     for j, e in enumerate(entries):
         lo, hi = p0 - e.lag, T - e.lag
         if e.stage is None:
-            if order.variant == "local":
+            if e.node is not None:
                 M = np.zeros((d, n_t))
                 M[e.node - 1] = X[e.node - 1, lo:hi]
             else:
-                M = xi_cache[e.group][:, None] * X[:, lo:hi]
+                M = xi[e.group - 1][:, None] * X[:, lo:hi]
         else:
-            M = z_cache[e.group][e.stage - 1][:, lo:hi]
+            M = z[e.group][e.stage - 1][:, lo:hi]
         cols[:, j] = M[rows].T.ravel()
     y = X[rows, p0:].T.ravel()
     return cols, y
@@ -130,14 +121,6 @@ def build_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
     """Joint design over all nodes, usable range t = p_max+1 .. T."""
     if panel.d != net.d:
         raise DesignError(f"panel has {panel.d} nodes, network has {net.d}")
-    if order.variant == "community":
-        if part is None:
-            raise DesignError("community orders need a partition")
-        if part.n_communities != order.n_groups:
-            raise DesignError(f"order has {order.n_groups} communities, "
-                              f"partition has {part.n_communities}")
-        if part.d != panel.d:
-            raise DesignError("partition and panel node counts differ")
     entries = theta_index(order, d=panel.d)
     p0 = order.p_max
     R, y = _build_columns(panel.values, order, net, W, part, entries, p0,

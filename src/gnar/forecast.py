@@ -21,6 +21,7 @@ from .model import GnarCoefficients, GnarOrder, to_var
 from .network import Network
 from .panel import TimeSeriesPanel, read_panel
 from .partition import CommunityPartition
+from .simulate import var_recursion
 
 
 def forecast(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
@@ -36,15 +37,9 @@ def forecast(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     if panel.T < p:
         raise GnarError(f"panel has {panel.T} steps; forecasting needs at "
                         f"least the maximum lag {p}")
-    history = panel.values.copy()
-    out = np.zeros((horizon, panel.d))
-    for step in range(horizon):
-        pred = np.zeros(panel.d)
-        for k in range(1, p + 1):
-            pred += phi[k - 1] @ history[:, -k]
-        out[step] = pred
-        history = np.column_stack([history, pred])
-    return out
+    X = np.zeros((panel.d, panel.T + horizon))
+    X[:, :panel.T] = panel.values
+    return var_recursion(phi, X, panel.T)[:, panel.T:].T.copy()
 
 
 def naive_forecast(panel: TimeSeriesPanel, horizon: int = 1) -> np.ndarray:

@@ -8,15 +8,21 @@ Three coefficient-sharing variants are supported:
 * ``local``: node-specific autoregressive coefficients with neighbourhood
   coefficients shared across nodes.
 
-The module also converts any variant to its equivalent VAR transition
-matrices, checks the sufficient stationarity condition (every group's sum
-of absolute coefficients below one) and maps community models to their
-node-wise representation.
+Every variant is a VAR whose transition matrices are linear in the stacked
+parameters, Phi_k = sum_j theta_j M_j, where M_j is diag(xi_g) for a group
+alpha, the community-masked stage weights W_g o S_r for a beta and
+e_i e_i' for a node alpha.  :func:`theta_index` lists the slots j once;
+the parameter vector, the VAR matrices, the design columns, the node-wise
+expansion and the model-file lines are all loops over that one list.
+
+The module also checks the sufficient stationarity condition (every
+group's sum of absolute coefficients below one).
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -208,22 +214,25 @@ class GnarCoefficients:
     def beta_groups_expected(order: GnarOrder) -> tuple[tuple[int, ...], ...]:
         return order.stages
 
+    def _entries(self, order: GnarOrder) -> list[ThetaEntry]:
+        """``theta_index`` of the order, sized by the node-wise alphas if any."""
+        return theta_index(order, None if self.alpha_nodes is None else len(self.alpha_nodes))
+
+    @classmethod
+    def _zeros(cls, order: GnarOrder, noise_sd: float,
+               d: int | None = None) -> "GnarCoefficients":
+        """All-zero coefficients of the order, ready to be filled slot by slot."""
+        local = order.variant == "local"
+        return cls(variant=order.variant,
+                   alpha=() if local else tuple(np.zeros(p) for p in order.lags),
+                   beta=tuple(tuple(np.zeros(sk) for sk in s) for s in order.stages),
+                   noise_sd=noise_sd,
+                   alpha_nodes=np.zeros((d, order.lags[0])) if local else None)
+
     # -- flat parameter vector --------------------------------------------
     def to_theta(self, order: GnarOrder) -> np.ndarray:
         self.validate_against(order)
-        out: list[float] = []
-        if order.variant == "local":
-            p, s = order.lags[0], order.stages[0]
-            for k in range(1, p + 1):
-                out.extend(self.alpha_nodes[:, k - 1])
-                out.extend(self.beta[0][k - 1])
-            return np.asarray(out)
-        for g in range(order.n_groups):
-            p, s = order.lags[g], order.stages[g]
-            for k in range(1, p + 1):
-                out.append(float(self.alpha[g][k - 1]))
-                out.extend(self.beta[g][k - 1])
-        return np.asarray(out)
+        return np.asarray([_coef(self, e) for e in self._entries(order)])
 
     @classmethod
     def from_theta(cls, theta: np.ndarray, order: GnarOrder,
@@ -232,33 +241,23 @@ class GnarCoefficients:
         expected = order.param_count(d)
         if theta.shape != (expected,):
             raise OrderError(f"theta length {theta.shape} does not match {expected}")
-        pos = 0
-        if order.variant == "local":
-            p, s = order.lags[0], order.stages[0]
-            alpha_nodes = np.zeros((d, p))
-            betas: list[np.ndarray] = []
-            for k in range(p):
-                alpha_nodes[:, k] = theta[pos:pos + d]
-                pos += d
-                betas.append(theta[pos:pos + s[k]])
-                pos += s[k]
-            return cls(variant="local", alpha=(), beta=(tuple(betas),),
-                       noise_sd=noise_sd, alpha_nodes=alpha_nodes)
-        alphas: list[np.ndarray] = []
-        beta_groups: list[tuple[np.ndarray, ...]] = []
-        for g in range(order.n_groups):
-            p, s = order.lags[g], order.stages[g]
-            a = np.zeros(p)
-            bs: list[np.ndarray] = []
-            for k in range(p):
-                a[k] = theta[pos]
-                pos += 1
-                bs.append(theta[pos:pos + s[k]])
-                pos += s[k]
-            alphas.append(a)
-            beta_groups.append(tuple(bs))
-        return cls(variant=order.variant, alpha=tuple(alphas),
-                   beta=tuple(beta_groups), noise_sd=noise_sd)
+        coeffs = cls._zeros(order, noise_sd, d)
+        for e, value in zip(theta_index(order, d), theta):
+            _coef(coeffs, e, value)
+        return coeffs
+
+
+def _coef(coeffs: GnarCoefficients, e: ThetaEntry, value: float | None = None) -> float:
+    """The coefficient of slot e; sets it first when ``value`` is given."""
+    if e.stage is not None:
+        arr, idx = coeffs.beta[e.group - 1][e.lag - 1], e.stage - 1
+    elif e.node is not None:
+        arr, idx = coeffs.alpha_nodes, (e.node - 1, e.lag - 1)
+    else:
+        arr, idx = coeffs.alpha[e.group - 1], e.lag - 1
+    if value is not None:
+        arr[idx] = value
+    return float(arr[idx])
 
 
 @dataclass(frozen=True)
@@ -310,29 +309,40 @@ def to_var(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     order contribute zero.
     """
     coeffs.validate_against(order, d=net.d)
-    Bs = stage_weights(net, W, order.r_star)
-    d, p = net.d, order.p_max
-    if order.variant == "community":
-        if part is None:
-            raise OrderError("community models need a partition")
-        if part.n_communities != order.n_groups:
-            raise OrderError(f"order has {order.n_groups} communities, "
-                             f"partition has {part.n_communities}")
-        if part.d != d:
-            raise OrderError("partition and network node counts differ")
-    phi = np.zeros((p, d, d))
-    for g in range(1, order.n_groups + 1):
-        xi, Bg = np.ones(d), Bs
-        if order.variant == "community":
-            xi, Bg = part.indicator(g), [mask_weights(B, part, g) for B in Bs]
-        for k in range(1, order.lags[g - 1] + 1):
-            if order.variant == "local":
-                phi[k - 1] += np.diag(coeffs.alpha_nodes[:, k - 1])
-            else:
-                phi[k - 1] += np.diag(coeffs.alpha[g - 1][k - 1] * xi)
-            for r in range(1, order.stages[g - 1][k - 1] + 1):
-                phi[k - 1] += coeffs.beta[g - 1][k - 1][r - 1] * Bg[r - 1]
+    xi, Bs = _group_bases(order, net.d, part, stage_weights(net, W, order.r_star))
+    phi = np.zeros((order.p_max, net.d, net.d))
+    for e in theta_index(order, net.d):
+        v = _coef(coeffs, e)
+        if e.stage is not None:
+            phi[e.lag - 1] += v * Bs[e.group - 1][e.stage - 1]
+        elif e.node is not None:
+            phi[e.lag - 1, e.node - 1, e.node - 1] += v
+        else:
+            phi[e.lag - 1] += np.diag(v * xi[e.group - 1])
     return phi
+
+
+def _group_bases(order: GnarOrder, d: int, part: CommunityPartition | None,
+                 Bs: Sequence[np.ndarray] = ()) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    """Each group's indicator xi_g and stage weights W_g o S_1 .. up to its own stage depth.
+
+    ``Bs`` are the unmasked stage weights; community groups get them masked
+    to within-community pairs.  This is the one check that a community
+    order comes with a partition of the same communities and nodes.
+    """
+    groups = range(1, order.n_groups + 1)
+    depth = [max(s) for s in order.stages]
+    if order.variant != "community":
+        return [np.ones(d)], [list(Bs[:depth[0]])]
+    if part is None:
+        raise OrderError("community models need a partition")
+    if part.n_communities != order.n_groups:
+        raise OrderError(f"order has {order.n_groups} communities, "
+                         f"partition has {part.n_communities}")
+    if part.d != d:
+        raise OrderError(f"partition has {part.d} nodes, the model {d}")
+    return ([part.indicator(g) for g in groups],
+            [[mask_weights(B, part, g) for B in Bs[:depth[g - 1]]] for g in groups])
 
 
 @dataclass(frozen=True)
@@ -368,18 +378,15 @@ def to_local_alpha(coeffs: GnarCoefficients, order: GnarOrder,
     if order.variant != "community":
         raise OrderError("node-wise expansion applies to community models")
     coeffs.validate_against(order)
-    if part.n_communities != order.n_groups:
-        raise OrderError("partition and order community counts differ")
-    d, p = part.d, order.p_max
-    smax = order.r_star
-    alpha = np.zeros((d, p))
-    beta = np.zeros((d, p, smax))
-    for i in range(1, d + 1):
-        c = part.community_of(i)
-        for k in range(1, order.lags[c - 1] + 1):
-            alpha[i - 1, k - 1] = coeffs.alpha[c - 1][k - 1]
-            for r in range(1, order.stages[c - 1][k - 1] + 1):
-                beta[i - 1, k - 1, r - 1] = coeffs.beta[c - 1][k - 1][r - 1]
+    xi, _ = _group_bases(order, part.d, part)
+    alpha = np.zeros((part.d, order.p_max))
+    beta = np.zeros((part.d, order.p_max, order.r_star))
+    for e in theta_index(order):
+        rows = xi[e.group - 1] == 1.0
+        if e.stage is None:
+            alpha[rows, e.lag - 1] = _coef(coeffs, e)
+        else:
+            beta[rows, e.lag - 1, e.stage - 1] = _coef(coeffs, e)
     return NodewiseCoefficients(alpha=alpha, beta=beta)
 
 
@@ -446,6 +453,11 @@ def format_order(order: GnarOrder) -> str:
 # model files: plain-text key/value lines, exact round trips
 # ---------------------------------------------------------------------------
 
+def _line_key(variant: str, e: ThetaEntry) -> str:
+    """Model-file key of slot e: its column name, words for dots and a bare node id."""
+    return e.name(variant).replace(".node", ".").replace(".", " ")
+
+
 def format_model(coeffs: GnarCoefficients, order: GnarOrder,
                  d: int | None = None) -> str:
     """Model-file text; floats use repr so reads reproduce values exactly."""
@@ -462,24 +474,8 @@ def format_model(coeffs: GnarCoefficients, order: GnarOrder,
         lines.append(f"p {order.lags[0]}")
         lines.append("s " + " ".join(str(x) for x in order.stages[0]))
     lines.append(f"sigma {float(coeffs.noise_sd)!r}")
-    if order.variant == "local":
-        dd, p = coeffs.alpha_nodes.shape
-        for k in range(1, p + 1):
-            for i in range(1, dd + 1):
-                lines.append(f"alpha {i} {k} {float(coeffs.alpha_nodes[i - 1, k - 1])!r}")
-            for r in range(1, order.stages[0][k - 1] + 1):
-                lines.append(f"beta {k} {r} {float(coeffs.beta[0][k - 1][r - 1])!r}")
-    elif order.variant == "community":
-        for g in range(1, order.n_groups + 1):
-            for k in range(1, order.lags[g - 1] + 1):
-                lines.append(f"alpha {k} {g} {float(coeffs.alpha[g - 1][k - 1])!r}")
-                for r in range(1, order.stages[g - 1][k - 1] + 1):
-                    lines.append(f"beta {k} {r} {g} {float(coeffs.beta[g - 1][k - 1][r - 1])!r}")
-    else:
-        for k in range(1, order.lags[0] + 1):
-            lines.append(f"alpha {k} {float(coeffs.alpha[0][k - 1])!r}")
-            for r in range(1, order.stages[0][k - 1] + 1):
-                lines.append(f"beta {k} {r} {float(coeffs.beta[0][k - 1][r - 1])!r}")
+    lines += [f"{_line_key(order.variant, e)} {_coef(coeffs, e)!r}"
+              for e in coeffs._entries(order)]
     return "\n".join(lines) + "\n"
 
 
@@ -488,15 +484,30 @@ def write_model(coeffs: GnarCoefficients, order: GnarOrder, path: str | Path,
     Path(path).write_text(format_model(coeffs, order, d=d))
 
 
+_HEADER_KEYS = ("variant", "C", "p", "s", "d", "sigma")
+
+
 def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "gnar-model v1":
+    """Read a model file; every other line than the header keys sets one coefficient.
+
+    A coefficient line that is malformed, names no slot of the order or
+    repeats an earlier one raises :class:`DataError` with its line number.
+    Slots without a line are zero.
+    """
+    lines = [(ln, raw.strip()) for ln, raw in
+             enumerate(Path(path).read_text().splitlines(), start=1)]
+    lines = [(ln, text) for ln, text in lines if text and not text.startswith("#")]
+    if not lines or lines[0][1] != "gnar-model v1":
         raise DataError(f"{path}: not a model file (missing 'gnar-model v1' header)")
     fields: dict[str, list[list[str]]] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        fields.setdefault(parts[0], []).append(parts[1:])
+    coef_lines: list[tuple[int, list[str]]] = []
+    for ln, text in lines[1:]:
+        parts = text.split()
+        if parts[0] in _HEADER_KEYS:
+            fields.setdefault(parts[0], []).append(parts[1:])
+        else:
+            coef_lines.append((ln, parts))
+    d = None
     try:
         variant = fields["variant"][0][0]
         sigma = float(fields["sigma"][0][0])
@@ -507,43 +518,30 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
             for row in fields["s"]:
                 stages[int(row[0]) - 1] = [int(x) for x in row[1:]]
             order = GnarOrder.community_order(lags, stages)
-            alphas = [np.zeros(p) for p in lags]
-            betas = [[np.zeros(s) for s in stages[g]] for g in range(C)]
-            for row in fields.get("alpha", []):
-                k, g, v = int(row[0]), int(row[1]), float(row[2])
-                alphas[g - 1][k - 1] = v
-            for row in fields.get("beta", []):
-                k, r, g, v = int(row[0]), int(row[1]), int(row[2]), float(row[3])
-                betas[g - 1][k - 1][r - 1] = v
-            coeffs = GnarCoefficients(variant="community", alpha=tuple(alphas),
-                                      beta=tuple(tuple(b) for b in betas), noise_sd=sigma)
         elif variant in ("global", "local"):
             p = int(fields["p"][0][0])
-            s = [int(x) for x in fields["s"][0]]
-            if variant == "global":
-                order = GnarOrder.global_order(p, s)
-                alpha = np.zeros(p)
-                beta = [np.zeros(sk) for sk in s]
-                for row in fields.get("alpha", []):
-                    alpha[int(row[0]) - 1] = float(row[1])
-                for row in fields.get("beta", []):
-                    beta[int(row[0]) - 1][int(row[1]) - 1] = float(row[2])
-                coeffs = GnarCoefficients(variant="global", alpha=(alpha,),
-                                          beta=(tuple(beta),), noise_sd=sigma)
-            else:
-                order = GnarOrder.local_order(p, s)
+            order = GnarOrder(variant, (p,), (tuple(int(x) for x in fields["s"][0]),))
+            if variant == "local":
                 d = int(fields["d"][0][0])
-                alpha_nodes = np.zeros((d, p))
-                beta = [np.zeros(sk) for sk in s]
-                for row in fields.get("alpha", []):
-                    alpha_nodes[int(row[0]) - 1, int(row[1]) - 1] = float(row[2])
-                for row in fields.get("beta", []):
-                    beta[int(row[0]) - 1][int(row[1]) - 1] = float(row[2])
-                coeffs = GnarCoefficients(variant="local", alpha=(), beta=(tuple(beta),),
-                                          noise_sd=sigma, alpha_nodes=alpha_nodes)
         else:
             raise DataError(f"{path}: unknown variant {variant!r}")
+        coeffs = GnarCoefficients._zeros(order, sigma, d)
     except (KeyError, IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None
+    slots = {_line_key(variant, e): e for e in theta_index(order, d)}
+    seen: dict[str, int] = {}
+    for ln, parts in coef_lines:
+        key = " ".join(parts[:-1])
+        if key not in slots:
+            raise DataError(f"{path}:{ln}: {' '.join(parts)!r} sets no coefficient of "
+                            f"the order {format_order(order)}")
+        if key in seen:
+            raise DataError(f"{path}:{ln}: {key!r} was already set on line {seen[key]}")
+        try:
+            _coef(coeffs, slots[key], float(parts[-1]))
+        except ValueError:
+            raise DataError(f"{path}:{ln}: coefficient value must be a number, "
+                            f"got {parts[-1]!r}") from None
+        seen[key] = ln
     coeffs.validate_against(order)
     return coeffs, order

@@ -23,6 +23,18 @@ from .partition import CommunityPartition
 RNG_NAME = "numpy-pcg64"
 
 
+def var_recursion(phi: np.ndarray, X: np.ndarray, start: int) -> np.ndarray:
+    """Run the VAR recursion in place on the d x time buffer X and return it.
+
+    Each column t >= start, preloaded with its innovation (or zero), gains
+    Phi_k X[:, t-k] for k = 1..p in lag order.
+    """
+    for t in range(start, X.shape[1]):
+        for k in range(1, phi.shape[0] + 1):
+            X[:, t] += phi[k - 1] @ X[:, t - k]
+    return X
+
+
 def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
              W: np.ndarray, T: int, *, part: CommunityPartition | None = None,
              burn_in: int = 200, seed: int = 0, noise_sd: float | None = None,
@@ -52,14 +64,9 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     p, d = phi.shape[0], net.d
     rng = np.random.default_rng(seed)
     steps = burn_in + T
-    noise = rng.normal(0.0, sd, size=(steps, d))
     X = np.zeros((d, p + steps))
-    for t in range(p, p + steps):
-        acc = noise[t - p]
-        for k in range(1, p + 1):
-            acc = acc + phi[k - 1] @ X[:, t - k]
-        X[:, t] = acc
-    values = X[:, p + burn_in:]
+    X[:, p:] = rng.normal(0.0, sd, size=(steps, d)).T
+    values = var_recursion(phi, X, p)[:, p + burn_in:]
     meta = {
         "rng": RNG_NAME,
         "seed": str(seed),

@@ -156,6 +156,17 @@ def test_elections_external_without_name_writes_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--max-stage", "30"), ("--max-lag", "0"),
+                                         ("--holdout", "50")])
+def test_elections_bad_argument_writes_nothing(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "study"
+    code = run("elections", "--returns", RETURNS, flag, value, "--out-dir", str(out_dir))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out_dir.exists()
+
+
 def test_panel_network_size_mismatch_exits_one(tmp_path, capsys):
     panel_path = tmp_path / "panel.csv"
     write_panel(TimeSeriesPanel(np.random.default_rng(0).normal(size=(4, 20)),

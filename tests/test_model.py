@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,21 @@ def test_model_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")
     with pytest.raises(DataError):
+        read_model(path)
+
+
+GLOBAL_HEADER = "gnar-model v1\nvariant global\nsigma 1.0\n"
+
+
+@pytest.mark.parametrize("body, line, what", [
+    ("p 2\ns 1 0\nalpha 0 0.1\n", 6, "sets no coefficient"),
+    ("p 1\ns 1\nalpha 1 0.1\nbeta 1 1 0.2\nalpha 1 0.3\n", 8, "already set on line 6"),
+    ("p 1\ns 1\nalpha 3 0.1\n", 6, "sets no coefficient"),
+], ids=["lag-zero", "repeated", "lag-beyond-order"])
+def test_model_file_rejects_bad_coefficient_lines(tmp_path, body, line, what):
+    path = tmp_path / "bad.txt"
+    path.write_text(GLOBAL_HEADER + body)
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}:{line}: .*{what}"):
         read_model(path)
 
 

@@ -1,9 +1,14 @@
 """Property tests on random graphs, including disconnected ones and singleton
-communities: the design reproduces the VAR form, the (P)NACF grid agrees
+communities: the design reproduces the VAR form, the community Gram matrix
+is block-diagonal, model files and parameter vectors round-trip exactly,
+the node-wise expansion agrees with the VAR form, the (P)NACF grid agrees
 with single-cell calls, and every autocorrelation is bounded by one.
 
 Runs are derandomised and bounded so the suite stays deterministic and fast.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,8 +16,9 @@ from hypothesis import strategies as st
 
 from gnar.autocorr import KINDS, corbit_grid, nacf, pnacf
 from gnar.estimate import build_design
-from gnar.model import GnarCoefficients, GnarOrder, theta_index, to_var
-from gnar.network import build_network, default_weights
+from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
+                        theta_index, to_local_alpha, to_var)
+from gnar.network import build_network, default_weights, stage_weights
 from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition
 
@@ -44,8 +50,9 @@ def random_panel(seed: int, d: int, T: int, rho: float = 0.0) -> TimeSeriesPanel
 
 
 @st.composite
-def orders(draw, r_max: int, n_communities: int):
-    variant = draw(st.sampled_from(("global", "community", "local")))
+def orders(draw, r_max: int, n_communities: int,
+           variants=("global", "community", "local")):
+    variant = draw(st.sampled_from(variants))
     groups = n_communities if variant == "community" else 1
     lags = [draw(st.integers(1, 2)) for _ in range(groups)]
     stages = [[draw(st.integers(0, r_max)) for _ in range(p)] for p in lags]
@@ -95,3 +102,63 @@ def test_grid_cells_equal_single_calls_and_are_bounded(graph, seed, kind,
                 assert values[h - 1, r - 1] == cell.value
                 assert degs[h - 1, r - 1] == cell.degenerate
     assert np.all(np.abs(grid.values) <= 1 + 1e-12)
+
+
+@PROPERTY
+@given(st.data(), graphs(), st.integers(0, 2**32 - 1))
+def test_community_gram_is_block_diagonal(data, graph, seed):
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities, variants=("community",)))
+    ds = build_design(random_panel(seed, net.d, 12), order, net,
+                      default_weights(net.distances), part)
+    groups = np.asarray([e.group for e in ds.columns])
+    for g in range(1, part.n_communities + 1):
+        for h in range(1, part.n_communities + 1):
+            if g != h:
+                assert np.all(ds.R[:, groups == g].T @ ds.R[:, groups == h] == 0.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(st.data(), graphs(), st.floats(1e-300, 1e300))
+def test_theta_and_model_file_round_trips_are_exact(data, graph, noise_sd):
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities))
+    n = len(theta_index(order, d=net.d))
+    theta = np.asarray(data.draw(st.lists(FINITE, min_size=n, max_size=n)), dtype=float)
+    coeffs = GnarCoefficients.from_theta(theta, order, noise_sd=noise_sd, d=net.d)
+    assert coeffs.to_theta(order).tobytes() == theta.tobytes()
+    text = format_model(coeffs, order, d=net.d)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_text(text)
+        again, order_again = read_model(path)
+    assert order_again == order
+    assert again.to_theta(order).tobytes() == theta.tobytes()
+    assert format_model(again, order_again, d=net.d) == text
+
+
+@PROPERTY
+@given(st.data(), graphs())
+def test_nodewise_expansion_agrees_with_var_form(data, graph):
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities, variants=("community",)))
+    n = len(theta_index(order))
+    theta = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    coeffs = GnarCoefficients.from_theta(np.asarray(theta), order)
+    W = default_weights(net.distances)
+    phi = to_var(coeffs, order, net, W, part)
+    nodewise = to_local_alpha(coeffs, order, part)
+    Bs = stage_weights(net, W, order.r_star)
+    community = np.asarray(part.assignment)
+    for i in range(net.d):
+        same = community == community[i]
+        off = np.arange(net.d) != i
+        for k in range(order.p_max):
+            assert phi[k, i, i] == nodewise.alpha[i, k]
+            row = np.zeros(net.d)
+            for r in range(order.r_star):
+                row += nodewise.beta[i, k, r] * Bs[r][i] * same
+            assert np.array_equal(phi[k, i, off], row[off])
