@@ -8,8 +8,14 @@ are zero on rows of other communities, the Gram matrix is block-diagonal
 across communities and the model can be fitted jointly or one community at
 a time (the latter on each community's own, longer usable range).
 
-Solving uses a column-pivoted QR decomposition throughout; the explicit
-normal-equations formula appears only in the test suite as an oracle.
+Ordinary least squares on a local-variant design partials out each node's
+own lags: a node's alpha columns are nonzero on that node's rows only, so
+(Frisch-Waugh-Lovell) the shared betas come from a small pivoted QR of the
+beta columns residualised node by node, and the alphas and the full
+covariance follow by block inversion.  Every other fit, and every GLS fit
+(whitening couples the nodes), uses a column-pivoted QR of the whole
+design.  The explicit normal-equations formula appears only in the test
+suite as an oracle.
 """
 
 from __future__ import annotations
@@ -103,12 +109,12 @@ def _build_columns(X: np.ndarray, order: GnarOrder, net: Network, W: np.ndarray,
     cols = np.empty((n_t * len(rows), len(entries)))
     for j, e in enumerate(entries):
         lo, hi = p0 - e.lag, T - e.lag
+        if e.node is not None:
+            cols[:, j] = 0.0
+            cols[rows.index(e.node - 1)::len(rows), j] = X[e.node - 1, lo:hi]
+            continue
         if e.stage is None:
-            if e.node is not None:
-                M = np.zeros((d, n_t))
-                M[e.node - 1] = X[e.node - 1, lo:hi]
-            else:
-                M = xi[e.group - 1][:, None] * X[:, lo:hi]
+            M = xi[e.group - 1][:, None] * X[:, lo:hi]
         else:
             M = z[e.group][e.stage - 1][:, lo:hi]
         cols[:, j] = M[rows].T.ravel()
@@ -179,6 +185,68 @@ def solve_least_squares(R: np.ndarray, y: np.ndarray,
     return theta, gram_inv
 
 
+def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
+    """OLS on a local-variant design by partialling out each node's own lags.
+
+    Node i's alpha columns A_i live on its rows only.  With A_i = Q_i R_i,
+    the shared betas solve the beta columns and response residualised
+    against each Q_i (by :func:`solve_least_squares`, with its pivoting and
+    rank check), alpha_i = R_i^-1 Q_i'(y_i - B_i beta), and with
+    C_i = R_i^-1 Q_i'B_i and G = Cov(beta) the full inverse Gram matrix has
+    blocks -C_i G and delta_ij (A_i'A_i)^-1 + C_i G C_j'.  Returns the
+    (theta, (R'R)^-1) of :func:`solve_least_squares`.
+    """
+    n, q = ds.R.shape
+    if n < q:
+        raise DesignError(f"system has {n} rows for {q} parameters")
+    m, p = len(ds.node_ids), ds.order.lags[0]
+    n_t = n // m
+    a_idx = np.empty((m, p), dtype=int)
+    b_idx = []
+    for j, e in enumerate(ds.columns):
+        if e.node is None:
+            b_idx.append(j)
+        else:
+            a_idx[ds.node_ids.index(e.node), e.lag - 1] = j
+    R3 = ds.R.reshape(n_t, m, q)
+    A = R3[:, np.arange(m)[:, None], a_idx].transpose(1, 0, 2)
+    B = R3[:, :, b_idx].transpose(1, 0, 2)
+    Y = ds.y.reshape(n_t, m).T[:, :, None]
+    names = ds.column_names()
+    norms = np.concatenate([np.einsum("itk,itk->ik", A, A).ravel(),
+                            np.einsum("itk,itk->k", B, B)])
+    tol = np.sqrt(norms.max()) * max(n, q) * np.finfo(float).eps
+    Q, Ra = np.linalg.qr(A)
+    bad = np.any(np.abs(np.diagonal(Ra, axis1=1, axis2=2)) <= tol, axis=1)
+    if bad.any():
+        dependent = [names[j] for j in a_idx[bad].ravel()]
+        raise RankDeficiencyError(
+            f"design matrix is rank deficient; own lags of {int(bad.sum())} node(s) "
+            f"are dependent: {', '.join(dependent)}", dependent)
+    Qt = Q.transpose(0, 2, 1)
+    QtB, Qty = Qt @ B, Qt @ Y
+    beta, G = solve_least_squares((B - Q @ QtB).reshape(n, len(b_idx)),
+                                  (Y - Q @ Qty).ravel(), tuple(names[j] for j in b_idx))
+    Rinv = np.linalg.inv(Ra)
+    C = Rinv @ QtB
+    alpha = (Rinv @ Qty)[:, :, 0] - C @ beta
+    theta = np.empty(q)
+    theta[b_idx] = beta
+    theta[a_idx] = alpha
+    a_flat = a_idx.ravel()
+    C = C.reshape(a_flat.size, -1)
+    CG = C @ G
+    G_aa = CG @ C.T
+    nodes = np.arange(m)
+    G_aa.reshape(m, p, m, p)[nodes, :, nodes, :] += Rinv @ Rinv.transpose(0, 2, 1)
+    gram_inv = np.empty((q, q))
+    gram_inv[np.ix_(a_flat, a_flat)] = G_aa
+    gram_inv[np.ix_(a_flat, b_idx)] = -CG
+    gram_inv[np.ix_(b_idx, a_flat)] = -CG.T
+    gram_inv[np.ix_(b_idx, b_idx)] = G
+    return theta, gram_inv
+
+
 def _stationarity_for(ds: DesignSystem, theta: np.ndarray) -> tuple[bool, np.ndarray]:
     if ds.group is not None:
         block_sum = float(np.sum(np.abs(theta)))
@@ -190,8 +258,7 @@ def _stationarity_for(ds: DesignSystem, theta: np.ndarray) -> tuple[bool, np.nda
 
 
 def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
-                sigma2: float) -> FitResult:
-    resid = ds.y - ds.R @ theta
+                sigma2: float, resid: np.ndarray) -> FitResult:
     m = len(ds.node_ids)
     resid_panel = TimeSeriesPanel(values=resid.reshape(-1, m).T,
                                   node_labels=ds.node_labels,
@@ -206,12 +273,15 @@ def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
 
 def fit_ols(ds: DesignSystem) -> FitResult:
     """Ordinary least squares with unbiased residual variance (n - q)."""
-    theta, gram_inv = solve_least_squares(ds.R, ds.y, ds.column_names())
+    if ds.variant == "local":
+        theta, gram_inv = _solve_local(ds)
+    else:
+        theta, gram_inv = solve_least_squares(ds.R, ds.y, ds.column_names())
     resid = ds.y - ds.R @ theta
     if ds.n <= ds.q:
         raise DesignError(f"no residual degrees of freedom (n={ds.n}, q={ds.q})")
     sigma2 = float(resid @ resid) / (ds.n - ds.q)
-    return _finish_fit(ds, theta, sigma2 * gram_inv, sigma2)
+    return _finish_fit(ds, theta, sigma2 * gram_inv, sigma2, resid)
 
 
 @dataclass(frozen=True)
@@ -269,7 +339,7 @@ def fit_gls(ds: DesignSystem, sigma) -> FitResult:
     theta, gram_inv = solve_least_squares(Rw, yw, ds.column_names())
     resid_w = yw - Rw @ theta
     sigma2 = float(resid_w @ resid_w) / (ds.n - ds.q) if ds.n > ds.q else float("nan")
-    return _finish_fit(ds, theta, gram_inv, sigma2)
+    return _finish_fit(ds, theta, gram_inv, sigma2, ds.y - ds.R @ theta)
 
 
 def fit_per_community(panel: TimeSeriesPanel, order: GnarOrder, net: Network,

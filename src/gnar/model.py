@@ -491,8 +491,9 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     """Read a model file; every other line than the header keys sets one coefficient.
 
     A coefficient line that is malformed, names no slot of the order or
-    repeats an earlier one raises :class:`DataError` with its line number.
-    Slots without a line are zero.
+    repeats an earlier one raises :class:`DataError` with its line number,
+    and so does a community ``s`` line that names no community or repeats
+    one.  Slots without a line are zero.
     """
     lines = [(ln, raw.strip()) for ln, raw in
              enumerate(Path(path).read_text().splitlines(), start=1)]
@@ -500,11 +501,14 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     if not lines or lines[0][1] != "gnar-model v1":
         raise DataError(f"{path}: not a model file (missing 'gnar-model v1' header)")
     fields: dict[str, list[list[str]]] = {}
+    s_lines: list[int] = []
     coef_lines: list[tuple[int, list[str]]] = []
     for ln, text in lines[1:]:
         parts = text.split()
         if parts[0] in _HEADER_KEYS:
             fields.setdefault(parts[0], []).append(parts[1:])
+            if parts[0] == "s":
+                s_lines.append(ln)
         else:
             coef_lines.append((ln, parts))
     d = None
@@ -515,8 +519,16 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
             lags = [int(x) for x in fields["p"][0]]
             C = int(fields["C"][0][0])
             stages: list[list[int]] = [[] for _ in range(C)]
-            for row in fields["s"]:
-                stages[int(row[0]) - 1] = [int(x) for x in row[1:]]
+            set_on: dict[int, int] = {}
+            for ln, row in zip(s_lines, fields["s"]):
+                c = int(row[0])
+                if not 1 <= c <= C:
+                    raise DataError(f"{path}:{ln}: community {c} outside 1..{C}")
+                if c in set_on:
+                    raise DataError(f"{path}:{ln}: stages of community {c} were "
+                                    f"already set on line {set_on[c]}")
+                set_on[c] = ln
+                stages[c - 1] = [int(x) for x in row[1:]]
             order = GnarOrder.community_order(lags, stages)
         elif variant in ("global", "local"):
             p = int(fields["p"][0][0])
@@ -526,6 +538,8 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
         else:
             raise DataError(f"{path}: unknown variant {variant!r}")
         coeffs = GnarCoefficients._zeros(order, sigma, d)
+    except DataError:
+        raise
     except (KeyError, IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from None
     slots = {_line_key(variant, e): e for e in theta_index(order, d)}

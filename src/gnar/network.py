@@ -11,7 +11,6 @@ nodes get all-zero weight rows.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -112,26 +111,24 @@ def build_network(d: int, edges: list[tuple[int, int]]) -> Network:
 
 
 def bfs_distances(net: Network) -> np.ndarray:
-    """All-pairs unweighted shortest-path distances via per-source BFS.
+    """All-pairs unweighted shortest-path distances by level-synchronous BFS.
 
-    Returns an integer d x d matrix with zero diagonal; unreachable pairs
-    hold :data:`UNREACHABLE`.
+    Every source is expanded at once: row s of the frontier holds the nodes
+    first reached from s at the current level, and one product with the
+    adjacency matrix gives the next level for all sources.  Returns an
+    integer d x d matrix with zero diagonal; unreachable pairs hold
+    :data:`UNREACHABLE`.
     """
-    d = net.d
-    adj: list[list[int]] = [[] for _ in range(d)]
-    for i, j in net.edges:
-        adj[i - 1].append(j - 1)
-        adj[j - 1].append(i - 1)
-    dist = np.full((d, d), UNREACHABLE, dtype=np.int64)
-    for s in range(d):
-        dist[s, s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[s, v] == UNREACHABLE:
-                    dist[s, v] = dist[s, u] + 1
-                    queue.append(v)
+    A = net.adjacency_matrix()
+    dist = np.full((net.d, net.d), UNREACHABLE, dtype=np.int64)
+    reached = np.eye(net.d, dtype=bool)
+    frontier = reached
+    level = 0
+    while frontier.any():
+        dist[frontier] = level
+        level += 1
+        frontier = ((frontier @ A) > 0) & ~reached
+        reached |= frontier
     return dist
 
 

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: distances come from
 dense all-pairs relaxation, least squares from the explicit normal
 equations, and one-step predictions from a literal term-by-term evaluation
-of the structural model equation.
+of the structural model equation.  The one exception is
+:func:`pivoted_qr_fit`, the library's general QR solve on the whole design,
+which is the oracle for the local variant's structured solve.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ def gls_dense_solve(R: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> np.ndarr
     """theta = (R' S^-1 R)^-1 R' S^-1 y via explicit inverses."""
     si = np.linalg.inv(sigma)
     return np.linalg.inv(R.T @ si @ R) @ (R.T @ si @ y)
+
+
+def pivoted_qr_fit(ds):
+    """(theta, standard errors, sigma^2) of OLS by a pivoted QR of the whole design."""
+    from gnar.estimate import solve_least_squares
+
+    theta, gram_inv = solve_least_squares(ds.R, ds.y, ds.column_names())
+    resid = ds.y - ds.R @ theta
+    sigma2 = float(resid @ resid) / (ds.n - ds.q)
+    return theta, np.sqrt(sigma2 * np.diag(gram_inv)), sigma2
 
 
 def structural_prediction(coeffs, order, net, W, part, history: np.ndarray) -> np.ndarray:

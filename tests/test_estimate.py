@@ -11,7 +11,7 @@ from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition, single_community
 from gnar.simulate import simulate
 
-from oracles import gls_dense_solve, normal_equations_solve
+from oracles import gls_dense_solve, normal_equations_solve, random_connected_graph
 
 
 def sim_panel(table1_model, fivenet, fivenet_weights, fivenet_partition,
@@ -279,3 +279,68 @@ def test_single_community_equals_global_fit(fivenet, fivenet_weights):
     fit_c = fit_per_community(panel, order_c, fivenet, fivenet_weights, part)[0]
     fit_g = fit_ols(build_design(panel, order_g, fivenet, fivenet_weights))
     assert np.max(np.abs(fit_c.theta - fit_g.theta)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# local variant: own lags partialled out, shared betas by pivoted QR
+# ---------------------------------------------------------------------------
+
+LOCAL = GnarOrder.local_order(2, [1, 1])
+
+
+def test_local_fit_solves_only_the_residualised_beta_system(fivenet, fivenet_weights,
+                                                            monkeypatch):
+    import gnar.estimate as estimate
+
+    shapes = []
+    qr = estimate.solve_least_squares
+
+    def spy(R, y, names=None):
+        shapes.append(R.shape)
+        return qr(R, y, names)
+
+    monkeypatch.setattr(estimate, "solve_least_squares", spy)
+    panel = make_panel(np.random.default_rng(5).normal(size=(5, 40)))
+    ds = build_design(panel, LOCAL, fivenet, fivenet_weights)
+    fit_ols(ds)
+    assert ds.q == 12 and shapes == [(ds.n, 2)]
+
+
+def _rank_errors(ds):
+    with pytest.raises(RankDeficiencyError) as fast:
+        fit_ols(ds)
+    with pytest.raises(RankDeficiencyError) as qr:
+        solve_least_squares(ds.R, ds.y, ds.column_names())
+    return fast.value.dependent_columns, qr.value.dependent_columns
+
+
+def test_local_fit_names_the_own_lags_of_an_all_zero_node(fivenet, fivenet_weights):
+    values = np.random.default_rng(6).normal(size=(5, 40))
+    values[2] = 0.0
+    ds = build_design(make_panel(values), LOCAL, fivenet, fivenet_weights)
+    fast, qr = _rank_errors(ds)
+    assert fast == ["alpha.node3.1", "alpha.node3.2"]
+    assert sorted(qr) == fast
+
+
+def test_local_fit_names_beta_columns_under_zero_weights(fivenet):
+    panel = make_panel(np.random.default_rng(7).normal(size=(5, 40)))
+    ds = build_design(panel, LOCAL, fivenet, np.zeros((5, 5)))
+    fast, qr = _rank_errors(ds)
+    assert sorted(fast) == sorted(qr) == ["beta.1.1", "beta.2.1"]
+
+
+def test_local_fit_recovers_simulated_coefficients():
+    rng = np.random.default_rng(11)
+    d = 12
+    net = build_network(d, random_connected_graph(rng, d))
+    W = default_weights(bfs_distances(net))
+    alpha = rng.uniform(-0.3, 0.3, size=(d, 2))
+    coeffs = GnarCoefficients(variant="local", alpha=(),
+                              beta=((np.array([0.2]), np.array([-0.15])),),
+                              noise_sd=1.0, alpha_nodes=alpha)
+    panel = simulate(coeffs, LOCAL, net, W, 2000, seed=12)
+    fit = fit_ols(build_design(panel, LOCAL, net, W))
+    truth = coeffs.to_theta(LOCAL)
+    assert fit.theta.shape == truth.shape == (2 * d + 2,)
+    assert np.all(np.abs(fit.theta - truth) <= 5 * fit.se)

@@ -322,6 +322,21 @@ def test_model_file_rejects_bad_coefficient_lines(tmp_path, body, line, what):
         read_model(path)
 
 
+COMMUNITY_HEADER = "gnar-model v1\nvariant community\nC 2\np 1 1\nsigma 1.0\n"
+
+
+@pytest.mark.parametrize("body, line, what", [
+    ("s 0 0\ns 1 1\n", 6, "community 0 outside 1..2"),
+    ("s 1 1\ns 3 0\n", 7, "community 3 outside 1..2"),
+    ("s 1 1\ns 2 0\ns 2 1\n", 8, "community 2 were already set on line 7"),
+], ids=["community-zero", "community-beyond-C", "repeated"])
+def test_model_file_rejects_bad_stage_lines(tmp_path, body, line, what):
+    path = tmp_path / "bad.txt"
+    path.write_text(COMMUNITY_HEADER + body)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: .*{what}"):
+        read_model(path)
+
+
 def test_coefficients_reject_bad_shapes():
     order = GnarOrder.community_order([1, 2], [[1], [1, 1]])
     with pytest.raises(OrderError):

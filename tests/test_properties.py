@@ -2,7 +2,9 @@
 communities: the design reproduces the VAR form, the community Gram matrix
 is block-diagonal, model files and parameter vectors round-trip exactly,
 the node-wise expansion agrees with the VAR form, the (P)NACF grid agrees
-with single-cell calls, and every autocorrelation is bounded by one.
+with single-cell calls, every autocorrelation is bounded by one, the
+level-synchronous BFS gives the shortest paths, and the local variant's
+structured OLS solve agrees with a pivoted QR of the whole design.
 
 Runs are derandomised and bounded so the suite stays deterministic and fast.
 """
@@ -15,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnar.autocorr import KINDS, corbit_grid, nacf, pnacf
-from gnar.estimate import build_design
+from gnar.estimate import build_design, fit_ols
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
                         theta_index, to_local_alpha, to_var)
-from gnar.network import build_network, default_weights, stage_weights
+from gnar.network import bfs_distances, build_network, default_weights, stage_weights
 from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition
+
+from oracles import floyd_warshall, pivoted_qr_fit
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -162,3 +166,24 @@ def test_nodewise_expansion_agrees_with_var_form(data, graph):
             for r in range(order.r_star):
                 row += nodewise.beta[i, k, r] * Bs[r][i] * same
             assert np.array_equal(phi[k, i, off], row[off])
+
+
+@PROPERTY
+@given(graphs())
+def test_bfs_distances_equal_floyd_warshall(graph):
+    net, _ = graph
+    assert np.array_equal(bfs_distances(net), floyd_warshall(net.d, net.edges))
+
+
+@PROPERTY
+@given(st.data(), graphs(), st.integers(0, 2**32 - 1))
+def test_local_fit_matches_pivoted_qr_of_whole_design(data, graph, seed):
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities, variants=("local",)))
+    ds = build_design(random_panel(seed, net.d, 30, 0.5), order, net,
+                      default_weights(net.distances))
+    fit = fit_ols(ds)
+    theta, se, sigma2 = pivoted_qr_fit(ds)
+    assert np.max(np.abs(fit.theta - theta)) <= 1e-10 * np.max(np.abs(theta))
+    assert np.allclose(fit.se, se, rtol=1e-10, atol=0.0)
+    assert abs(fit.sigma2 - sigma2) <= 1e-10 * sigma2
