@@ -8,19 +8,19 @@ are zero on rows of other communities, the Gram matrix is block-diagonal
 across communities and the model can be fitted jointly or one community at
 a time (the latter on each community's own, longer usable range).
 
-Ordinary least squares on a local-variant design partials out each node's
-own lags: a node's alpha columns are nonzero on that node's rows only, so
-(Frisch-Waugh-Lovell) the shared betas come from a small pivoted QR of the
-beta columns residualised node by node, and the alphas and the full
-covariance follow by block inversion.  Every other fit, and every GLS fit
-(whitening couples the nodes), uses a column-pivoted QR of the whole
-design.  The explicit normal-equations formula appears only in the test
-suite as an oracle.
+A local-variant design (one alpha per node and lag) is kept as its nonzero
+blocks, gathered from the panel and Z_r = (W o S_r) X, in O(d T (p + q_beta))
+memory.  OLS reads only these and partials out each node's own lags
+(Frisch-Waugh-Lovell): the shared betas come from a small pivoted QR of the
+beta columns residualised node by node, the alphas and the full covariance
+by block inversion.  Its dense design is built only when read (by GLS, whose
+whitening couples the nodes).  Every other fit uses a column-pivoted QR of
+the whole design.  The normal-equations formula is only a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -39,10 +39,14 @@ class DesignSystem:
 
     ``columns[j]`` says which coefficient column j estimates.  Rows cycle
     over ``node_ids`` (1-based) for each predicted time step; ``lag_offset``
-    is the number of leading panel steps consumed by lags.
+    is the number of leading panel steps consumed by lags.  A local design
+    has ``R=None`` and ``local = (A, B, a_idx, b_idx)``: each node's own lags
+    and beta columns as [t, node, column] arrays, and their columns of R.
+    ``R`` (C order) is built from them on first access and kept; ``n``,
+    ``q`` and :meth:`column_names` never build it.
     """
 
-    R: np.ndarray
+    R: np.ndarray | None = field(repr=False)
     y: np.ndarray
     columns: tuple[ThetaEntry, ...]
     order: GnarOrder
@@ -52,14 +56,29 @@ class DesignSystem:
     node_labels: tuple[str, ...]
     time_labels: tuple[str, ...]
     group: int | None = None
+    local: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.R is None:
+            object.__delattr__(self, "R")  # left to __getattr__
+
+    def __getattr__(self, name):
+        if name != "R" or self.local is None:
+            raise AttributeError(f"'DesignSystem' object has no attribute {name!r}")
+        A, B, a_idx, b_idx = self.local
+        R = np.zeros(A.shape[:2] + (self.q,))
+        R[:, :, b_idx] = B
+        R[:, np.arange(len(a_idx))[:, None], a_idx] = A
+        object.__setattr__(self, "R", R.reshape(self.n, self.q))
+        return self.R
 
     @property
     def n(self) -> int:
-        return self.R.shape[0]
+        return self.y.shape[0]
 
     @property
     def q(self) -> int:
-        return self.R.shape[1]
+        return len(self.columns)
 
     def column_names(self) -> tuple[str, ...]:
         return tuple(e.name(self.variant) for e in self.columns)
@@ -95,8 +114,8 @@ class FitResult:
 
 def _build_columns(X: np.ndarray, order: GnarOrder, net: Network, W: np.ndarray,
                    part: CommunityPartition | None, entries: list[ThetaEntry],
-                   lag_offset: int, row_nodes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (R, y) for the given column entries and node rows."""
+                   lag_offset: int, row_nodes: list[int]):
+    """(R, y, None) for the given entries and node rows; (None, y, blocks) if local."""
     d, T = X.shape
     p0 = lag_offset
     if T <= p0:
@@ -104,22 +123,26 @@ def _build_columns(X: np.ndarray, order: GnarOrder, net: Network, W: np.ndarray,
                           f"need at least {p0 + 1} time steps")
     xi, Bs = _group_bases(order, d, part, stage_weights(net, W, order.r_star))
     rows = [i - 1 for i in row_nodes]
-    n_t = T - p0
     z = {g: [B @ X for B in Bs[g - 1]] for g in sorted({e.group for e in entries})}
-    cols = np.empty((n_t * len(rows), len(entries)))
-    for j, e in enumerate(entries):
-        lo, hi = p0 - e.lag, T - e.lag
-        if e.node is not None:
-            cols[:, j] = 0.0
-            cols[rows.index(e.node - 1)::len(rows), j] = X[e.node - 1, lo:hi]
-            continue
-        if e.stage is None:
-            M = xi[e.group - 1][:, None] * X[:, lo:hi]
-        else:
-            M = z[e.group][e.stage - 1][:, lo:hi]
-        cols[:, j] = M[rows].T.ravel()
+
+    def gather(js) -> np.ndarray:  # columns js on every row, as [t, node, column]
+        out = np.empty((T - p0, len(rows), len(js)))
+        for k, j in enumerate(js):
+            e = entries[j]
+            lo, hi = p0 - e.lag, T - e.lag
+            M = (xi[e.group - 1][:, None] * X[:, lo:hi] if e.stage is None
+                 else z[e.group][e.stage - 1][:, lo:hi])
+            out[:, :, k] = M[rows].T
+        return out
+
     y = X[rows, p0:].T.ravel()
-    return cols, y
+    if order.variant != "local":
+        return gather(range(len(entries))).reshape(y.size, -1), y, None
+    b_idx = [j for j, e in enumerate(entries) if e.node is None]
+    a_idx = np.asarray([j for j, e in enumerate(entries) if e.node is not None])
+    a_idx = a_idx.reshape(order.lags[0], d).T  # theta_index: lag-major, nodes ascending
+    # Node 1's alpha columns read X at each lag on every row: node i's own lags.
+    return None, y, (gather(a_idx[0]), gather(b_idx), a_idx, b_idx)
 
 
 def build_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
@@ -129,13 +152,13 @@ def build_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
         raise DesignError(f"panel has {panel.d} nodes, network has {net.d}")
     entries = theta_index(order, d=panel.d)
     p0 = order.p_max
-    R, y = _build_columns(panel.values, order, net, W, part, entries, p0,
-                          list(range(1, panel.d + 1)))
+    R, y, local = _build_columns(panel.values, order, net, W, part, entries, p0,
+                                 list(range(1, panel.d + 1)))
     return DesignSystem(R=R, y=y, columns=tuple(entries), order=order,
                         variant=order.variant, lag_offset=p0,
                         node_ids=tuple(range(1, panel.d + 1)),
                         node_labels=panel.node_labels,
-                        time_labels=panel.time_labels[p0:])
+                        time_labels=panel.time_labels[p0:], local=local)
 
 
 def build_community_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
@@ -148,7 +171,7 @@ def build_community_design(panel: TimeSeriesPanel, order: GnarOrder, net: Networ
     entries = [e for e in theta_index(order) if e.group == c]
     p0 = order.lags[c - 1]
     members = part.members(c)
-    R, y = _build_columns(panel.values, order, net, W, part, entries, p0, members)
+    R, y, _ = _build_columns(panel.values, order, net, W, part, entries, p0, members)
     return DesignSystem(R=R, y=y, columns=tuple(entries), order=order,
                         variant=order.variant, lag_offset=p0,
                         node_ids=tuple(members),
@@ -185,33 +208,24 @@ def solve_least_squares(R: np.ndarray, y: np.ndarray,
     return theta, gram_inv
 
 
-def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
-    """OLS on a local-variant design by partialling out each node's own lags.
+def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OLS on a local-variant design's blocks by partialling out each node's own lags.
 
     Node i's alpha columns A_i live on its rows only.  With A_i = Q_i R_i,
     the shared betas solve the beta columns and response residualised
     against each Q_i (by :func:`solve_least_squares`, with its pivoting and
     rank check), alpha_i = R_i^-1 Q_i'(y_i - B_i beta), and with
     C_i = R_i^-1 Q_i'B_i and G = Cov(beta) the full inverse Gram matrix has
-    blocks -C_i G and delta_ij (A_i'A_i)^-1 + C_i G C_j'.  Returns the
-    (theta, (R'R)^-1) of :func:`solve_least_squares`.
+    blocks -C_i G and delta_ij (A_i'A_i)^-1 + C_i G C_j'.  Returns theta,
+    (R'R)^-1 and the residual y_i - A_i alpha_i - B_i beta in row order.
     """
-    n, q = ds.R.shape
+    n, q = ds.n, ds.q
     if n < q:
         raise DesignError(f"system has {n} rows for {q} parameters")
-    m, p = len(ds.node_ids), ds.order.lags[0]
-    n_t = n // m
-    a_idx = np.empty((m, p), dtype=int)
-    b_idx = []
-    for j, e in enumerate(ds.columns):
-        if e.node is None:
-            b_idx.append(j)
-        else:
-            a_idx[ds.node_ids.index(e.node), e.lag - 1] = j
-    R3 = ds.R.reshape(n_t, m, q)
-    A = R3[:, np.arange(m)[:, None], a_idx].transpose(1, 0, 2)
-    B = R3[:, :, b_idx].transpose(1, 0, 2)
-    Y = ds.y.reshape(n_t, m).T[:, :, None]
+    A, B, a_idx, b_idx = ds.local
+    m, p = a_idx.shape
+    A, B = A.transpose(1, 0, 2), B.transpose(1, 0, 2)
+    Y = ds.y.reshape(-1, m).T[:, :, None]
     names = ds.column_names()
     norms = np.concatenate([np.einsum("itk,itk->ik", A, A).ravel(),
                             np.einsum("itk,itk->k", B, B)])
@@ -244,7 +258,8 @@ def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray]:
     gram_inv[np.ix_(a_flat, b_idx)] = -CG
     gram_inv[np.ix_(b_idx, a_flat)] = -CG.T
     gram_inv[np.ix_(b_idx, b_idx)] = G
-    return theta, gram_inv
+    resid = Y - A @ alpha[:, :, None] - B @ beta[:, None]
+    return theta, gram_inv, resid[:, :, 0].T.ravel()
 
 
 def _stationarity_for(ds: DesignSystem, theta: np.ndarray) -> tuple[bool, np.ndarray]:
@@ -273,11 +288,11 @@ def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
 
 def fit_ols(ds: DesignSystem) -> FitResult:
     """Ordinary least squares with unbiased residual variance (n - q)."""
-    if ds.variant == "local":
-        theta, gram_inv = _solve_local(ds)
+    if ds.local is not None:
+        theta, gram_inv, resid = _solve_local(ds)
     else:
         theta, gram_inv = solve_least_squares(ds.R, ds.y, ds.column_names())
-    resid = ds.y - ds.R @ theta
+        resid = ds.y - ds.R @ theta
     if ds.n <= ds.q:
         raise DesignError(f"no residual degrees of freedom (n={ds.n}, q={ds.q})")
     sigma2 = float(resid @ resid) / (ds.n - ds.q)

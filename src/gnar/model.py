@@ -492,8 +492,8 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
 
     A coefficient line that is malformed, names no slot of the order or
     repeats an earlier one raises :class:`DataError` with its line number,
-    and so does a community ``s`` line that names no community or repeats
-    one.  Slots without a line are zero.
+    and so do a repeated header line and a community ``s`` line that names
+    no community or repeats one.  Slots without a line are zero.
     """
     lines = [(ln, raw.strip()) for ln, raw in
              enumerate(Path(path).read_text().splitlines(), start=1)]
@@ -501,26 +501,28 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     if not lines or lines[0][1] != "gnar-model v1":
         raise DataError(f"{path}: not a model file (missing 'gnar-model v1' header)")
     fields: dict[str, list[list[str]]] = {}
-    s_lines: list[int] = []
+    key_lines: dict[str, list[int]] = {}
     coef_lines: list[tuple[int, list[str]]] = []
     for ln, text in lines[1:]:
         parts = text.split()
         if parts[0] in _HEADER_KEYS:
             fields.setdefault(parts[0], []).append(parts[1:])
-            if parts[0] == "s":
-                s_lines.append(ln)
+            key_lines.setdefault(parts[0], []).append(ln)
         else:
             coef_lines.append((ln, parts))
     d = None
     try:
         variant = fields["variant"][0][0]
+        for key, at in key_lines.items():
+            if len(at) > 1 and not (key == "s" and variant == "community"):
+                raise DataError(f"{path}:{at[1]}: {key!r} was already set on line {at[0]}")
         sigma = float(fields["sigma"][0][0])
         if variant == "community":
             lags = [int(x) for x in fields["p"][0]]
             C = int(fields["C"][0][0])
             stages: list[list[int]] = [[] for _ in range(C)]
             set_on: dict[int, int] = {}
-            for ln, row in zip(s_lines, fields["s"]):
+            for ln, row in zip(key_lines["s"], fields["s"]):
                 c = int(row[0])
                 if not 1 <= c <= C:
                     raise DataError(f"{path}:{ln}: community {c} outside 1..{C}")

@@ -69,9 +69,8 @@ def format_panel(panel: TimeSeriesPanel) -> str:
     """The shared panel format; floats use repr for exact round-trips."""
     lines = [f"# {k}: {v}" for k, v in panel.meta.items()]
     lines.append(",".join(("time",) + panel.node_labels))
-    for t in range(panel.T):
-        row = [panel.time_labels[t]] + [repr(float(v)) for v in panel.values[:, t]]
-        lines.append(",".join(row))
+    for label, row in zip(panel.time_labels, panel.values.T.tolist()):
+        lines.append(",".join([label, *map(repr, row)]))
     return "\n".join(lines) + "\n"
 
 

@@ -55,6 +55,28 @@ def pivoted_qr_fit(ds):
     return theta, np.sqrt(sigma2 * np.diag(gram_inv)), sigma2
 
 
+def local_design(panel, order, net, W) -> np.ndarray:
+    """Dense design of a local order, filled row by row from the panel.
+
+    Row (t, i) holds node i's own lag-k value in node i's lag-k alpha column
+    (zeros in every other node's) and the lag-k stage-r neighbourhood sum in
+    beta column (k, r).  The neighbourhood series use the same (W o S_r) X
+    matrix product as the library, so the two designs agree bit for bit.
+    """
+    X, d, T = panel.values, panel.d, panel.T
+    p, stages = order.lags[0], order.stages[0]
+    Z = [(W * S) @ X for S in net.stages]
+    rows = []
+    for t in range(p, T):
+        for i in range(d):
+            row = []
+            for k in range(1, p + 1):
+                row += [X[i, t - k] if j == i else 0.0 for j in range(d)]
+                row += [Z[r - 1][i, t - k] for r in range(1, stages[k - 1] + 1)]
+            rows.append(row)
+    return np.array(rows)
+
+
 def structural_prediction(coeffs, order, net, W, part, history: np.ndarray) -> np.ndarray:
     """One-step prediction by literal evaluation of the structural equation.
 

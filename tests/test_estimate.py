@@ -11,7 +11,8 @@ from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition, single_community
 from gnar.simulate import simulate
 
-from oracles import gls_dense_solve, normal_equations_solve, random_connected_graph
+from oracles import (gls_dense_solve, local_design, normal_equations_solve,
+                     random_connected_graph)
 
 
 def sim_panel(table1_model, fivenet, fivenet_weights, fivenet_partition,
@@ -344,3 +345,45 @@ def test_local_fit_recovers_simulated_coefficients():
     truth = coeffs.to_theta(LOCAL)
     assert fit.theta.shape == truth.shape == (2 * d + 2,)
     assert np.all(np.abs(fit.theta - truth) <= 5 * fit.se)
+
+
+def test_local_ols_builds_no_dense_design(fivenet, fivenet_weights):
+    panel = make_panel(np.random.default_rng(8).normal(size=(5, 40)))
+    ds = build_design(panel, LOCAL, fivenet, fivenet_weights)
+    assert (ds.n, ds.q, len(ds.column_names())) == (5 * 38, 12, 12)
+    fit = fit_ols(ds)
+    repr(ds)
+    assert "R" not in vars(ds)
+    assert fit.df_resid == ds.n - ds.q
+
+
+def test_local_dense_design_is_built_on_demand_and_kept(fivenet, fivenet_weights):
+    panel = make_panel(np.random.default_rng(9).normal(size=(5, 40)))
+    ds = build_design(panel, LOCAL, fivenet, fivenet_weights)
+    R = ds.R
+    assert R is ds.R and "R" in vars(ds)
+    assert R.flags.c_contiguous
+    assert np.array_equal(R, local_design(panel, LOCAL, fivenet, fivenet_weights))
+
+
+def test_local_design_free_fit_matches_dense_qr(fivenet, fivenet_weights):
+    panel = make_panel(np.random.default_rng(10).normal(size=(5, 40)))
+    ds = build_design(panel, LOCAL, fivenet, fivenet_weights)
+    fit = fit_ols(ds)
+    theta, _ = solve_least_squares(ds.R, ds.y)
+    resid = ds.y - ds.R @ theta
+    assert np.max(np.abs(fit.theta - theta)) <= 1e-12
+    assert np.max(np.abs(fit.residuals.values.T.ravel() - resid)) <= 1e-12
+
+
+def test_gls_on_local_design_matches_dense_oracle(fivenet, fivenet_weights):
+    rng = np.random.default_rng(12)
+    panel = make_panel(rng.normal(size=(5, 30)))
+    ds = build_design(panel, LOCAL, fivenet, fivenet_weights)
+    A = rng.normal(size=(5, 5))
+    sigma_u = A @ A.T + 5 * np.eye(5)
+    dense_sigma = np.kron(np.eye(28), sigma_u)
+    oracle = gls_dense_solve(local_design(panel, LOCAL, fivenet, fivenet_weights),
+                             ds.y, dense_sigma)
+    for sigma in (KroneckerCovariance(sigma_u), dense_sigma):
+        assert np.max(np.abs(fit_gls(ds, sigma).theta - oracle)) < 1e-8

@@ -337,6 +337,22 @@ def test_model_file_rejects_bad_stage_lines(tmp_path, body, line, what):
         read_model(path)
 
 
+@pytest.mark.parametrize("text, line, key, first", [
+    (GLOBAL_HEADER + "variant local\np 1\ns 1\n", 4, "variant", 2),
+    (GLOBAL_HEADER + "sigma 2.0\np 1\ns 1\n", 4, "sigma", 3),
+    (GLOBAL_HEADER + "p 1\np 2\ns 1\n", 5, "p", 4),
+    (GLOBAL_HEADER + "p 1\ns 1\ns 0\n", 6, "s", 5),
+    ("gnar-model v1\nvariant local\nsigma 1.0\np 1\ns 1\nd 3\nd 4\n", 7, "d", 6),
+    (COMMUNITY_HEADER + "C 3\ns 1 1\ns 2 0\n", 6, "C", 3),
+], ids=["variant", "sigma", "p", "global-s", "d", "C"])
+def test_model_file_rejects_repeated_header_lines(tmp_path, text, line, key, first):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: '{key}' "
+                                        f"was already set on line {first}$"):
+        read_model(path)
+
+
 def test_coefficients_reject_bad_shapes():
     order = GnarOrder.community_order([1, 2], [[1], [1, 1]])
     with pytest.raises(OrderError):

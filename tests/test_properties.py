@@ -4,7 +4,8 @@ is block-diagonal, model files and parameter vectors round-trip exactly,
 the node-wise expansion agrees with the VAR form, the (P)NACF grid agrees
 with single-cell calls, every autocorrelation is bounded by one, the
 level-synchronous BFS gives the shortest paths, and the local variant's
-structured OLS solve agrees with a pivoted QR of the whole design.
+structured OLS solve, and its design-free residuals, agree with a pivoted
+QR of the whole design.
 
 Runs are derandomised and bounded so the suite stays deterministic and fast.
 """
@@ -187,3 +188,17 @@ def test_local_fit_matches_pivoted_qr_of_whole_design(data, graph, seed):
     assert np.max(np.abs(fit.theta - theta)) <= 1e-10 * np.max(np.abs(theta))
     assert np.allclose(fit.se, se, rtol=1e-10, atol=0.0)
     assert abs(fit.sigma2 - sigma2) <= 1e-10 * sigma2
+
+
+@PROPERTY
+@given(st.data(), graphs(), st.integers(0, 2**32 - 1))
+def test_design_free_local_residuals_match_pivoted_qr(data, graph, seed):
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities, variants=("local",)))
+    ds = build_design(random_panel(seed, net.d, 30, 0.5), order, net,
+                      default_weights(net.distances))
+    fit = fit_ols(ds)
+    assert "R" not in vars(ds)
+    theta, _, _ = pivoted_qr_fit(ds)
+    resid = (ds.y - ds.R @ theta).reshape(-1, net.d).T
+    assert np.max(np.abs(fit.residuals.values - resid)) <= 1e-12 * np.max(np.abs(resid))
