@@ -193,7 +193,10 @@ def load_returns(path: str | Path) -> ElectionPanel:
             i, j = state_idx[state], year_idx[year]
             votes = _votes(row["candidatevotes"])
             tv = _votes(row["totalvotes"])
-            total[i, j] = tv if np.isnan(total[i, j]) else max(total[i, j], tv)
+            if np.isnan(total[i, j]):
+                total[i, j] = tv
+            else:
+                total[i, j] = max(total[i, j], tv)
             party = _party_field(row)
             if party == "REPUBLICAN":
                 rep[i, j] += votes
@@ -223,8 +226,14 @@ def classify(data: ElectionPanel) -> StateClassification:
     dem_wins = np.sum(data.dem_votes > data.rep_votes, axis=1).astype(int)
     T = data.panel.T
     threshold = int(np.ceil(0.75 * T))
-    assignment = [1 if r >= threshold else 2 if dm >= threshold else 3
-                  for r, dm in zip(rep_wins, dem_wins)]
+    assignment = []
+    for i in range(len(STATE_NAMES)):
+        if rep_wins[i] >= threshold:
+            assignment.append(1)
+        elif dem_wins[i] >= threshold:
+            assignment.append(2)
+        else:
+            assignment.append(3)
     present = sorted(set(assignment))
     if present != [1, 2, 3]:
         missing = [COMMUNITY_LABELS[c - 1] for c in (1, 2, 3) if c not in present]

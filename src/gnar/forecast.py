@@ -127,9 +127,12 @@ class ForecastReport:
 
 def _fit_and_predict(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
                      W: np.ndarray, part: CommunityPartition | None) -> np.ndarray:
-    part = part if order.variant == "community" else None
-    coeffs = fit_ols(build_design(panel, order, net, W, part)).to_coefficients()
-    return forecast(coeffs, order, net, W, panel, 1, part)[0]
+    ds = build_design(panel, order, net, W,
+                      part if order.variant == "community" else None)
+    fit = fit_ols(ds)
+    coeffs = fit.to_coefficients()
+    return forecast(coeffs, order, net, W, panel, 1,
+                    part if order.variant == "community" else None)[0]
 
 
 def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,

@@ -67,8 +67,12 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     X = np.zeros((d, p + steps))
     X[:, p:] = rng.normal(0.0, sd, size=(steps, d)).T
     values = var_recursion(phi, X, p)[:, p + burn_in:]
-    meta = {"rng": RNG_NAME, "seed": str(seed), "burn_in": str(burn_in),
-            "noise_sd": repr(float(sd))}
+    meta = {
+        "rng": RNG_NAME,
+        "seed": str(seed),
+        "burn_in": str(burn_in),
+        "noise_sd": repr(float(sd)),
+    }
     return TimeSeriesPanel(values=values,
                            node_labels=default_node_labels(d),
                            time_labels=tuple(str(t) for t in range(1, T + 1)),

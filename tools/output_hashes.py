@@ -38,7 +38,6 @@ def main(argv=None) -> int:
                    help="checkout whose src/ and bench/ are run")
     p.add_argument("--workload", action="append", help=f"default: {' and '.join(GATED)}")
     p.add_argument("--seed", type=int, action="append", help="default: 1 and 7")
-    p.add_argument("--size", default="full")
     p.add_argument("--keep", metavar="DIR",
                    help="write the files under DIR (not holding an earlier run) and keep them")
     args = p.parse_args(argv)
@@ -49,7 +48,7 @@ def main(argv=None) -> int:
 
     if Path(gnar.__file__).resolve().parent != root / "src" / "gnar":
         sys.exit(f"output_hashes: imported gnar from {gnar.__file__}, not from {root}")
-    size = workloads.SIZES[args.size]
+    size = workloads.SIZES["full"]
     failed = 0
     for name in args.workload or GATED:
         for seed in args.seed or (1, 7):
