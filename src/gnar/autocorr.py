@@ -12,6 +12,17 @@ lagged values and neighbourhood regressions up to stage r, forwards and
 backwards in time, and the residual series take the place of e in the
 numerator with the geometric mean of their energies in the denominator.
 
+The auxiliary fits never build a design: with V = [E, B_1E, ..., B_rE], each
+Gram and X'y entry is a diagonal sum of some V_a'V_b, read off prefix sums made
+once per community, and each residual is E minus theta-weighted lagged windows
+of V, refined once from X'residual when eps cond(Gram) |y| > 1e-12 |residual|.
+A fit with n = m(T - h + 1) rows and q columns is "auxiliary fit rank deficient
+(rank k of q)" when a Gram eigenvalue is at most sqrt(max(n, q) eps) times the
+largest, k counting the larger ones: in design terms sigma_min/sigma_max up to
+(max(n, q) eps)^(1/4), the Gram's own resolution, where an SVD solve stops at
+max(n, q) eps.  An exact fit, a forward or backward residual energy at most
+eps sum y^2, is "zero residual variance": that residual is rounding noise.
+
 Community versions restrict everything to the community's nodes with the
 community-masked weights; a stage with no within-subset pairs is flagged
 degenerate (value zero) rather than silently reinterpreted.
@@ -20,8 +31,10 @@ degenerate (value zero) rather than silently reinterpreted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, GnarError
 from .network import Network, stage_weights
@@ -85,8 +98,9 @@ def _apply_A(Bs: list[np.ndarray], E: np.ndarray) -> np.ndarray:
     return E + Bs[-1] @ E if Bs else E
 
 
-# The two cell kernels take the centred panel E, the stage weights B_1..B_r
-# and lambda_r, so that a grid derives them once per community.
+# The cell kernels take the centred panel E, the stage weights B_1..B_r and
+# lambda_r, and the PNACF kernel also the cross-products of E, so that a grid
+# derives them once per community.
 
 def _nacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
                subset: bool) -> AcfCell:
@@ -100,23 +114,58 @@ def _nacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
     return AcfCell(num / den)
 
 
+def _cross_products(E: np.ndarray, Bs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """V = [E, B_1E, ..., B_rE] (r+1, m, T) and prefix sums P with sum_{s<n} M_ab[i+s,
+    j+s] = P[a, b, i+n, j+n] - P[a, b, i, j] for M_ab = V_a'V_b.  Each M_ab is its own
+    product, so a grid cell and a single call agree to the bit whatever their stages."""
+    V = np.stack([E] + [B @ E for B in Bs])
+    T = E.shape[1]
+    P = np.zeros(V.shape[:1] * 2 + (T + 1, T + 1))
+    P[:, :, 1:, 1:] = V.transpose(0, 2, 1)[:, None] @ V[None, :]
+    for i in range(2, T + 1):
+        P[:, :, i, 1:] += P[:, :, i - 1, :-1]
+    return V, P
+
+
 def _pnacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
-                subset: bool) -> AcfCell:
+                subset: bool, cross: tuple[np.ndarray, np.ndarray]) -> AcfCell:
+    """``cross`` holds ``_cross_products`` of E with B_1..B_R, R >= len(Bs)."""
     if h == 1 or (subset and Bs and not np.any(Bs[-1])):
         return _nacf_cell(E, Bs, lam, h, subset)  # lag 1, or no stage pairs
-    F, note = _aux_residuals(E, Bs, h - 1)
-    if F is None:
-        return AcfCell(0.0, True, note)
-    G_rev, note = _aux_residuals(E[:, ::-1], Bs, h - 1)
-    if G_rev is None:
-        return AcfCell(0.0, True, note + " (reversed)")
-    G = G_rev[:, ::-1]
-    den = lam * float(np.sqrt(np.sum(F * F) * np.sum(G * G)))
-    if den == 0.0:
+    (V, P), (m, T), L, c = cross, E.shape, h - 1, len(Bs) + 1
+    n, q, eps = T - L, L * c, np.finfo(float).eps
+    # S[(w, a), (v, b)] = sum_{s<n} V_a[:, w+s].V_b[:, v+s], w, v = 0..L: the forward fit
+    # takes window L of E on windows 0..L-1 (lags L..1), the backward one 0 on 1..L.
+    S = (P[:c, :c, n:, n:] - P[:c, :c, :h, :h]).transpose(2, 0, 3, 1).reshape(h * c, h * c)
+    gram, yy = np.array([S[:q, :q], S[c:, c:]]), np.array([S[q, q], S[0, 0]])
+    ev = np.linalg.eigvalsh(gram)
+    tol = ev[:, -1] * np.sqrt(max(m * n, q) * eps)
+    if np.any(ev[:, 0] <= tol):
+        d = int(ev[0, 0] > tol[0])
+        note = f"auxiliary fit rank deficient (rank {np.sum(ev[d] > tol[d])} of {q})"
+        return AcfCell(0.0, True, note + d * " (reversed)")
+    inv, Vc = np.linalg.inv(gram), V[:c].reshape(c, m * T)
+
+    def stairs(U: np.ndarray) -> np.ndarray:  # [d, w, :, s] = U[d, w, :, w + d + s], s < n
+        st = U.strides  # one time step is st[3]; w + d + n <= T keeps each window in its row
+        return as_strided(U, (2, L, m, n), (st[0] + st[3], st[1] + st[3], st[2], st[3]))
+
+    def minus_fit(R: np.ndarray, xty: np.ndarray) -> np.ndarray:
+        theta = (inv @ xty).reshape(2 * L, c)
+        return R - stairs((theta @ Vc).reshape(2, L, m, T)).sum(axis=1)
+
+    R = minus_fit(np.array([E[:, L:], E[:, :n]]), np.array([S[:q, q:q + 1], S[c:, :1]]))
+    energy = np.einsum("dis,dis->d", R, R)
+    if np.any(eps * ev[:, -1] * np.sqrt(yy) > 1e-12 * ev[:, 0] * np.sqrt(energy)):
+        K = np.zeros((2, L, m, T))
+        stairs(K)[...] = R[:, None]  # so that K V' is X'R
+        R = minus_fit(R, (K.reshape(2 * L, m * T) @ Vc.T).reshape(2, q, 1))
+        energy = np.einsum("dis,dis->d", R, R)
+    if np.any(energy <= eps * yy):
         return AcfCell(0.0, True, "zero residual variance")
-    AG = _apply_A(Bs, G)
-    num = float(np.sum(F[:, 1:] * AG[:, :-1]))
-    return AcfCell(num / den)
+    AG = _apply_A(Bs, R[1])
+    num = float(np.sum(R[0, :, 1:] * AG[:, :-1]))
+    return AcfCell(num / (lam * float(np.sqrt(energy[0] * energy[1]))))
 
 
 def nacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
@@ -130,30 +179,6 @@ def nacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
     return _nacf_cell(E, Bs, _lambda(Bs), h, nodes is not None)
 
 
-def _aux_residuals(E: np.ndarray, Bs: list[np.ndarray], n_lags: int):
-    """Residuals of the pooled regression on lags 1..n_lags with the given
-    neighbourhood matrices; returns (residual matrix, rank flag note)."""
-    m, T = E.shape
-    n_t = T - n_lags
-    q = n_lags * (1 + len(Bs))
-    cols = np.empty((n_t * m, q))
-    j = 0
-    ZB = [B @ E for B in Bs]
-    for k in range(1, n_lags + 1):
-        lo, hi = n_lags - k, T - k
-        cols[:, j] = E[:, lo:hi].T.ravel()
-        j += 1
-        for Z in ZB:
-            cols[:, j] = Z[:, lo:hi].T.ravel()
-            j += 1
-    y = E[:, n_lags:].T.ravel()
-    theta, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-    if rank < q:
-        return None, f"auxiliary fit rank deficient (rank {rank} of {q})"
-    resid = y - cols @ theta
-    return resid.reshape(n_t, m).T, ""
-
-
 def pnacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
           nodes=None) -> AcfCell:
     """Partial network autocorrelation at lag h and stage r.
@@ -162,7 +187,7 @@ def pnacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
     regressions must be estimable; failures surface as degenerate cells.
     """
     E, Bs = _inputs(panel, net, W, h, r, nodes)
-    return _pnacf_cell(E, Bs, _lambda(Bs), h, nodes is not None)
+    return _pnacf_cell(E, Bs, _lambda(Bs), h, nodes is not None, _cross_products(E, Bs))
 
 
 @dataclass(frozen=True)
@@ -213,12 +238,12 @@ def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
         raise GnarError(f"kind must be one of {KINDS}, got {kind!r}")
     if max_stage < 1:
         raise GnarError(f"max stage must be >= 1, got {max_stage}")
-    cell = _nacf_cell if kind == "nacf" else _pnacf_cell
     H, R = max_lag, max_stage
 
     def layer(nodes) -> tuple[np.ndarray, np.ndarray]:
         E, Bs = _inputs(panel, net, W, H, R, nodes)
         lams = [_lambda(Bs[:r]) for r in range(1, R + 1)]
+        cell = _nacf_cell if kind == "nacf" else partial(_pnacf_cell, cross=_cross_products(E, Bs))
         cells = [[cell(E, Bs[:r], lams[r - 1], h, nodes is not None)
                   for r in range(1, R + 1)] for h in range(1, H + 1)]
         return (np.array([[c.value for c in row] for row in cells]),

@@ -492,8 +492,10 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
 
     A coefficient line that is malformed, names no slot of the order or
     repeats an earlier one raises :class:`DataError` with its line number,
-    and so do a repeated header line and a community ``s`` line that names
-    no community or repeats one.  Slots without a line are zero.
+    and so do a repeated header line, a header line without a value or with
+    one that is not a number, and a community ``s`` line that names no
+    community or repeats one; a missing header line is named.  Slots
+    without a line are zero.
     """
     lines = [(ln, raw.strip()) for ln, raw in
              enumerate(Path(path).read_text().splitlines(), start=1)]
@@ -511,32 +513,46 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
         else:
             coef_lines.append((ln, parts))
     d = None
+
+    def header(key: str, convert=str, k: int = 0) -> list:
+        """The values on the k-th ``key`` line, each converted; a missing key,
+        an empty line or a value that does not convert raises DataError."""
+        if key not in fields:
+            raise DataError(f"{path}: malformed model file (no {key!r} line)")
+        ln, row = key_lines[key][k], fields[key][k]
+        if not row:
+            raise DataError(f"{path}:{ln}: {key!r} needs a value")
+        try:
+            return [convert(x) for x in row]
+        except ValueError:
+            kind = {int: "an integer", float: "a number"}[convert]
+            raise DataError(f"{path}:{ln}: {key!r} needs {kind}, got {' '.join(row)!r}") from None
+
+    variant = header("variant")[0]
+    for key, at in key_lines.items():
+        if len(at) > 1 and not (key == "s" and variant == "community"):
+            raise DataError(f"{path}:{at[1]}: {key!r} was already set on line {at[0]}")
+    sigma = header("sigma", float)[0]
     try:
-        variant = fields["variant"][0][0]
-        for key, at in key_lines.items():
-            if len(at) > 1 and not (key == "s" and variant == "community"):
-                raise DataError(f"{path}:{at[1]}: {key!r} was already set on line {at[0]}")
-        sigma = float(fields["sigma"][0][0])
         if variant == "community":
-            lags = [int(x) for x in fields["p"][0]]
-            C = int(fields["C"][0][0])
+            lags = header("p", int)
+            C = header("C", int)[0]
             stages: list[list[int]] = [[] for _ in range(C)]
             set_on: dict[int, int] = {}
-            for ln, row in zip(key_lines["s"], fields["s"]):
-                c = int(row[0])
+            for k, ln in enumerate(key_lines["s"]):
+                c, *row = header("s", int, k)
                 if not 1 <= c <= C:
                     raise DataError(f"{path}:{ln}: community {c} outside 1..{C}")
                 if c in set_on:
                     raise DataError(f"{path}:{ln}: stages of community {c} were "
                                     f"already set on line {set_on[c]}")
                 set_on[c] = ln
-                stages[c - 1] = [int(x) for x in row[1:]]
+                stages[c - 1] = row
             order = GnarOrder.community_order(lags, stages)
         elif variant in ("global", "local"):
-            p = int(fields["p"][0][0])
-            order = GnarOrder(variant, (p,), (tuple(int(x) for x in fields["s"][0]),))
+            order = GnarOrder(variant, (header("p", int)[0],), (tuple(header("s", int)),))
             if variant == "local":
-                d = int(fields["d"][0][0])
+                d = header("d", int)[0]
         else:
             raise DataError(f"{path}: unknown variant {variant!r}")
         coeffs = GnarCoefficients._zeros(order, sigma, d)

@@ -6,6 +6,8 @@ equations, and one-step predictions from a literal term-by-term evaluation
 of the structural model equation.  The one exception is
 :func:`pivoted_qr_fit`, the library's general QR solve on the whole design,
 which is the oracle for the local variant's structured solve.
+:func:`lstsq_pnacf` solves each auxiliary regression of the partial NACF
+by ``np.linalg.lstsq`` on its dense design.
 """
 
 from __future__ import annotations
@@ -164,3 +166,57 @@ def random_graph(rng: np.random.Generator, d: int, p_edge: float = 0.35):
             if rng.random() < p_edge:
                 edges.append((i, j))
     return edges
+
+
+def _aux_lstsq(E: np.ndarray, Bs, n_lags: int):
+    """Residual matrix, rank and sigma_min/sigma_max of the pooled regression
+    of E on its lags 1..n_lags and their neighbourhood aggregates B E."""
+    m, T = E.shape
+    cols = []
+    for k in range(1, n_lags + 1):
+        for Z in [E] + [B @ E for B in Bs]:
+            cols.append(Z[:, n_lags - k:T - k].T.ravel())
+    X = np.column_stack(cols)
+    y = E[:, n_lags:].T.ravel()
+    theta, _, rank, sv = np.linalg.lstsq(X, y, rcond=None)
+    ratio = sv[-1] / sv[0] if sv[0] > 0 and len(sv) == X.shape[1] else 0.0
+    resid = (y - X @ theta).reshape(T - n_lags, m).T
+    return resid, int(rank), float(ratio), float(y @ y)
+
+
+def lstsq_pnacf(panel, net, W, h: int, r: int, nodes=None):
+    """(AcfCell, sigma_min/sigma_max) of the partial NACF at lag h and stage r
+    with dense auxiliary designs solved by ``lstsq`` forwards and backwards.
+
+    The ratio is the smaller of the two designs' (0 for an empty or wide
+    design; None at lag 1 or without stage pairs, where no regression
+    runs).  Flags follow the library's rules: lstsq's own rank, and zero
+    residual variance when a residual energy is at most eps sum y^2.
+    """
+    from gnar.autocorr import AcfCell, nacf
+    from gnar.network import stage_weights
+
+    E = panel.values - panel.values.mean(axis=1, keepdims=True)
+    Bs = stage_weights(net, W, r)
+    if nodes is not None:
+        idx = [i - 1 for i in nodes]
+        E, Bs = E[idx], [B[np.ix_(idx, idx)] for B in Bs]
+    if h == 1 or (nodes is not None and Bs and not np.any(Bs[-1])):
+        return nacf(panel, net, W, h, r, nodes), None
+    q = (h - 1) * (r + 1)
+    F, rank_f, ratio_f, yy_f = _aux_lstsq(E, Bs, h - 1)
+    G_rev, rank_g, ratio_g, yy_g = _aux_lstsq(E[:, ::-1], Bs, h - 1)
+    ratio = min(ratio_f, ratio_g)
+    if rank_f < q:
+        return AcfCell(0.0, True, f"auxiliary fit rank deficient (rank {rank_f} of {q})"), ratio
+    if rank_g < q:
+        return AcfCell(0.0, True, f"auxiliary fit rank deficient (rank {rank_g} of {q})"
+                                  " (reversed)"), ratio
+    G = G_rev[:, ::-1]
+    eps = np.finfo(float).eps
+    if np.sum(F * F) <= eps * yy_f or np.sum(G * G) <= eps * yy_g:
+        return AcfCell(0.0, True, "zero residual variance"), ratio
+    lam = 1.0 + float(np.linalg.norm(Bs[-1], 2)) if Bs and np.any(Bs[-1]) else 1.0
+    AG = G + Bs[-1] @ G if Bs else G
+    num = float(np.sum(F[:, 1:] * AG[:, :-1]))
+    return AcfCell(num / (lam * float(np.sqrt(np.sum(F * F) * np.sum(G * G))))), ratio

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from gnar.autocorr import corbit_grid, nacf, pnacf
+from gnar.autocorr import AcfCell, corbit_grid, nacf, pnacf
 from gnar.errors import GnarError
 from gnar.network import bfs_distances, build_network, default_weights
 from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition, single_community
 from gnar.simulate import simulate
 
-from oracles import pooled_acf
+from oracles import lstsq_pnacf, pooled_acf
 
 
 def make_panel(values):
@@ -89,6 +89,39 @@ def test_pnacf_null_monte_carlo_bound(fivenet, fivenet_weights):
                  for h in (1, 2, 3) for r in (0, 1, 2))
         hits += ok
     assert hits >= 190
+
+
+def test_pnacf_exact_auxiliary_fit_is_degenerate(fivenet, fivenet_weights):
+    # a centred period-3 series obeys e_t = -e_{t-1} - e_{t-2}: the lag-2
+    # auxiliary fits are exact and well conditioned, so their residuals are
+    # rounding noise and the cells are flagged instead of reported
+    panel = make_panel(np.tile(np.random.default_rng(13).normal(size=(5, 3)), 10))
+    for r in (0, 1, 2, 3):
+        assert pnacf(panel, fivenet, fivenet_weights, 3, r) == \
+            AcfCell(0.0, True, "zero residual variance")
+        assert lstsq_pnacf(panel, fivenet, fivenet_weights, 3, r)[1] > 1e-2
+
+
+def test_pnacf_rank_rule_and_values_near_collinearity(fivenet, fivenet_weights):
+    # every node copies node 1 up to noise delta; rows of the stage-r weights
+    # sum to one, so B_r E approaches E and sigma_min/sigma_max scales with
+    # delta.  Cells are flagged exactly below (max(n, q) eps)^(1/4), and the
+    # others match the lstsq oracle however ill-conditioned their fits are.
+    T = 8
+    base = np.random.default_rng(15).normal(size=(5, T))
+    for delta in np.logspace(-5, -1, 33):
+        values = base.copy()
+        values[1:] = values[0] + delta * base[1:]
+        panel = make_panel(values)
+        for h in (2, 3, 4):
+            for r in (1, 2, 3):
+                cell = pnacf(panel, fivenet, fivenet_weights, h, r)
+                oracle, ratio = lstsq_pnacf(panel, fivenet, fivenet_weights, h, r)
+                bound = (5 * (T - h + 1) * np.finfo(float).eps) ** 0.25
+                if abs(ratio / bound - 1) > 0.01:
+                    assert cell.degenerate == (ratio < bound)
+                if not cell.degenerate:
+                    assert abs(cell.value - oracle.value) <= 1e-10
 
 
 def test_pnacf_cutoff_pattern(fivenet, fivenet_weights, fivenet_partition,

@@ -353,6 +353,27 @@ def test_model_file_rejects_repeated_header_lines(tmp_path, text, line, key, fir
         read_model(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gnar-model v1\nvariant global\nsigma\np 1\ns 1\n", ":3: 'sigma' needs a value"),
+    ("gnar-model v1\nvariant global\nsigma x\np 1\ns 1\n",
+     ":3: 'sigma' needs a number, got 'x'"),
+    (GLOBAL_HEADER + "p two\ns 1\n", ":4: 'p' needs an integer, got 'two'"),
+    (GLOBAL_HEADER + "p 1\ns one\n", ":5: 's' needs an integer, got 'one'"),
+    ("gnar-model v1\nvariant community\nC 3.5\np 1 1\nsigma 1.0\ns 1 1\ns 2 0\n",
+     ":3: 'C' needs an integer, got '3.5'"),
+    ("gnar-model v1\nvariant\nsigma 1.0\np 1\ns 1\n", ":2: 'variant' needs a value"),
+    ("gnar-model v1\nvariant global\np 1\ns 1\n", ": malformed model file (no 'sigma' line)"),
+    ("gnar-model v1\nvariant local\nsigma 1.0\np 1\ns 1\n",
+     ": malformed model file (no 'd' line)"),
+], ids=["sigma-empty", "sigma-word", "p-word", "s-word", "C-fraction", "variant-empty",
+        "no-sigma", "no-d"])
+def test_model_file_rejects_bad_header_values(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path) + message)}$"):
+        read_model(path)
+
+
 def test_coefficients_reject_bad_shapes():
     order = GnarOrder.community_order([1, 2], [[1], [1, 1]])
     with pytest.raises(OrderError):

@@ -3,9 +3,10 @@ communities: the design reproduces the VAR form, the community Gram matrix
 is block-diagonal, model files and parameter vectors round-trip exactly,
 the node-wise expansion agrees with the VAR form, the (P)NACF grid agrees
 with single-cell calls, every autocorrelation is bounded by one, the
-level-synchronous BFS gives the shortest paths, and the local variant's
-structured OLS solve, and its design-free residuals, agree with a pivoted
-QR of the whole design.
+cross-product PNACF agrees with dense lstsq auxiliary fits (near-collinear
+panels included), the level-synchronous BFS gives the shortest paths, and
+the local variant's structured OLS solve, and its design-free residuals,
+agree with a pivoted QR of the whole design.
 
 Runs are derandomised and bounded so the suite stays deterministic and fast.
 """
@@ -25,7 +26,7 @@ from gnar.network import bfs_distances, build_network, default_weights, stage_we
 from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition
 
-from oracles import floyd_warshall, pivoted_qr_fit
+from oracles import floyd_warshall, lstsq_pnacf, pivoted_qr_fit
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -107,6 +108,45 @@ def test_grid_cells_equal_single_calls_and_are_bounded(graph, seed, kind,
                 assert values[h - 1, r - 1] == cell.value
                 assert degs[h - 1, r - 1] == cell.degenerate
     assert np.all(np.abs(grid.values) <= 1 + 1e-12)
+
+
+@PROPERTY
+@given(st.data(), graphs(min_edges=1), st.integers(0, 2**32 - 1), st.booleans(),
+       st.integers(6, 30), st.sampled_from((0.0, 0.9, 0.99)))
+def test_pnacf_agrees_with_lstsq_oracle(data, graph, seed, communities, T, rho):
+    """Half of the panels copy one node's series into others up to a noise of
+    1e-9..1e-3, so that auxiliary designs come close to collinear."""
+    net, part = graph
+    part = part if communities else None
+    values = random_panel(seed, net.d, T, rho).values
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, net.d - 1))
+        copies = data.draw(st.lists(st.integers(0, net.d - 1).filter(lambda j: j != i),
+                                    min_size=1, unique=True))
+        noise = 10.0 ** data.draw(st.floats(-9, -3))
+        rng = np.random.default_rng(seed + 1)
+        values[copies] = values[i] + noise * rng.normal(size=(len(copies), T))
+    panel = TimeSeriesPanel(values, default_node_labels(net.d), [str(t) for t in range(T)])
+    W = default_weights(net.distances)
+    H, R = 3, net.r_max
+    grid = corbit_grid(panel, net, W, H, R, "pnacf", part)
+    layers = [None] if part is None else [part.members(g)
+                                          for g in range(1, part.n_communities + 1)]
+    for ci, nodes in enumerate(layers):
+        cells = grid.values if part is None else grid.values[ci]
+        degs = grid.degenerate if part is None else grid.degenerate[ci]
+        m = net.d if nodes is None else len(nodes)
+        for h in range(2, H + 1):
+            for r in range(1, R + 1):
+                oracle, ratio = lstsq_pnacf(panel, net, W, h, r, nodes)
+                if oracle.degenerate:
+                    assert degs[h - 1, r - 1]
+                elif degs[h - 1, r - 1]:
+                    # the documented rank rule: sigma_min/sigma_max <= (max(n, q) eps)^(1/4)
+                    n, q = m * (T - h + 1), (h - 1) * (r + 1)
+                    assert ratio <= (max(n, q) * np.finfo(float).eps) ** 0.25 * (1 + 1e-6)
+                else:
+                    assert abs(cells[h - 1, r - 1] - oracle.value) <= 1e-10
 
 
 @PROPERTY
