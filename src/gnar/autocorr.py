@@ -156,7 +156,7 @@ def _pnacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
 
     R = minus_fit(np.array([E[:, L:], E[:, :n]]), np.array([S[:q, q:q + 1], S[c:, :1]]))
     energy = np.einsum("dis,dis->d", R, R)
-    if np.any(eps * ev[:, -1] * np.sqrt(yy) > 1e-12 * ev[:, 0] * np.sqrt(energy)):
+    if np.any(eps * (ev[:, -1] / ev[:, 0]) * np.sqrt(yy) > 1e-12 * np.sqrt(energy)):
         K = np.zeros((2, L, m, T))
         stairs(K)[...] = R[:, None]  # so that K V' is X'R
         R = minus_fit(R, (K.reshape(2 * L, m * T) @ Vc.T).reshape(2, q, 1))
