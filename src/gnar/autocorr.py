@@ -31,7 +31,6 @@ degenerate (value zero) rather than silently reinterpreted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -98,18 +97,17 @@ def _apply_A(Bs: list[np.ndarray], E: np.ndarray) -> np.ndarray:
     return E + Bs[-1] @ E if Bs else E
 
 
-# The cell kernels take the centred panel E, the stage weights B_1..B_r and
-# lambda_r, and the PNACF kernel also the cross-products of E, so that a grid
-# derives them once per community.
+# The cell kernels take the centred panel E, the stage weights B_1..B_r,
+# lambda_r and either (I + B_r)E (NACF) or the cross-products of E (PNACF), so
+# that a grid derives them once per community and stage.
 
 def _nacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
-               subset: bool) -> AcfCell:
+               subset: bool, AE: np.ndarray) -> AcfCell:
     if subset and Bs and not np.any(Bs[-1]):
         return AcfCell(0.0, True, "no within-subset stage pairs")
     den = lam * float(np.sum(E * E))
     if den == 0.0:
         return AcfCell(0.0, True, "zero variance")
-    AE = _apply_A(Bs, E)
     num = float(np.sum(E[:, h:] * AE[:, :-h]))
     return AcfCell(num / den)
 
@@ -131,7 +129,7 @@ def _pnacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
                 subset: bool, cross: tuple[np.ndarray, np.ndarray]) -> AcfCell:
     """``cross`` holds ``_cross_products`` of E with B_1..B_R, R >= len(Bs)."""
     if h == 1 or (subset and Bs and not np.any(Bs[-1])):
-        return _nacf_cell(E, Bs, lam, h, subset)  # lag 1, or no stage pairs
+        return _nacf_cell(E, Bs, lam, h, subset, _apply_A(Bs, E))  # lag 1, or no stage pairs
     (V, P), (m, T), L, c = cross, E.shape, h - 1, len(Bs) + 1
     n, q, eps = T - L, L * c, np.finfo(float).eps
     # S[(w, a), (v, b)] = sum_{s<n} V_a[:, w+s].V_b[:, v+s], w, v = 0..L: the forward fit
@@ -176,7 +174,7 @@ def nacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
     matrix masked to within-subset pairs.
     """
     E, Bs = _inputs(panel, net, W, h, r, nodes)
-    return _nacf_cell(E, Bs, _lambda(Bs), h, nodes is not None)
+    return _nacf_cell(E, Bs, _lambda(Bs), h, nodes is not None, _apply_A(Bs, E))
 
 
 def pnacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
@@ -195,8 +193,8 @@ class CorbitGrid:
     """(P)NACF values over lags 1..H and stages 1..R, optionally per community.
 
     Without communities ``values`` has shape (H, R); with communities it has
-    shape (C, H, R) and ``mean_values`` carries the across-community mean at
-    each cell (degenerate only when every community cell is).
+    shape (C, H, R) and ``mean_values`` averages each cell's non-degenerate
+    community values (0, and degenerate, when every community cell is).
     """
 
     kind: str
@@ -243,8 +241,9 @@ def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
     def layer(nodes) -> tuple[np.ndarray, np.ndarray]:
         E, Bs = _inputs(panel, net, W, H, R, nodes)
         lams = [_lambda(Bs[:r]) for r in range(1, R + 1)]
-        cell = _nacf_cell if kind == "nacf" else partial(_pnacf_cell, cross=_cross_products(E, Bs))
-        cells = [[cell(E, Bs[:r], lams[r - 1], h, nodes is not None)
+        kernel, extra = ((_nacf_cell, [_apply_A(Bs[:r], E) for r in range(1, R + 1)])
+                         if kind == "nacf" else (_pnacf_cell, [_cross_products(E, Bs)] * R))
+        cells = [[kernel(E, Bs[:r], lams[r - 1], h, nodes is not None, extra[r - 1])
                   for r in range(1, R + 1)] for h in range(1, H + 1)]
         return (np.array([[c.value for c in row] for row in cells]),
                 np.array([[c.degenerate for c in row] for row in cells]))
@@ -258,7 +257,8 @@ def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
     layers = [layer(part.members(g)) for g in range(1, part.n_communities + 1)]
     values = np.stack([v for v, _ in layers])
     degs = np.stack([g for _, g in layers])
+    count = np.maximum(np.sum(~degs, axis=0), 1)  # all-degenerate cells: 0 / 1
     return CorbitGrid(kind=kind, max_lag=H, max_stage=R, values=values,
                       degenerate=degs, communities=part.labels,
-                      mean_values=values.mean(axis=0),
+                      mean_values=np.where(degs, 0.0, values).sum(axis=0) / count,
                       mean_degenerate=degs.all(axis=0))

@@ -1,12 +1,14 @@
 """US presidential returns: ingestion, state classification and preprocessing.
 
 The loader consumes the MIT Election Data and Science Lab per-candidate
-CSV (columns ``year``, ``state``, ``party_simplified`` or ``party``,
-``candidatevotes``, ``totalvotes``) and produces the 51 x 12 panel of
-Republican vote percentages for the quadrennial elections 1976..2020,
-states ordered alphabetically.  The Republican share divides by total
-votes cast (all parties and write-ins), and fusion tickets are summed
-through the simplified party label.
+CSV and produces the 51 x 12 panel of Republican vote percentages for the
+quadrennial elections 1976..2020, states ordered alphabetically.  Columns
+go by header name, the last repeat winning: ``year``, ``state``,
+``candidatevotes``, ``totalvotes``, the first of ``party_simplified``,
+``party`` and ``party_detailed``, and an optional ``office`` (blank or US
+PRESIDENT rows count).  A row with other than the header's cell count, like
+any malformed cell, raises ``DataError`` naming ``file:line``.  The share
+divides by all votes cast; fusion tickets sum through the party label.
 
 States are classified Red/Blue/Swing by the share of elections won: a
 party winning at least 75% of the twelve contests (i.e. nine or more)
@@ -151,20 +153,17 @@ class StateClassification:
         return "\n".join(lines) + "\n"
 
 
-def _party_field(row: dict) -> str:
-    for key in ("party_simplified", "party", "party_detailed"):
-        if key in row and row[key] is not None:
-            return row[key].strip().upper()
-    raise DataError("returns file has no party column "
-                    "(expected party_simplified, party or party_detailed)")
+_PARTY_COLUMNS = ("party_simplified", "party", "party_detailed")
 
 
-def _votes(raw) -> int:
+def _votes(raw: str) -> float:
     """Vote counts; blank and NA cells count as zero."""
-    text = (raw or "").strip()
-    if not text or text.upper() == "NA":
-        return 0
-    return int(float(text))
+    try:
+        return float(int(float(raw)))
+    except ValueError:
+        if raw.strip().upper() in ("", "NA"):
+            return 0.0
+        raise
 
 
 def load_returns(path: str | Path) -> ElectionPanel:
@@ -172,36 +171,57 @@ def load_returns(path: str | Path) -> ElectionPanel:
     path = Path(path)
     state_idx = {name: i for i, name in enumerate(STATE_NAMES)}
     year_idx = {y: j for j, y in enumerate(ELECTION_YEARS)}
-    d, T = len(STATE_NAMES), len(ELECTION_YEARS)
-    rep = np.zeros((d, T))
-    dem = np.zeros((d, T))
-    total = np.full((d, T), np.nan)
+    sums: dict[tuple[int, int], list[float]] = {}  # (i, j) -> [rep, dem, total]
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        for row in reader:
-            office = (row.get("office") or "").strip().upper()
-            if office and office != "US PRESIDENT":
-                continue
-            year = int(row["year"])
-            if year not in year_idx:
-                continue
-            state = row["state"].strip().upper()
-            if state not in state_idx:
-                raise DataError(f"{path}: unknown state name {state!r}")
-            i, j = state_idx[state], year_idx[year]
-            votes = _votes(row["candidatevotes"])
-            tv = _votes(row["totalvotes"])
-            if np.isnan(total[i, j]):
-                total[i, j] = tv
-            else:
-                total[i, j] = max(total[i, j], tv)
-            party = _party_field(row)
-            if party == "REPUBLICAN":
-                rep[i, j] += votes
-            elif party == "DEMOCRAT":
-                dem[i, j] += votes
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            col = {name: k for k, name in enumerate(header)}  # the last duplicate wins
+            party = next((c for c in _PARTY_COLUMNS if c in col), " or ".join(_PARTY_COLUMNS))
+            names = ("year", "state", "candidatevotes", "totalvotes", party)
+            for name in names:
+                if name not in col:
+                    raise DataError(f"{path}:1: no {name} column")
+            iy, ist, iv, it, ip = map(col.get, names)
+            io, ncols = col.get("office"), len(header)
+            for cells in reader:
+                if len(cells) != ncols:
+                    if not cells:
+                        continue
+                    raise DataError(f"{path}:{reader.line_num}: expected {ncols} "
+                                    f"cells, got {len(cells)}")
+                office = cells[io].strip().upper() if io is not None else ""
+                if office and office != "US PRESIDENT":
+                    continue
+                try:
+                    j = year_idx.get(int(cells[iy]))
+                    if j is None:
+                        continue
+                    votes, tv = _votes(cells[iv]), _votes(cells[it])
+                except (ValueError, OverflowError) as exc:
+                    raise DataError(f"{path}:{reader.line_num}: non-numeric cell "
+                                    f"({exc})") from None
+                state = cells[ist].strip().upper()
+                i = state_idx.get(state)
+                if i is None:
+                    raise DataError(f"{path}:{reader.line_num}: unknown state name {state!r}")
+                acc = sums.get((i, j))
+                if acc is None:
+                    acc = sums[i, j] = [0.0, 0.0, tv]
+                elif tv > acc[2]:
+                    acc[2] = tv
+                label = cells[ip].strip().upper()
+                if label == "REPUBLICAN":
+                    acc[0] += votes
+                elif label == "DEMOCRAT":
+                    acc[1] += votes
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    rep, dem, total = np.full((3, len(STATE_NAMES), len(ELECTION_YEARS)), np.nan)
+    for (i, j), acc in sums.items():
+        rep[i, j], dem[i, j], total[i, j] = acc
     missing = np.argwhere(np.isnan(total))
     if missing.size:
         i, j = missing[0]

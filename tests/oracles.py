@@ -7,10 +7,14 @@ of the structural model equation.  The one exception is
 :func:`pivoted_qr_fit`, the library's general QR solve on the whole design,
 which is the oracle for the local variant's structured solve.
 :func:`lstsq_pnacf` solves each auxiliary regression of the partial NACF
-by ``np.linalg.lstsq`` on its dense design.
+by ``np.linalg.lstsq`` on its dense design.  :func:`dictreader_returns` is
+the election-returns tally as first written, one ``csv.DictReader`` dict and
+numpy scalar update per row.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -220,3 +224,44 @@ def lstsq_pnacf(panel, net, W, h: int, r: int, nodes=None):
     AG = G + Bs[-1] @ G if Bs else G
     num = float(np.sum(F[:, 1:] * AG[:, :-1]))
     return AcfCell(num / (lam * float(np.sqrt(np.sum(F * F) * np.sum(G * G))))), ratio
+
+
+def dictreader_returns(path):
+    """(rep, dem, total) vote arrays of a valid per-candidate returns file.
+
+    Rows are read as ``csv.DictReader`` dicts and summed into the 51 x 12
+    arrays one numpy element at a time: president rows only (a blank office
+    counts), quadrennial years 1976..2020, the party label from the first of
+    party_simplified, party or party_detailed, blank and NA vote cells as
+    zero, and the largest ``totalvotes`` of each state-year as its total.
+    """
+    from gnar.elections import ELECTION_YEARS, STATE_NAMES
+
+    state_idx = {name: i for i, name in enumerate(STATE_NAMES)}
+    year_idx = {y: j for j, y in enumerate(ELECTION_YEARS)}
+    d, T = len(STATE_NAMES), len(ELECTION_YEARS)
+    rep, dem, total = np.zeros((d, T)), np.zeros((d, T)), np.full((d, T), np.nan)
+
+    def votes(raw) -> int:
+        text = (raw or "").strip()
+        return 0 if not text or text.upper() == "NA" else int(float(text))
+
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            office = (row.get("office") or "").strip().upper()
+            if office and office != "US PRESIDENT":
+                continue
+            year = int(row["year"])
+            if year not in year_idx:
+                continue
+            i, j = state_idx[row["state"].strip().upper()], year_idx[year]
+            n, tv = votes(row["candidatevotes"]), votes(row["totalvotes"])
+            total[i, j] = tv if np.isnan(total[i, j]) else max(total[i, j], tv)
+            key = next(k for k in ("party_simplified", "party", "party_detailed")
+                       if row.get(k) is not None)
+            party = row[key].strip().upper()
+            if party == "REPUBLICAN":
+                rep[i, j] += n
+            elif party == "DEMOCRAT":
+                dem[i, j] += n
+    return rep, dem, total

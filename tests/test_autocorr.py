@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gnar.autocorr import AcfCell, corbit_grid, nacf, pnacf
+from gnar.corbit_svg import render_rcorbit
 from gnar.errors import GnarError
 from gnar.network import bfs_distances, build_network, default_weights
 from gnar.panel import TimeSeriesPanel, default_node_labels
@@ -222,6 +223,22 @@ def test_grid_shapes_and_mean_layer(fivenet, fivenet_weights, fivenet_partition)
     assert np.allclose(grid.mean_values, grid.values.mean(axis=0))
     # mean cell degenerate only when every community cell is
     assert np.array_equal(grid.mean_degenerate, grid.degenerate.all(axis=0))
+
+
+def test_grid_mean_skips_degenerate_community_cells(fivenet, fivenet_weights,
+                                                    fivenet_partition):
+    # K1 = {2, 3, 4} is constant, so each of its cells is degenerate (zero
+    # variance); K2 = {1, 5} has values at stage 1 and no stage-2 or -3 pairs
+    values = np.random.default_rng(13).normal(size=(5, 30))
+    values[[1, 2, 3]] = 1.0
+    grid = corbit_grid(make_panel(values), fivenet, fivenet_weights, 4, 3, "nacf",
+                       fivenet_partition)
+    assert grid.degenerate[0].all() and not grid.degenerate[1, :, 0].any()
+    assert np.array_equal(grid.mean_values[:, 0], grid.values[1, :, 0])
+    assert not grid.mean_degenerate[:, 0].any()
+    assert np.all(grid.mean_values[:, 1:] == 0.0) and grid.mean_degenerate[:, 1:].all()
+    svg = render_rcorbit(grid)
+    assert svg.count('class="rcorbit-mean"') == 4 * 3
 
 
 def test_grid_preconditions(fivenet, fivenet_weights):

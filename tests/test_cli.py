@@ -167,6 +167,25 @@ def test_elections_bad_argument_writes_nothing(tmp_path, capsys, flag, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text, line", [
+    ("year,state,office,candidate,candidatevotes,totalvotes,party_simplified\n"
+     "1976,ALABAMA,US PRESIDENT,R,abc,1000,REPUBLICAN\n", 2),
+    ("state,office,candidate,candidatevotes,totalvotes,party_simplified\n"
+     "ALABAMA,US PRESIDENT,R,600,1000,REPUBLICAN\n", 1),
+    ("year,state,office,candidate,candidatevotes,totalvotes,party_simplified\n"
+     "1976,ALABAMA,US PRESIDENT,R,600,1000\n", 2),
+], ids=["vote", "no-year", "short"])
+def test_elections_malformed_returns_writes_nothing(tmp_path, capsys, text, line):
+    returns = tmp_path / "returns.csv"
+    returns.write_text(text)
+    out_dir = tmp_path / "study"
+    code = run("elections", "--returns", str(returns), "--out-dir", str(out_dir))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {returns}:{line}: ")
+    assert not out_dir.exists()
+
+
 def test_panel_network_size_mismatch_exits_one(tmp_path, capsys):
     panel_path = tmp_path / "panel.csv"
     write_panel(TimeSeriesPanel(np.random.default_rng(0).normal(size=(4, 20)),

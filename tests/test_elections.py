@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ def test_loader_rejects_unknown_state(tmp_path):
     path.write_text("year,state,candidatevotes,totalvotes,party_simplified\n"
                     "1976,NARNIA,10,20,REPUBLICAN\n")
     with pytest.raises(DataError, match="unknown state"):
+        load_returns(path)
+
+
+HEADER = ("year,state,office,candidate,party_detailed,candidatevotes,totalvotes,"
+          "party_simplified")
+GOOD_ROW = "1976,ALABAMA,US PRESIDENT,R,REPUBLICAN,600,1000,REPUBLICAN"
+
+
+@pytest.mark.parametrize("header, bad_row, line, message", [
+    (HEADER, "1976,ALABAMA,US PRESIDENT,R,REPUBLICAN,abc,1000,REPUBLICAN", 3,
+     "non-numeric cell"),
+    (HEADER, "19x6,ALABAMA,US PRESIDENT,R,REPUBLICAN,600,1000,REPUBLICAN", 3,
+     "non-numeric cell"),
+    (HEADER, "1976,ALABAMA,US PRESIDENT,R,REPUBLICAN,600,1e400,REPUBLICAN", 3,
+     "non-numeric cell"),
+    (HEADER.replace("year,", "yr,"), GOOD_ROW, 1, "no year column"),
+    (HEADER.replace("party_", "label_"), GOOD_ROW, 1,
+     "no party_simplified or party or party_detailed column"),
+    (HEADER, "1976,ALABAMA,US PRESIDENT,R,REPUBLICAN,600,1000", 3,
+     "expected 8 cells, got 7"),
+    (HEADER, GOOD_ROW + ",EXTRA", 3, "expected 8 cells, got 9"),
+    (HEADER, "1976,NARNIA,US PRESIDENT,R,REPUBLICAN,600,1000,REPUBLICAN", 3,
+     "unknown state name 'NARNIA'"),
+    (HEADER, f'1976,ALABAMA,US PRESIDENT,"{"x" * (csv.field_size_limit() + 1)}",REPUBLICAN,'
+     "600,1000,REPUBLICAN", 3, "field larger than field limit"),
+], ids=["vote", "year", "overflow", "no-year", "no-party", "short", "long", "state",
+        "field-limit"])
+def test_loader_names_file_and_line_of_malformed_input(tmp_path, header, bad_row,
+                                                       line, message):
+    path = tmp_path / "returns.csv"
+    path.write_text("\n".join([header, GOOD_ROW, bad_row]) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:{line}: {message}")):
         load_returns(path)
 
 

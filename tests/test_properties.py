@@ -6,7 +6,9 @@ with single-cell calls, every autocorrelation is bounded by one, the
 cross-product PNACF agrees with dense lstsq auxiliary fits (near-collinear
 panels included), the level-synchronous BFS gives the shortest paths, and
 the local variant's structured OLS solve, and its design-free residuals,
-agree with a pivoted QR of the whole design.
+agree with a pivoted QR of the whole design.  The election-returns loader
+sums valid files exactly as a ``csv.DictReader`` tally does, and on mangled
+or random text it raises nothing but ``GnarError``.
 
 Runs are derandomised and bounded so the suite stays deterministic and fast.
 """
@@ -19,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnar.autocorr import KINDS, corbit_grid, nacf, pnacf
+from gnar.elections import ELECTION_YEARS, STATE_NAMES, load_returns
+from gnar.errors import GnarError
 from gnar.estimate import build_design, fit_ols
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
                         theta_index, to_local_alpha, to_var)
@@ -26,7 +30,7 @@ from gnar.network import bfs_distances, build_network, default_weights, stage_we
 from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition
 
-from oracles import floyd_warshall, lstsq_pnacf, pivoted_qr_fit
+from oracles import dictreader_returns, floyd_warshall, lstsq_pnacf, pivoted_qr_fit
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -242,3 +246,119 @@ def test_design_free_local_residuals_match_pivoted_qr(data, graph, seed):
     theta, _, _ = pivoted_qr_fit(ds)
     resid = (ds.y - ds.R @ theta).reshape(-1, net.d).T
     assert np.max(np.abs(fit.residuals.values - resid)) <= 1e-12 * np.max(np.abs(resid))
+
+
+PARTY_COLUMNS = ("party_simplified", "party", "party_detailed")
+
+
+def returns_text(seed: int, party_column: str, crlf: bool, huge: bool) -> str:
+    """A valid per-candidate returns file with ``party_column`` as its only
+    party column (beside party_detailed when it is party_simplified).
+
+    Each state-year has a Republican row, split in two fusion rows at random,
+    a Democrat row and a minor-party row, with unequal, blank or NA totals
+    after the first and occasional blank, NA or fractional candidate votes; quoted
+    candidate names hold commas.  Senate rows and off-cycle years (with a
+    state the loader does not know) are mixed in, the rows are shuffled and
+    blank lines inserted.  ``huge`` puts the counts past 2**53.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 2**40 if huge else 1
+
+    def row(year, state, office, name, label, simplified, votes, total):
+        cells = [str(year), state, office, name, label, str(votes), str(total)]
+        return cells + [simplified] if party_column == "party_simplified" else cells
+
+    def written(count):  # now and then blank, NA or with a fraction the loader drops
+        u = rng.random()
+        return (rng.choice(["", "NA", " NA "]) if u < 0.05
+                else f"{count}.{rng.integers(10)}" if u < 0.1 else str(count))
+
+    header = row("year", "state", "office", "candidate",
+                 "party_detailed" if party_column == "party_simplified" else party_column,
+                 "party_simplified", "candidatevotes", "totalvotes")
+    rows = []
+    for year in ELECTION_YEARS:
+        for state in STATE_NAMES:
+            total = int(rng.integers(1000, 10**6)) * scale + int(rng.integers(0, scale))
+            rep, dem = (total * int(k) // 100 for k in rng.integers(5, 45, size=2))
+            fused = rep * int(rng.integers(0, 11)) // 10
+            spelled = state if rng.random() < 0.8 else f"  {state.lower()} "
+            office = rng.choice(["US PRESIDENT", "us president ", ""])
+            cands = [('"SMITH, JO"', "REPUBLICAN", "REPUBLICAN", rep - fused),
+                     ('"SMITH, JO"', "CONSERVATIVE", "REPUBLICAN", fused),
+                     ('"O""NEIL, AL"', "DEMOCRAT", "DEMOCRAT", dem),
+                     ("DOE", "LIBERTARIAN", "OTHER", total - rep - dem)]
+            for k, (name, label, simplified, votes) in enumerate(cands):
+                tv = total if k == 0 else written(total - int(rng.integers(0, 3)))
+                rows.append(row(year, spelled, office, name, label, simplified,
+                                written(votes), tv))
+            if rng.random() < 0.2:
+                rows.append(row(year, state, "US SENATE", "X", "REPUBLICAN", "REPUBLICAN",
+                                total, 2 * total))
+            if rng.random() < 0.2:
+                rows.append(row(year + 2, rng.choice(["PUERTO RICO", state]), "US PRESIDENT",
+                                "Y", "DEMOCRAT", "DEMOCRAT", total, total))
+    lines = [",".join(cells) for cells in rows]
+    lines = [lines[i] for i in rng.permutation(len(lines))]
+    for i in rng.integers(0, len(lines), size=20):
+        lines.insert(int(i), "")
+    return ("\r\n" if crlf else "\n").join([",".join(header)] + lines) + "\n"
+
+
+@settings(PROPERTY, max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PARTY_COLUMNS), st.booleans(),
+       st.booleans())
+def test_returns_loader_equals_dictreader_oracle(seed, party_column, crlf, huge):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "returns.csv"
+        path.write_bytes(returns_text(seed, party_column, crlf, huge).encode())
+        data = load_returns(path)
+        rep, dem, total = dictreader_returns(path)
+    for got, want in ((data.rep_votes, rep), (data.dem_votes, dem),
+                      (data.total_votes, total)):
+        assert got.tobytes() == want.tobytes()
+
+
+FUZZ_TOKENS = (",", '"', "\n", "\r\n", "\r", " ", "\x00", "NA", "nan", "inf", "1e400",
+               "9e307", "-7", "0", "3.5", "1976", "2020", "ALABAMA", "WYOMING", "NARNIA",
+               "US PRESIDENT", "US SENATE", "REPUBLICAN", "DEMOCRAT", "year", "state",
+               "office", "candidatevotes", "totalvotes", "party_simplified", "party")
+
+
+CELL_TOKENS = ("", "NA", "nan", "inf", "-inf", "1e400", "9e307", "-7", "3.5", "x", '"',
+               "1976", "ALABAMA", "NARNIA", "US SENATE")
+
+
+def edits(tokens, reach):
+    return st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, reach),
+                              st.sampled_from(tokens)), max_size=8)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), edits(CELL_TOKENS, 2), edits(FUZZ_TOKENS, 8), st.booleans(),
+       st.lists(st.sampled_from(FUZZ_TOKENS), max_size=60))
+def test_returns_reader_raises_only_gnar_errors(seed, cell_edits, text_edits, with_header,
+                                                noise):
+    """A valid file with vote and party cells replaced, the same file with
+    text spliced into its body, and token soup with or without the header."""
+    header, *lines = returns_text(seed, "party_simplified", False, False).split("\n")
+    body = "\n".join(lines)
+    for where, cut, token in text_edits:
+        at = int(where * len(body))
+        body = body[:at] + token + body[at + cut:]
+    for where, column, token in cell_edits:
+        at = int(where * len(lines))
+        cells = lines[at].split(",")  # counted from the end, past any quoted commas
+        cells[-1 - column % len(cells)] = token
+        lines[at] = ",".join(cells)
+    texts = ("\n".join([header] + lines), header + "\n" + body,
+             (header + "\n" if with_header else "") + "".join(noise))
+    with tempfile.TemporaryDirectory() as tmp:
+        for text in texts:
+            path = Path(tmp) / "returns.csv"
+            path.write_bytes(text.encode())
+            try:
+                load_returns(path)
+            except GnarError:
+                pass
