@@ -340,10 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GnarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (GnarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

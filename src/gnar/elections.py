@@ -172,7 +172,7 @@ def load_returns(path: str | Path) -> ElectionPanel:
     state_idx = {name: i for i, name in enumerate(STATE_NAMES)}
     year_idx = {y: j for j, y in enumerate(ELECTION_YEARS)}
     sums: dict[tuple[int, int], list[float]] = {}  # (i, j) -> [rep, dem, total]
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -219,6 +219,8 @@ def load_returns(path: str | Path) -> ElectionPanel:
                     acc[1] += votes
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
     rep, dem, total = np.full((3, len(STATE_NAMES), len(ELECTION_YEARS)), np.nan)
     for (i, j), acc in sums.items():
         rep[i, j], dem[i, j], total[i, j] = acc

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DataError, OrderError
 from .network import Network, mask_weights, stage_weights
 from .partition import CommunityPartition
+from .textfile import read_rows
 
 VARIANTS = ("global", "community", "local")
 
@@ -497,16 +498,13 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     community or repeats one; a missing header line is named.  Slots
     without a line are zero.
     """
-    lines = [(ln, raw.strip()) for ln, raw in
-             enumerate(Path(path).read_text().splitlines(), start=1)]
-    lines = [(ln, text) for ln, text in lines if text and not text.startswith("#")]
-    if not lines or lines[0][1] != "gnar-model v1":
+    _, lines = read_rows(path, sep=None)
+    if next(lines, (0, []))[1] != ["gnar-model", "v1"]:
         raise DataError(f"{path}: not a model file (missing 'gnar-model v1' header)")
     fields: dict[str, list[list[str]]] = {}
     key_lines: dict[str, list[int]] = {}
     coef_lines: list[tuple[int, list[str]]] = []
-    for ln, text in lines[1:]:
-        parts = text.split()
+    for ln, parts in lines:
         if parts[0] in _HEADER_KEYS:
             fields.setdefault(parts[0], []).append(parts[1:])
             key_lines.setdefault(parts[0], []).append(ln)
@@ -537,6 +535,8 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
         if variant == "community":
             lags = header("p", int)
             C = header("C", int)[0]
+            if C != len(lags):
+                raise DataError(f"{path}:{key_lines['C'][0]}: 'C' is {C} but 'p' has {len(lags)}")
             stages: list[list[int]] = [[] for _ in range(C)]
             set_on: dict[int, int] = {}
             for k, ln in enumerate(key_lines["s"]):

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NetworkError, OrderError
+from .textfile import fixed_rows, read_rows
 
 #: Sentinel distance for unreachable pairs.
 UNREACHABLE = -1
@@ -203,36 +204,20 @@ def read_edge_list(path: str | Path, d: int | None = None) -> Network:
     The node count comes from a ``# d: N`` metadata comment in the file or
     from the ``d`` argument (the argument wins if both are present).
     """
-    lines = Path(path).read_text().splitlines()
+    comments, rows = read_rows(path)
     meta_d = None
-    rows = []
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.lower().startswith("d:"):
-                try:
-                    meta_d = int(body.split(":", 1)[1])
-                except ValueError:
-                    raise DataError(f"{path}:{ln}: node count must be an integer, "
-                                    f"got {line!r}") from None
-            continue
-        if line.lower().replace(" ", "") == "from,to":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{ln}: expected 'from,to', got {line!r}")
-        try:
-            rows.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise DataError(f"{path}:{ln}: node ids must be integers, "
-                            f"got {line!r}") from None
+    for ln, text in comments:
+        if text.lower().startswith("d:"):
+            try:
+                meta_d = int(text[2:])
+            except ValueError:
+                raise DataError(f"{path}:{ln}: node count must be an integer, "
+                                f"got {text!r}") from None
+    edges = [e for _, e in fixed_rows(path, rows, "from,to", lambda i, j: (int(i), int(j)))]
     n = d if d is not None else meta_d
     if n is None:
         raise DataError(f"{path}: node count missing (no '# d: N' line and no override)")
-    return build_network(n, rows)
+    return build_network(n, edges)
 
 
 def format_edge_list(net: Network) -> str:
@@ -253,21 +238,9 @@ def load_weight_overrides(path: str | Path, W: np.ndarray) -> np.ndarray:
     """
     out = W.copy()
     d = W.shape[0]
-    lines = Path(path).read_text().splitlines()
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.lower().replace(" ", "") == "from,to,w":
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{ln}: expected 'from,to,w', got {line!r}")
-        try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise DataError(f"{path}:{ln}: expected integer node ids and a numeric "
-                            f"weight, got {line!r}") from None
+    _, rows = read_rows(path)
+    for ln, (i, j, w) in fixed_rows(path, rows, "from,to,w",
+                                    lambda i, j, w: (int(i), int(j), float(w))):
         if i == j:
             raise DataError(f"{path}:{ln}: self-pair ({i},{j}) cannot carry weight")
         if not (1 <= i <= d) or not (1 <= j <= d):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, GnarError
+from .textfile import read_rows
 
 
 @dataclass(frozen=True)
@@ -79,29 +80,20 @@ def write_panel(panel: TimeSeriesPanel, path: str | Path) -> None:
 
 
 def read_panel(path: str | Path) -> TimeSeriesPanel:
-    lines = Path(path).read_text().splitlines()
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
+    comments, lines = read_rows(path)
+    meta = {k.strip(): v.strip() for k, v in
+            (text.split(":", 1) for _, text in comments if ":" in text)}
+    ln, cells = next(lines, (0, None))
+    if cells is None:
+        raise DataError(f"{path}: no panel data found")
+    if cells[0].strip().lower() != "time":
+        raise DataError(f"{path}:{ln}: first header column must be 'time'")
+    header = [c.strip() for c in cells[1:]]
+    if not header:
+        raise DataError(f"{path}:{ln}: no node columns")
     times: list[str] = []
     rows: list[list[float]] = []
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                k, v = body.split(":", 1)
-                meta[k.strip()] = v.strip()
-            continue
-        cells = line.split(",")
-        if header is None:
-            if cells[0].strip().lower() != "time":
-                raise DataError(f"{path}:{ln}: first header column must be 'time'")
-            header = [c.strip() for c in cells[1:]]
-            if not header:
-                raise DataError(f"{path}:{ln}: no node columns")
-            continue
+    for ln, cells in lines:
         if len(cells) != len(header) + 1:
             raise DataError(f"{path}:{ln}: expected {len(header) + 1} cells, got {len(cells)}")
         times.append(cells[0].strip())
@@ -109,7 +101,7 @@ def read_panel(path: str | Path) -> TimeSeriesPanel:
             rows.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise DataError(f"{path}:{ln}: non-numeric cell ({exc})") from None
-    if header is None or not rows:
+    if not rows:
         raise DataError(f"{path}: no panel data found")
     values = np.asarray(rows, dtype=float).T
     return TimeSeriesPanel(values=values, node_labels=tuple(header),

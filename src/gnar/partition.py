@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, GnarError
+from .textfile import fixed_rows, read_rows
+
+
+def _absent(ids: set[int] | dict[int, int], n: int) -> str:
+    """The first five ids of 1..n not in ``ids``, found in at most len(ids) + 6 steps."""
+    first = list(islice((i for i in range(1, n + 1) if i not in ids), 6))
+    return ", ".join(map(str, first[:5])) + (", ..." if len(first) > 5 else "")
 
 
 @dataclass(frozen=True)
@@ -31,9 +39,8 @@ class CommunityPartition:
             if not (1 <= c <= C):
                 raise GnarError(f"node {i} assigned to community {c}, outside 1..{C}")
             used.add(c)
-        if used != set(range(1, C + 1)):
-            missing = sorted(set(range(1, C + 1)) - used)
-            raise GnarError(f"empty communities: {missing}")
+        if len(used) != C:
+            raise GnarError(f"empty communities: {_absent(used, C)}")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(c) for c in range(1, C + 1)))
         elif len(self.labels) != C:
@@ -73,43 +80,29 @@ def single_community(d: int) -> CommunityPartition:
 
 def read_partition(path: str | Path) -> CommunityPartition:
     """Read a ``node,community`` CSV; optional ``# label c: name`` comments."""
-    lines = Path(path).read_text().splitlines()
+    comments, rows = read_rows(path)
     pairs: dict[int, int] = {}
     labels: dict[int, str] = {}
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.lower().startswith("label "):
-                try:
-                    head, name = body.split(":", 1)
-                    labels[int(head.split()[1])] = name.strip()
-                except (ValueError, IndexError):
-                    raise DataError(f"{path}:{ln}: expected '# label C: name', "
-                                    f"got {line!r}") from None
-            continue
-        if line.lower().replace(" ", "") == "node,community":
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{ln}: expected 'node,community', got {line!r}")
-        try:
-            node, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataError(f"{path}:{ln}: node and community must be integers, "
-                            f"got {line!r}") from None
+    for ln, text in comments:
+        if text.lower().startswith("label "):
+            try:
+                head, name = text.split(":", 1)
+                labels[int(head.split()[1])] = name.strip()
+            except (ValueError, IndexError):
+                raise DataError(f"{path}:{ln}: expected '# label C: name', "
+                                f"got {text!r}") from None
+    for ln, (node, c) in fixed_rows(path, rows, "node,community", lambda n, c: (int(n), int(c))):
         if node in pairs:
             raise DataError(f"{path}:{ln}: node {node} assigned twice")
         pairs[node] = c
     if not pairs:
         raise DataError(f"{path}: empty partition file")
-    d = max(pairs)
-    if sorted(pairs) != list(range(1, d + 1)):
-        missing = sorted(set(range(1, d + 1)) - set(pairs))
+    d = len(pairs)
+    if missing := _absent(pairs, max(d, max(pairs))):
         raise DataError(f"{path}: nodes without assignment: {missing}")
     C = max(pairs.values())
+    if C > d:
+        raise DataError(f"{path}: community {C} but only {d} nodes to fill it")
     label_tuple = tuple(labels.get(c, str(c)) for c in range(1, C + 1)) if labels else ()
     return CommunityPartition(
         assignment=tuple(pairs[i] for i in range(1, d + 1)),

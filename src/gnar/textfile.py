@@ -1,0 +1,42 @@
+"""The line grammar every gnar input file shares.
+
+Edge lists, weights, partitions, panels and model files are UTF-8 text.  A
+line (as :meth:`str.splitlines` splits) is stripped; blank lines are skipped,
+``#`` starts a comment and other lines are rows.  Errors read ``path:line``.
+"""
+
+from collections.abc import Callable, Iterator
+from pathlib import Path
+
+from .errors import DataError
+
+
+def read_rows(path: str | Path, sep: str | None = ","
+              ) -> tuple[list[tuple[int, str]], Iterator[tuple[int, list[str]]]]:
+    """Every ``(line, text after '#')`` comment, and an iterator of ``(line, cells)``
+    that splits each row on ``sep`` (``None``: whitespace) only when it is reached."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise DataError(f"{path}:{line}: not UTF-8 text") from None
+    lines = [(ln, s) for ln, s in enumerate(map(str.strip, text.splitlines()), start=1) if s]
+    comments = [(ln, s[1:].strip()) for ln, s in lines if s[0] == "#"]
+    return comments, ((ln, s.split(sep)) for ln, s in lines if s[0] != "#")
+
+
+def fixed_rows(path: str | Path, rows: Iterator[tuple[int, list[str]]], header: str,
+               convert: Callable[..., tuple]) -> Iterator[tuple[int, tuple]]:
+    """Rows of the comma-separated ``header``'s shape as ``convert(*cells)``; a row spelling
+    the header is skipped and one ``convert`` rejects (a cell count or value) is an error."""
+    for ln, cells in rows:
+        try:
+            values = convert(*cells)
+        except (TypeError, ValueError):
+            line = ",".join(cells)
+            if line.replace(" ", "").lower() == header:
+                continue
+            raise DataError(f"{path}:{ln}: expected {header!r} with numeric cells, "
+                            f"got {line!r}") from None
+        yield ln, values

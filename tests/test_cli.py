@@ -211,3 +211,47 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as err:
         run("simulate", "--bogus")
     assert err.value.code != 0
+
+
+@pytest.mark.parametrize("command", ["nacf", "elections"])
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
+    bad = tmp_path / "input.csv"
+    if command == "nacf":
+        bad.write_bytes(b"time,n1,n2,n3,n4,n5\n1,0,0,\xff,0,0\n")
+        argv, where = ("nacf", "--network", EDGES, "--panel", str(bad), "--max-lag", "1",
+                       "--max-stage", "1", "--out", str(tmp_path / "out" / "grid.csv")), ":2"
+    else:
+        bad.write_bytes(b"year,state,office,candidate,candidatevotes,totalvotes,"
+                        b"party_simplified\n1976,ALABAMA,US PRESIDENT,R,600,1000,\xff\n")
+        argv, where = ("elections", "--returns", str(bad),
+                       "--out-dir", str(tmp_path / "out")), ""
+    assert run(*argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {bad}{where}: not UTF-8 text"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--panel", "--network"])
+def test_directory_as_input_is_one_error_line(tmp_path, capsys, flag):
+    panel_path = tmp_path / "panel.csv"
+    write_panel(TimeSeriesPanel(np.random.default_rng(0).normal(size=(5, 20)),
+                                default_node_labels(5), [str(t) for t in range(20)]),
+                panel_path)
+    inputs = {"--network": EDGES, "--panel": str(panel_path), flag: str(tmp_path)}
+    out = tmp_path / "out" / "grid.csv"
+    code = run("nacf", "--network", inputs["--network"], "--panel", inputs["--panel"],
+               "--max-lag", "1", "--max-stage", "1", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "directory" in err[0]
+    assert not out.parent.exists()
+
+
+def test_elections_out_dir_under_a_file_writes_nothing(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run("elections", "--returns", RETURNS, "--out-dir", str(blocker / "study"))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "directory" in err[0]
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""

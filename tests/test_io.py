@@ -1,7 +1,16 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gnar
+from gnar.elections import load_returns
 from gnar.errors import DataError, GnarError
+from gnar.model import read_model
+from gnar.network import load_weight_overrides, read_edge_list
 from gnar.panel import TimeSeriesPanel, format_panel, read_panel, write_panel
 from gnar.partition import (CommunityPartition, read_partition, single_community,
                             write_partition)
@@ -84,3 +93,75 @@ def test_partition_read_rejects_non_numeric(tmp_path):
         path.write_text(body)
         with pytest.raises(DataError, match=f"part.csv:{ln}: "):
             read_partition(path)
+
+
+RETURNS_HEADER = b"year,state,office,candidate,candidatevotes,totalvotes,party_simplified\n"
+
+
+@pytest.mark.parametrize("read, data, line", [
+    (read_edge_list, b"# d: 3\rfrom,to\r\n1,\xff2\n", 3),
+    (lambda path: load_weight_overrides(path, np.zeros((3, 3))),
+     b"from,to,w\n\n1,2,0.\xff5\n", 3),
+    (read_partition, b"# label 1: R\xffed\nnode,community\n1,1\n", 1),
+    (read_panel, b"# seed: 1\ntime,a\n1,0.5\n2,\xff\n", 4),
+    (read_model, b"gnar-model v1\nvariant global\nsigma 1.0\np 1\ns 0\nalpha 1 0.\xff1\n", 6),
+    (load_returns, RETURNS_HEADER + b"1976,ALABAMA,US PRESIDENT,R,600,1000,REPUBLIC\xffAN\n",
+     None),
+], ids=["edges", "weights", "partition", "panel", "model", "returns"])
+def test_readers_reject_bytes_that_are_not_utf8(tmp_path, read, data, line):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    where = "" if line is None else f":{line}"
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}{where}')}: not UTF-8 text$"):
+        read(path)
+
+
+HUGE_ID_SCRIPT = """
+import os, resource, sys
+from gnar.errors import GnarError
+from gnar.partition import CommunityPartition, read_partition
+
+with open("/proc/self/statm") as fh:
+    limit = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + (1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+for make in [lambda p=p: read_partition(p) for p in sys.argv[1:]] + [
+        lambda: CommunityPartition((1, 2), 99999999999)]:
+    try:
+        make()
+    except GnarError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs Linux")
+def test_partition_huge_ids_fail_without_allocating(tmp_path):
+    """A node or community id of 10**11 is an error, raised before anything is
+    sized by it; 1 GiB of headroom makes an allocation by id a MemoryError."""
+    files = []
+    for name, body in [("node", "node,community\n1,1\n99999999999,1\n"),
+                       ("community", "# label 1: Red\nnode,community\n1,1\n2,99999999999\n")]:
+        files.append(tmp_path / f"{name}.csv")
+        files[-1].write_text(body)
+    result = subprocess.run([sys.executable, "-c", HUGE_ID_SCRIPT, *map(str, files)],
+                            capture_output=True, text=True, timeout=120,
+                            env={"PYTHONPATH": str(Path(gnar.__file__).parent.parent),
+                                 "OPENBLAS_NUM_THREADS": "1"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"{files[0]}: nodes without assignment: 2, 3, 4, 5, 6, ...",
+        f"{files[1]}: community 99999999999 but only 2 nodes to fill it",
+        "empty communities: 3, 4, 5, 6, 7, ...",
+    ]
+
+
+@pytest.mark.parametrize("read, text, line, got", [
+    (lambda path: read_edge_list(path, d=3), "from,to\n1,2\n\n1,2,3\n", 4, "1,2,3"),
+    (lambda path: load_weight_overrides(path, np.zeros((3, 3))), "# w\n1,2\n", 2, "1,2"),
+    (read_partition, "node,community\n1,1\n# x\n2\n", 4, "2"),
+], ids=["edges", "weights", "partition"])
+def test_fixed_rows_reject_a_wrong_cell_count(tmp_path, read, text, line, got):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: expected "
+                                        f"'[a-z,]+' with numeric cells, got '{got}'$"):
+        read(path)

@@ -383,3 +383,10 @@ def test_coefficients_reject_bad_shapes():
     with pytest.raises(OrderError, match="positive"):
         GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
                          beta=((np.array([0.1]),),), noise_sd=0.0)
+
+
+def test_model_file_community_count_must_match_lags(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("gnar-model v1\nvariant community\nC 3\np 1 1\nsigma 1.0\ns 1 1\ns 2 0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: 'C' is 3 but 'p' has 2$"):
+        read_model(path)

@@ -8,7 +8,8 @@ panels included), the level-synchronous BFS gives the shortest paths, and
 the local variant's structured OLS solve, and its design-free residuals,
 agree with a pivoted QR of the whole design.  The election-returns loader
 sums valid files exactly as a ``csv.DictReader`` tally does, and on mangled
-or random text it raises nothing but ``GnarError``.
+or random text it raises nothing but ``GnarError``; so do the readers of
+edge lists, weights, partitions, panels and model files on mangled bytes.
 
 Runs are derandomised and bounded so the suite stays deterministic and fast.
 """
@@ -26,10 +27,12 @@ from gnar.errors import GnarError
 from gnar.estimate import build_design, fit_ols
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
                         theta_index, to_local_alpha, to_var)
-from gnar.network import bfs_distances, build_network, default_weights, stage_weights
-from gnar.panel import TimeSeriesPanel, default_node_labels
-from gnar.partition import CommunityPartition
+from gnar.network import (bfs_distances, build_network, default_weights, load_weight_overrides,
+                          read_edge_list, stage_weights)
+from gnar.panel import TimeSeriesPanel, default_node_labels, format_panel, read_panel
+from gnar.partition import CommunityPartition, read_partition
 
+from conftest import DATA_DIR
 from oracles import dictreader_returns, floyd_warshall, lstsq_pnacf, pivoted_qr_fit
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -362,3 +365,35 @@ def test_returns_reader_raises_only_gnar_errors(seed, cell_edits, text_edits, wi
                 load_returns(path)
             except GnarError:
                 pass
+
+
+READERS = {
+    "edges": (read_edge_list, (DATA_DIR / "fivenet_edges.csv").read_bytes()),
+    "weights": (lambda path: load_weight_overrides(path, np.full((5, 5), 0.5)),
+                b"from,to,w\n1,4,0.25\n2,3,1.0\n5,1,0\n"),
+    "partition": (read_partition, (DATA_DIR / "fivenet_partition.csv").read_bytes()),
+    "panel": (read_panel, format_panel(random_panel(0, 3, 4)).replace("\n", "\n# seed: 0\n", 1)
+              .encode()),
+    "model": (read_model, (DATA_DIR / "table1_model.txt").read_bytes()),
+}
+
+READER_TOKENS = (b"\xff", b"\r", b"\n", b",", b" ", b"#", b":", b"99999999999", b"-1", b"0",
+                 b"nan", b"1e400", b"x", b"# d:", b"# label", b"time", b"from,to", b"sigma",
+                 b"alpha", b"beta", b"s", b"C", b"p", b"d", b"variant local")
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.sampled_from(sorted(READERS)), edits(READER_TOKENS, 8))
+def test_file_readers_raise_only_gnar_errors(name, text_edits):
+    """A valid file of each format with tokens and raw bytes spliced into it."""
+    read, body = READERS[name]
+    for where, cut, token in text_edits:
+        at = int(where * len(body))
+        body = body[:at] + token + body[at + cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(body)
+        try:
+            read(path)
+        except GnarError:
+            pass
