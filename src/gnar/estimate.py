@@ -16,6 +16,10 @@ beta columns residualised node by node, the alphas and the full covariance
 by block inversion.  Its dense design is built only when read (by GLS, whose
 whitening couples the nodes).  Every other fit uses a column-pivoted QR of
 the whole design.  The normal-equations formula is only a test oracle.
+
+scipy.linalg is imported on the first least-squares solve, inside
+:func:`solve_least_squares` and :func:`fit_gls`, so importing gnar and the
+simulate, nacf, corbit and forecast commands never load scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CovarianceError, DesignError, RankDeficiencyError
 from .model import (GnarCoefficients, GnarOrder, ThetaEntry, _group_bases,
@@ -186,6 +189,7 @@ def solve_least_squares(R: np.ndarray, y: np.ndarray,
     Rank deficiency raises :class:`RankDeficiencyError` naming the columns
     that the pivoting pushed beyond the numerical rank.
     """
+    import scipy.linalg
     n, q = R.shape
     if n < q:
         raise DesignError(f"system has {n} rows for {q} parameters")
@@ -328,6 +332,7 @@ def fit_gls(ds: DesignSystem, sigma) -> FitResult:
     solved by the same pivoted QR path as OLS.  The reported coefficient
     covariance is (R' Sigma^-1 R)^-1; residuals stay on the raw scale.
     """
+    import scipy.linalg
     if isinstance(sigma, KroneckerCovariance):
         m = len(ds.node_ids)
         if sigma.sigma_u.shape[0] != m:

@@ -73,7 +73,11 @@ class Network:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (d x d, zero diagonal, symmetric)."""
-        A = np.zeros((self.d, self.d))
+        try:
+            A = np.zeros((self.d, self.d))
+        except ValueError:
+            raise NetworkError(f"node count d = {self.d} is too large for a "
+                               "d x d matrix") from None
         for i, j in self.edges:
             A[i - 1, j - 1] = 1.0
             A[j - 1, i - 1] = 1.0

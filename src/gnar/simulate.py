@@ -49,6 +49,8 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
         raise GnarError(f"simulation length must be >= 1, got {T}")
     if burn_in < 0:
         raise GnarError(f"burn-in must be >= 0, got {burn_in}")
+    if seed < 0:
+        raise GnarError(f"seed must be >= 0, got {seed}")
     sd = coeffs.noise_sd if noise_sd is None else noise_sd
     if sd <= 0:
         raise GnarError(f"noise sd must be positive, got {sd}")

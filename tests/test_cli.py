@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ EDGES = str(DATA_DIR / "fivenet_edges.csv")
 PART = str(DATA_DIR / "fivenet_partition.csv")
 MODEL = str(DATA_DIR / "table1_model.txt")
 RETURNS = str(DATA_DIR / "synthetic_returns.csv")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -255,3 +261,57 @@ def test_elections_out_dir_under_a_file_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "directory" in err[0]
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["nacf", "simulate"])
+def test_unsizable_node_count_is_one_error_line(tmp_path, capsys, command):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(Path(EDGES).read_text().replace("# d: 5", "# d: 99999999999"))
+    panel_path = tmp_path / "panel.csv"
+    run("simulate", "--network", EDGES, "--model", MODEL, "--length", "20",
+        "--out", str(panel_path))
+    capsys.readouterr()
+    out = tmp_path / "out" / "result.csv"
+    extra = (("--panel", str(panel_path), "--max-lag", "1", "--max-stage", "1")
+             if command == "nacf" else ("--model", MODEL, "--length", "20"))
+    assert run(command, "--network", str(edges), *extra, "--out", str(out)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: node count d = 99999999999 is too large for a d x d matrix"]
+    assert not out.parent.exists()
+
+
+def fresh_python(code: str, cwd: Path) -> list[str]:
+    """Run ``code`` in a new interpreter importing gnar from src/; its ``loaded`` lines."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return [line for line in done.stdout.splitlines() if line.startswith("loaded")]
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    code = ("import sys\nimport gnar\nprint('loaded', 'scipy' in sys.modules)\n"
+            "import gnar.cli\nprint('loaded', 'scipy' in sys.modules)\n")
+    assert fresh_python(code, tmp_path) == ["loaded False", "loaded False"]
+
+
+def test_only_solving_commands_load_scipy(tmp_path):
+    net = ["--network", EDGES, "--partition", PART]
+    no_solve = [
+        ["simulate", *net, "--model", MODEL, "--length", "60", "--seed", "2",
+         "--out", "panel.csv"],
+        ["nacf", *net, "--panel", "panel.csv", "--max-lag", "3", "--max-stage", "2",
+         "--out", "grid.csv"],
+        ["corbit", *net, "--panel", "panel.csv", "--max-lag", "3", "--max-stage", "2",
+         "--out-dir", "corbit"],
+        ["forecast", *net, "--panel", "panel.csv", "--model", MODEL, "--horizon", "2",
+         "--out", "forecast.csv"],
+    ]
+    fit = ["fit", *net, "--panel", "panel.csv", "--order", "community:[1,2];{[1],[1,1]}",
+           "--out-dir", "fit"]
+    code = (f"import sys\nfrom gnar.cli import main\n"
+            f"for argv in {no_solve!r}:\n    assert main(argv) == 0, argv\n"
+            f"print('loaded', 'scipy' in sys.modules)\n"
+            f"assert main({fit!r}) == 0\n"
+            f"print('loaded', 'scipy.linalg' in sys.modules)\n")
+    assert fresh_python(code, tmp_path) == ["loaded False", "loaded True"]

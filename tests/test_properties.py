@@ -10,18 +10,25 @@ agree with a pivoted QR of the whole design.  The election-returns loader
 sums valid files exactly as a ``csv.DictReader`` tally does, and on mangled
 or random text it raises nothing but ``GnarError``; so do the readers of
 edge lists, weights, partitions, panels and model files on mangled bytes.
+Every ``gnar`` subcommand, given argv drawn from its own flags, exits 0,
+exits 1 with one ``error:`` line, or stops with argparse's usage error.
 
 Runs are derandomised and bounded so the suite stays deterministic and fast.
 """
 
+import argparse
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnar.autocorr import KINDS, corbit_grid, nacf, pnacf
+from gnar.cli import build_parser, main
 from gnar.elections import ELECTION_YEARS, STATE_NAMES, load_returns
 from gnar.errors import GnarError
 from gnar.estimate import build_design, fit_ols
@@ -29,7 +36,8 @@ from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
                         theta_index, to_local_alpha, to_var)
 from gnar.network import (bfs_distances, build_network, default_weights, load_weight_overrides,
                           read_edge_list, stage_weights)
-from gnar.panel import TimeSeriesPanel, default_node_labels, format_panel, read_panel
+from gnar.panel import (TimeSeriesPanel, default_node_labels, format_panel, read_panel,
+                        write_panel)
 from gnar.partition import CommunityPartition, read_partition
 
 from conftest import DATA_DIR
@@ -397,3 +405,122 @@ def test_file_readers_raise_only_gnar_errors(name, text_edits):
             read(path)
         except GnarError:
             pass
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+INPUTS = {  # flag -> the file it expects; @FIX is the module's fixture directory
+    "network": str(DATA_DIR / "fivenet_edges.csv"),
+    "partition": str(DATA_DIR / "fivenet_partition.csv"),
+    "model": str(DATA_DIR / "table1_model.txt"),
+    "returns": str(DATA_DIR / "synthetic_returns.csv"),
+    "panel": "@FIX/panel.csv",
+    "weights": "@FIX/weights.csv",
+    "external": "@FIX/external.csv",
+}
+# @TMP is a fresh directory holding one regular file, "blocker"
+ANY_INPUT = (*INPUTS.values(), "@TMP/missing.csv", "@TMP")
+OUTPUTS = ("@TMP/out/result", "@TMP", "@TMP/blocker/result")
+ORDER_TOKENS = ("[", "]", "{", "}", ",", ";", ":", " ", "0", "-1", "x", "")
+
+
+def mostly(usual, *rare, odds=19):
+    """``usual`` ``odds`` times for each one of ``rare``, so most argvs get past the checks."""
+    return st.sampled_from((usual,) * (odds * len(rare)) + rare)
+
+
+@st.composite
+def order_texts(draw):
+    """Orders of the CLI grammar with lags in 1..3 and stages in 0..3, now and then malformed."""
+    def stage_list(p):
+        return "[" + ",".join(str(draw(st.integers(0, 3))) for _ in range(p)) + "]"
+
+    variant = draw(st.sampled_from(("global", "community", "local")).flatmap(
+        lambda v: mostly(v, "bogus")))
+    if variant == "community":
+        lags = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(0, 3)))]
+        text = (f"community:[{','.join(map(str, lags))}];"
+                f"{{{','.join(stage_list(p) for p in lags)}}}")
+    else:
+        p = draw(st.integers(1, 3))
+        text = f"{variant}:{p};{stage_list(p)}"
+    for _ in range(draw(mostly(0, 1, 2))):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(ORDER_TOKENS)) + text[at + cut:]
+    return text
+
+
+def flag_values(action):
+    if action.dest in INPUTS:
+        files = mostly(INPUTS[action.dest], *ANY_INPUT)
+        if action.dest == "external":
+            return st.tuples(mostly("ext=", "", "="), files).map("".join)
+        return files
+    if action.dest == "spec":
+        return st.tuples(mostly("M=", "", "="), order_texts()).map("".join)
+    if action.dest == "order":
+        return order_texts()
+    if action.dest in ("out", "out_dir"):
+        return mostly(*OUTPUTS)
+    if action.choices:
+        return st.sampled_from(action.choices).flatmap(lambda c: mostly(c, "bogus"))
+    if action.type is int:  # a stage of the five-node network, a bad count, anything
+        return st.one_of(st.integers(1, 3), st.integers(-3, 0), st.integers(-3, 20)).map(str)
+    raise AssertionError(f"no values drawn for --{action.dest}")
+
+
+@st.composite
+def cli_argvs(draw, command):
+    """argv of one subcommand: its flags in any order, required ones mostly present,
+    repeatable ones up to twice, and now and then a value left out."""
+    argv = [command]
+    actions = [a for a in SUBCOMMANDS[command]._actions if a.dest != "help"]
+    for action in draw(st.permutations(actions)):
+        if isinstance(action, argparse._AppendAction):
+            times = draw(st.integers(0, 2))
+        elif action.required:
+            times = draw(mostly(1, 0, odds=99))
+        else:  # any --d but 5 fails, so it is seldom given
+            times = draw(mostly(0, 1) if action.dest == "d" else mostly(1, 0, odds=2))
+        for _ in range(times):
+            argv.append(draw(st.sampled_from(action.option_strings)))
+            if action.nargs != 0 and draw(mostly(True, False, odds=99)):
+                argv.append(draw(flag_values(action)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A simulated five-node panel, weight overrides and an external forecast for it."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    assert main(["simulate", "--network", str(DATA_DIR / "fivenet_edges.csv"),
+                 "--partition", str(DATA_DIR / "fivenet_partition.csv"),
+                 "--model", str(DATA_DIR / "table1_model.txt"), "--length", "30",
+                 "--out", str(root / "panel.csv")]) == 0
+    values = np.random.default_rng(0).normal(size=(5, 2))
+    write_panel(TimeSeriesPanel(values, default_node_labels(5), ["raw", "centred"]),
+                root / "external.csv")
+    (root / "weights.csv").write_text("from,to,w\n1,4,0.5\n2,3,1.0\n")
+    return root
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@PROPERTY
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_argv(cli_inputs, command, data):
+    """Exit 0, exit 1 with exactly one ``error:`` line on stderr, or usage error 2."""
+    argv = data.draw(cli_argvs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "blocker").write_text("")
+        argv = [a.replace("@TMP", tmp).replace("@FIX", str(cli_inputs)) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+    assert code in (0, 1), argv
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
