@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, OrderError
-from .network import Network, mask_weights, stage_weights
+from .network import MAX_NODES, Network, mask_weights, stage_weights
 from .partition import CommunityPartition
 from .textfile import read_rows
 
@@ -495,8 +495,10 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     repeats an earlier one raises :class:`DataError` with its line number,
     and so do a repeated header line, a header line without a value or with
     one that is not a number, and a community ``s`` line that names no
-    community or repeats one; a missing header line is named.  Slots
-    without a line are zero.
+    community or repeats one; a missing header line is named.  A node
+    count above :data:`~gnar.network.MAX_NODES`, or a stage order that no
+    network of that size has, is refused before anything is sized by it.
+    Slots without a line are zero.
     """
     _, lines = read_rows(path, sep=None)
     if next(lines, (0, []))[1] != ["gnar-model", "v1"]:
@@ -512,19 +514,24 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
             coef_lines.append((ln, parts))
     d = None
 
-    def header(key: str, convert=str, k: int = 0) -> list:
+    def header(key: str, convert=str, k: int = 0, limit: int | None = None) -> list:
         """The values on the k-th ``key`` line, each converted; a missing key,
-        an empty line or a value that does not convert raises DataError."""
+        an empty line, a value that does not convert or one above ``limit``
+        raises DataError."""
         if key not in fields:
             raise DataError(f"{path}: malformed model file (no {key!r} line)")
         ln, row = key_lines[key][k], fields[key][k]
         if not row:
             raise DataError(f"{path}:{ln}: {key!r} needs a value")
         try:
-            return [convert(x) for x in row]
+            values = [convert(x) for x in row]
         except ValueError:
             kind = {int: "an integer", float: "a number"}[convert]
             raise DataError(f"{path}:{ln}: {key!r} needs {kind}, got {' '.join(row)!r}") from None
+        if limit is not None and max(values) > limit:
+            raise DataError(f"{path}:{ln}: {key!r} value {max(values)} exceeds {limit} "
+                            f"(networks have at most {MAX_NODES} nodes)")
+        return values
 
     variant = header("variant")[0]
     for key, at in key_lines.items():
@@ -540,7 +547,7 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
             stages: list[list[int]] = [[] for _ in range(C)]
             set_on: dict[int, int] = {}
             for k, ln in enumerate(key_lines["s"]):
-                c, *row = header("s", int, k)
+                c, *row = header("s", int, k, limit=MAX_NODES - 1)
                 if not 1 <= c <= C:
                     raise DataError(f"{path}:{ln}: community {c} outside 1..{C}")
                 if c in set_on:
@@ -550,9 +557,10 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
                 stages[c - 1] = row
             order = GnarOrder.community_order(lags, stages)
         elif variant in ("global", "local"):
-            order = GnarOrder(variant, (header("p", int)[0],), (tuple(header("s", int)),))
+            order = GnarOrder(variant, (header("p", int)[0],),
+                              (tuple(header("s", int, limit=MAX_NODES - 1)),))
             if variant == "local":
-                d = header("d", int)[0]
+                d = header("d", int, limit=MAX_NODES)[0]
         else:
             raise DataError(f"{path}: unknown variant {variant!r}")
         coeffs = GnarCoefficients._zeros(order, sigma, d)

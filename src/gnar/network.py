@@ -1,12 +1,14 @@
 """Static undirected networks: shortest-path stages and association weights.
 
-A network is a simple undirected graph on nodes 1..d.  From it we derive
-the integer shortest-path distance matrix, the per-stage adjacency matrices
-(stage r marks pairs at shortest-path distance exactly r) and the weight
-matrix that splits each node's stage-r neighbourhood effect equally among
-its stage-r neighbours.  Disconnected graphs are allowed: unreachable pairs
-carry the ``UNREACHABLE`` sentinel, appear in no stage matrix, and isolated
-nodes get all-zero weight rows.
+A network is a simple undirected graph on nodes 1..d, d at most
+:data:`MAX_NODES`.  Its one derived array is the shortest-path distance
+matrix, from a breadth-first search of all sources at once over a frontier
+bit-packed along the sources (:func:`bfs_distances`).  Stage r marks the
+pairs at distance exactly r.  The equal-split weights and the stage-masked
+weights W . S_r are read off the distances; the dense 0/1 stage matrices
+S_r are built only on request (:attr:`Network.stages`).  Disconnected
+graphs are allowed: unreachable pairs carry the ``UNREACHABLE`` sentinel
+and belong to no stage, and isolated nodes get all-zero weight rows.
 """
 
 from __future__ import annotations
@@ -23,14 +25,18 @@ from .textfile import fixed_rows, read_rows
 #: Sentinel distance for unreachable pairs.
 UNREACHABLE = -1
 
+#: Largest node count a network may have.  A d x d float matrix is then at
+#: most 800 MB; a larger count from a file is an error, not an allocation.
+MAX_NODES = 10_000
+
 
 @dataclass(frozen=True)
 class Network:
     """Simple undirected graph on nodes 1..d.
 
     Edges are stored as sorted 1-based pairs.  No self-loops, no duplicates.
-    The distance and stage matrices are derived on first use, once per
-    network, and returned as read-only arrays.
+    The distance matrix is derived on first use, once per network, and the
+    stage matrices only when :attr:`stages` is read; both are read-only.
     """
 
     d: int
@@ -39,6 +45,8 @@ class Network:
     def __post_init__(self):
         if self.d < 1:
             raise NetworkError(f"node count must be >= 1, got {self.d}")
+        if self.d > MAX_NODES:
+            raise NetworkError(f"node count d = {self.d} is too large for a d x d matrix")
         for i, j in self.edges:
             if i == j:
                 raise NetworkError(f"self-loop at node {i}")
@@ -69,15 +77,11 @@ class Network:
     @property
     def r_max(self) -> int:
         """Largest shortest-path distance realised in the network."""
-        return len(self.stages)
+        return max_stage(self.distances)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (d x d, zero diagonal, symmetric)."""
-        try:
-            A = np.zeros((self.d, self.d))
-        except ValueError:
-            raise NetworkError(f"node count d = {self.d} is too large for a "
-                               "d x d matrix") from None
+        A = np.zeros((self.d, self.d))
         for i, j in self.edges:
             A[i - 1, j - 1] = 1.0
             A[j - 1, i - 1] = 1.0
@@ -98,10 +102,9 @@ def build_network(d: int, edges: list[tuple[int, int]]) -> Network:
     """Validate an edge list and build a :class:`Network`.
 
     Self-loops, out-of-range ids and duplicate edges (order-insensitive)
-    are hard errors: fail fast on malformed fixtures.
+    are hard errors: fail fast on malformed fixtures.  The node count is
+    checked by :class:`Network`.
     """
-    if d < 1:
-        raise NetworkError(f"node count must be >= 1, got {d}")
     seen: set[tuple[int, int]] = set()
     for i, j in edges:
         if i == j:
@@ -118,30 +121,42 @@ def build_network(d: int, edges: list[tuple[int, int]]) -> Network:
 def bfs_distances(net: Network) -> np.ndarray:
     """All-pairs unweighted shortest-path distances by level-synchronous BFS.
 
-    Every source is expanded at once: row s of the frontier holds the nodes
-    first reached from s at the current level, and one product with the
-    adjacency matrix gives the next level for all sources.  Returns an
-    integer d x d matrix with zero diagonal; unreachable pairs hold
-    :data:`UNREACHABLE`.
+    Every source is expanded at once.  Row v of ``reached`` is a bit set
+    over the sources, 64 to a word, marking those whose search has reached
+    node v; the next level's new bits in row v are the OR of the previous
+    level's new bits in the rows of v's neighbours, less those already
+    set.  A pair's distance is the number of levels it stayed apart.
+    Returns an integer d x d matrix with zero diagonal; unreachable pairs
+    hold :data:`UNREACHABLE`.
     """
-    A = net.adjacency_matrix()
-    dist = np.full((net.d, net.d), UNREACHABLE, dtype=np.int64)
-    reached = np.eye(net.d, dtype=bool)
+    d = net.d
+    ends = np.array(list(net.edges), dtype=np.intp).reshape(-1, 2) - 1
+    heads = np.concatenate([ends[:, 0], ends[:, 1]])
+    neighbours = np.concatenate([ends[:, 1], ends[:, 0]])[np.argsort(heads, kind="stable")]
+    degree = np.bincount(heads, minlength=d)
+    linked = degree > 0
+    starts = (np.cumsum(degree) - degree)[linked]
+    own = np.zeros((d, -(-d // 64) * 64), dtype=bool)
+    np.fill_diagonal(own, True)
+    reached = np.packbits(own, axis=1).view(np.uint64)
     frontier = reached
-    level = 0
-    while frontier.any():
-        dist[frontier] = level
-        level += 1
-        frontier = ((frontier @ A) > 0) & ~reached
-        reached |= frontier
-    return dist
+    apart = np.zeros((d, d), dtype=np.int16)  # distances are below MAX_NODES
+    while True:
+        nxt = np.zeros_like(reached)
+        nxt[linked] = np.bitwise_or.reduceat(frontier[neighbours], starts, axis=0)
+        nxt &= ~reached
+        if not nxt.any():
+            break
+        apart += np.unpackbits((~reached).view(np.uint8), axis=1, count=d)
+        reached |= nxt
+        frontier = nxt
+    connected = np.unpackbits(reached.view(np.uint8), axis=1, count=d).view(bool)
+    return np.where(connected, apart, np.int64(UNREACHABLE))
 
 
 def max_stage(dist: np.ndarray) -> int:
     """Largest finite off-diagonal distance; 0 when no pair is reachable."""
-    off = dist[~np.eye(dist.shape[0], dtype=bool)]
-    finite = off[off != UNREACHABLE]
-    return int(finite.max()) if finite.size else 0
+    return max(int(dist.max()), 0)
 
 
 def stage_adjacency(dist: np.ndarray) -> list[np.ndarray]:
@@ -166,7 +181,7 @@ def stage_weights(net: Network, W: np.ndarray, r: int) -> list[np.ndarray]:
                            f"network has {net.d} nodes")
     if not 0 <= r <= net.r_max:
         raise OrderError(f"stage {r} outside the network's stages 0..{net.r_max}")
-    return [W * S for S in net.stages[:r]]
+    return [W * (net.distances == s) for s in range(1, r + 1)]
 
 
 def default_weights(dist: np.ndarray) -> np.ndarray:
@@ -176,15 +191,13 @@ def default_weights(dist: np.ndarray) -> np.ndarray:
     isolated nodes are all zero.  The matrix need not be symmetric: i and j
     may have different neighbourhood sizes at their common distance.
     """
-    d = dist.shape[0]
-    W = np.zeros((d, d))
-    rmax = max_stage(dist)
-    for r in range(1, rmax + 1):
-        mask = dist == r
-        counts = mask.sum(axis=1)
-        rows = counts > 0
-        W[mask] = np.repeat(1.0 / counts[rows], counts[rows])
-    return W
+    d, width = dist.shape[0], max_stage(dist) + 2
+    slot = dist - UNREACHABLE  # 0 unreachable, 1 the node itself, r + 1 stage r
+    counts = np.bincount((slot + width * np.arange(d)[:, None]).ravel(),
+                         minlength=d * width).reshape(d, width)
+    inverse = np.divide(1.0, counts, out=np.zeros((d, width)), where=counts > 0)
+    inverse[:, :2] = 0.0
+    return np.take_along_axis(inverse, slot, axis=1)
 
 
 def mask_weights(W: np.ndarray, part, c: int) -> np.ndarray:
@@ -194,7 +207,10 @@ def mask_weights(W: np.ndarray, part, c: int) -> np.ndarray:
     the mask is idempotent and commutes with stage masking.
     """
     part.check_community(c)
-    member = np.asarray([part.community_of(i + 1) == c for i in range(W.shape[0])])
+    if part.d != W.shape[0]:
+        raise NetworkError(f"partition has {part.d} nodes, "
+                           f"weight matrix has {W.shape[0]}")
+    member = np.asarray(part.assignment) == c
     return W * np.outer(member, member)
 
 

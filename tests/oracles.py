@@ -7,7 +7,9 @@ of the structural model equation.  The one exception is
 :func:`pivoted_qr_fit`, the library's general QR solve on the whole design,
 which is the oracle for the local variant's structured solve.
 :func:`lstsq_pnacf` solves each auxiliary regression of the partial NACF
-by ``np.linalg.lstsq`` on its dense design.  :func:`dictreader_returns` is
+by ``np.linalg.lstsq`` on its dense design.  :func:`loop_default_weights`
+builds the equal-split weights one stage at a time, as the library first
+did.  :func:`dictreader_returns` is
 the election-returns tally as first written, one ``csv.DictReader`` dict and
 numpy scalar update per row.
 """
@@ -38,6 +40,18 @@ def floyd_warshall(d: int, edges) -> np.ndarray:
     finite = dist < INF
     out[finite] = dist[finite].astype(np.int64)
     return out
+
+
+def loop_default_weights(dist: np.ndarray) -> np.ndarray:
+    """Equal-split weights by one mask and row count per stage of ``dist``."""
+    d = dist.shape[0]
+    W = np.zeros((d, d))
+    for r in range(1, int(dist.max()) + 1):
+        mask = dist == r
+        counts = mask.sum(axis=1)
+        rows = counts > 0
+        W[mask] = np.repeat(1.0 / counts[rows], counts[rows])
+    return W
 
 
 def normal_equations_solve(R: np.ndarray, y: np.ndarray) -> np.ndarray:

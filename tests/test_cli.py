@@ -280,6 +280,20 @@ def test_unsizable_node_count_is_one_error_line(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
+def test_simulate_nonstationary_warns_in_one_line(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text(Path(MODEL).read_text().replace("alpha 1 1 0.27", "alpha 1 1 0.97"))
+    out = tmp_path / "panel.csv"
+    args = ("simulate", "--network", EDGES, "--partition", PART, "--model", str(model),
+            "--length", "20", "--out", str(out))
+    assert run(*args) == 1
+    capsys.readouterr()
+    assert run(*args, "--allow-nonstationary") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: simulating a model whose coefficients violate the stationarity condition"]
+    assert read_panel(out).values.shape == (5, 20)
+
+
 def fresh_python(code: str, cwd: Path) -> list[str]:
     """Run ``code`` in a new interpreter importing gnar from src/; its ``loaded`` lines."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -7,7 +7,7 @@ from gnar.errors import DataError, OrderError
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, format_order,
                         parse_order, read_model, stationarity_margin,
                         theta_index, to_local_alpha, to_var, write_model)
-from gnar.network import bfs_distances, build_network, default_weights
+from gnar.network import MAX_NODES, bfs_distances, build_network, default_weights
 from gnar.partition import CommunityPartition, single_community
 
 from oracles import structural_prediction
@@ -389,4 +389,19 @@ def test_model_file_community_count_must_match_lags(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("gnar-model v1\nvariant community\nC 3\np 1 1\nsigma 1.0\ns 1 1\ns 2 0\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: 'C' is 3 but 'p' has 2$"):
+        read_model(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    (GLOBAL_HEADER + "p 1\ns 30000000\n",
+     f":5: 's' value 30000000 exceeds {MAX_NODES - 1} (networks have at most {MAX_NODES} nodes)"),
+    ("gnar-model v1\nvariant local\nsigma 1.0\nd 100000\np 1\ns 1\n",
+     f":4: 'd' value 100000 exceeds {MAX_NODES} (networks have at most {MAX_NODES} nodes)"),
+    ("gnar-model v1\nvariant community\nC 2\np 1 1\nsigma 1.0\ns 1 1\ns 2 30000000\n",
+     f":7: 's' value 30000000 exceeds {MAX_NODES - 1} (networks have at most {MAX_NODES} nodes)"),
+], ids=["global-s", "local-d", "community-s"])
+def test_model_file_bounds_sizes_before_allocating(tmp_path, text, message):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path) + message)}$"):
         read_model(path)

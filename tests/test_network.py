@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from gnar.autocorr import KINDS, corbit_grid
 from gnar.errors import DataError, GnarError, NetworkError, OrderError
-from gnar.network import (UNREACHABLE, bfs_distances, build_network,
+from gnar.estimate import build_design, fit_ols
+from gnar.model import parse_order, to_var
+from gnar.network import (MAX_NODES, UNREACHABLE, Network, bfs_distances, build_network,
                           default_weights, load_weight_overrides, mask_weights,
                           max_stage, read_edge_list, stage_adjacency,
                           stage_weights, write_edge_list)
 from gnar.partition import CommunityPartition, single_community
+from gnar.simulate import simulate
 
+from conftest import DATA_DIR
 from oracles import floyd_warshall, random_graph
 
 
@@ -260,3 +265,34 @@ def test_stage_weights(fivenet, fivenet_weights):
             stage_weights(fivenet, fivenet_weights, r)
     with pytest.raises(NetworkError, match="5 nodes"):
         stage_weights(fivenet, np.zeros((4, 4)), 1)
+
+
+def test_mask_weights_rejects_partition_of_another_size(fivenet_weights):
+    for n in (4, 6):
+        with pytest.raises(NetworkError, match=f"^partition has {n} nodes, weight matrix has 5$"):
+            mask_weights(fivenet_weights, single_community(n), 1)
+
+
+def test_node_count_is_capped_before_any_matrix(tmp_path):
+    with pytest.raises(NetworkError, match="^node count d = 100000 is too large"):
+        build_network(100_000, [(1, 2)])
+    with pytest.raises(NetworkError, match=f"^node count d = {MAX_NODES + 1} is too large"):
+        Network(d=MAX_NODES + 1, edges=frozenset())
+    path = tmp_path / "edges.csv"
+    path.write_text("# d: 100000\nfrom,to\n1,2\n")
+    with pytest.raises(NetworkError, match="^node count d = 100000 is too large"):
+        read_edge_list(path)
+
+
+def test_library_paths_build_no_stage_matrices(table1_model, fivenet_partition):
+    net = read_edge_list(DATA_DIR / "fivenet_edges.csv")
+    W = default_weights(net.distances)
+    coeffs, order = table1_model
+    panel = simulate(coeffs, order, net, W, 60, part=fivenet_partition, seed=1)
+    for text in ("community:[1,2];{[1],[1,1]}", "global:2;[3,1]", "local:1;[2]"):
+        fitted = parse_order(text)
+        fit = fit_ols(build_design(panel, fitted, net, W, fivenet_partition))
+        to_var(fit.to_coefficients(), fitted, net, W, fivenet_partition)
+    for kind in KINDS:
+        corbit_grid(panel, net, W, 2, 3, kind, fivenet_partition)
+    assert "stages" not in vars(net)

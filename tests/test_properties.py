@@ -35,24 +35,25 @@ from gnar.estimate import build_design, fit_ols
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
                         theta_index, to_local_alpha, to_var)
 from gnar.network import (bfs_distances, build_network, default_weights, load_weight_overrides,
-                          read_edge_list, stage_weights)
+                          read_edge_list, stage_adjacency, stage_weights)
 from gnar.panel import (TimeSeriesPanel, default_node_labels, format_panel, read_panel,
                         write_panel)
 from gnar.partition import CommunityPartition, read_partition
 
 from conftest import DATA_DIR
-from oracles import dictreader_returns, floyd_warshall, lstsq_pnacf, pivoted_qr_fit
+from oracles import (dictreader_returns, floyd_warshall, loop_default_weights, lstsq_pnacf,
+                     pivoted_qr_fit)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 
 @st.composite
-def graphs(draw, min_edges=0):
+def graphs(draw, min_edges=0, sizes=st.integers(2, 8)):
     """A simple graph on 1..d, possibly disconnected, and a partition of it."""
-    d = draw(st.integers(2, 8))
+    d = draw(sizes)
     pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=min_edges,
-                          max_size=len(pairs), unique=True))
+                          max_size=len(pairs), unique=True)) if pairs else []
     raw = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
     relabel = {c: k for k, c in enumerate(sorted(set(raw)), start=1)}
     part = CommunityPartition(assignment=tuple(relabel[c] for c in raw),
@@ -229,6 +230,37 @@ def test_nodewise_expansion_agrees_with_var_form(data, graph):
 def test_bfs_distances_equal_floyd_warshall(graph):
     net, _ = graph
     assert np.array_equal(bfs_distances(net), floyd_warshall(net.d, net.edges))
+
+
+@pytest.mark.parametrize("d", (1, 7, 8, 9, 16, 17, 63, 64, 65))
+@settings(PROPERTY, max_examples=15)
+@given(st.data())
+def test_packed_bfs_equals_floyd_warshall_at_packing_boundaries(d, data):
+    """Node counts on both sides of the BFS's bytes of 8 sources and words of 64."""
+    net, _ = data.draw(graphs(sizes=st.just(d)))
+    assert np.array_equal(bfs_distances(net), floyd_warshall(net.d, net.edges))
+
+
+@PROPERTY
+@given(graphs(sizes=st.integers(1, 17)))
+def test_default_weights_equal_stage_loop_bit_for_bit(graph):
+    net, _ = graph
+    W = default_weights(net.distances)
+    assert W.dtype == np.float64
+    assert W.tobytes() == loop_default_weights(net.distances).tobytes()
+
+
+@PROPERTY
+@given(graphs(sizes=st.integers(1, 17)), st.integers(0, 2**32 - 1))
+def test_stage_weights_equal_weights_times_stage_matrices_bit_for_bit(graph, seed):
+    net, _ = graph
+    S = stage_adjacency(net.distances)
+    for W in (default_weights(net.distances),
+              np.random.default_rng(seed).uniform(-1.0, 1.0, (net.d, net.d))):
+        Bs = stage_weights(net, W, net.r_max)
+        assert len(Bs) == len(S) == net.r_max
+        for B, S_r in zip(Bs, S):
+            assert B.tobytes() == (W * S_r).tobytes()
 
 
 @PROPERTY
