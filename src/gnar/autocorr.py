@@ -253,7 +253,7 @@ def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
         return CorbitGrid(kind=kind, max_lag=H, max_stage=R,
                           values=values, degenerate=degs)
     if part.d != panel.d:
-        raise GnarError("partition and panel node counts differ")
+        raise DataError(f"partition has {part.d} nodes, panel has {panel.d}")
     layers = [layer(part.members(g)) for g in range(1, part.n_communities + 1)]
     values = np.stack([v for v, _ in layers])
     degs = np.stack([g for _, g in layers])

@@ -51,11 +51,12 @@ def _write_panel_atomic(panel: TimeSeriesPanel, path: str | Path) -> None:
 
 
 def _load_network(args):
+    """The network, its weights and the partition (None without ``--partition``)."""
     net = read_edge_list(args.network, d=args.d)
     W = default_weights(net.distances)
-    if getattr(args, "weights", None):
+    if args.weights:
         W = load_weight_overrides(args.weights, W)
-    return net, W
+    return net, W, read_partition(args.partition) if args.partition else None
 
 
 def _split_named(item: str, flag: str, what: str) -> list[str]:
@@ -70,15 +71,8 @@ def _load_externals(args, d: int):
             for item in args.external or []]
 
 
-def _load_partition(args):
-    if getattr(args, "partition", None):
-        return read_partition(args.partition)
-    return None
-
-
 def _cmd_simulate(args) -> int:
-    net, W = _load_network(args)
-    part = _load_partition(args)
+    net, W, part = _load_network(args)
     coeffs, order = read_model(args.model)
     panel = simulate(coeffs, order, net, W, args.length, part=part,
                      burn_in=args.burn_in, seed=args.seed,
@@ -89,8 +83,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    net, W = _load_network(args)
-    part = _load_partition(args)
+    net, W, part = _load_network(args)
     panel = read_panel(args.panel)
     order = parse_order(args.order)
     out_dir = Path(args.out_dir)
@@ -120,8 +113,7 @@ def _cmd_fit(args) -> int:
 
 
 def _grid_from_args(args):
-    net, W = _load_network(args)
-    part = _load_partition(args)
+    net, W, part = _load_network(args)
     panel = read_panel(args.panel)
     grid = autocorr.corbit_grid(panel, net, W, args.max_lag, args.max_stage,
                                 args.kind, part)
@@ -152,8 +144,7 @@ def _cmd_corbit(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    net, W = _load_network(args)
-    part = _load_partition(args)
+    net, W, part = _load_network(args)
     panel = read_panel(args.panel)
     coeffs, order = read_model(args.model)
     preds = forecast(coeffs, order, net, W, panel, args.horizon, part)
@@ -166,8 +157,7 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    net, W = _load_network(args)
-    part = _load_partition(args)
+    net, W, part = _load_network(args)
     panel = read_panel(args.panel)
     specs = []
     for item in args.spec or []:
@@ -238,16 +228,13 @@ def _cmd_elections(args) -> int:
 
 
 def _add_network_args(p: argparse.ArgumentParser) -> None:
+    """The flags that :func:`_load_network` reads."""
     p.add_argument("--network", required=True, help="edge-list file (from,to)")
     p.add_argument("--d", type=int, default=None,
                    help="node count when the edge list lacks a '# d: N' line")
     p.add_argument("--weights", default=None,
                    help="optional from,to,w overrides of the default weights")
-
-
-def _add_partition_arg(p: argparse.ArgumentParser, required=False) -> None:
-    p.add_argument("--partition", "--communities", dest="partition",
-                   required=required, default=None,
+    p.add_argument("--partition", "--communities", dest="partition", default=None,
                    help="node,community file defining the communities")
 
 
@@ -260,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a model file into a panel")
     _add_network_args(p)
-    _add_partition_arg(p)
     p.add_argument("--model", required=True, help="model file to simulate from")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=200)
@@ -271,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="least-squares fit of an order to a panel")
     _add_network_args(p)
-    _add_partition_arg(p)
     p.add_argument("--panel", required=True)
     p.add_argument("--order", required=True,
                    help="e.g. community:[1,2];{[1],[1,1]} or global:2;[1,0]")
@@ -282,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nacf", help="autocorrelation grid as CSV")
     _add_network_args(p)
-    _add_partition_arg(p)
     p.add_argument("--panel", required=True)
     p.add_argument("--kind", choices=list(autocorr.KINDS), default="nacf")
     p.add_argument("--max-lag", type=int, required=True)
@@ -292,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corbit", help="radial autocorrelation plot (SVG) + grid CSV")
     _add_network_args(p)
-    _add_partition_arg(p)
     p.add_argument("--panel", required=True)
     p.add_argument("--kind", choices=list(autocorr.KINDS), default="pnacf")
     p.add_argument("--max-lag", type=int, required=True)
@@ -303,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="iterated forecasts from a model file")
     _add_network_args(p)
-    _add_partition_arg(p)
     p.add_argument("--panel", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--horizon", type=int, default=1)
@@ -312,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="hold-out comparison of model specs")
     _add_network_args(p)
-    _add_partition_arg(p)
     p.add_argument("--panel", required=True)
     p.add_argument("--spec", action="append",
                    help="name=ORDER, repeatable (e.g. GNAR=community:[1,1];{[1],[1]})")
@@ -347,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
             return args.func(args)
-    except (GnarError, OSError) as exc:
+    except (GnarError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CovarianceError, DesignError, RankDeficiencyError
-from .model import (GnarCoefficients, GnarOrder, ThetaEntry, _group_bases,
-                    stationarity_margin, theta_index)
+from .model import (GnarCoefficients, GnarOrder, ThetaEntry, _group_bases, abs_sums,
+                    theta_index)
 from .network import Network, stage_weights
 from .panel import TimeSeriesPanel
 from .partition import CommunityPartition
@@ -115,10 +115,12 @@ class FitResult:
                                            noise_sd=float(np.sqrt(self.sigma2)), d=d)
 
 
-def _build_columns(X: np.ndarray, order: GnarOrder, net: Network, W: np.ndarray,
+def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np.ndarray,
                    part: CommunityPartition | None, entries: list[ThetaEntry],
-                   lag_offset: int, row_nodes: list[int]):
-    """(R, y, None) for the given entries and node rows; (None, y, blocks) if local."""
+                   lag_offset: int, row_nodes: list[int], group: int | None = None
+                   ) -> DesignSystem:
+    """The design of the given entries on the given node rows; blocks only if local."""
+    X = panel.values
     d, T = X.shape
     p0 = lag_offset
     if T <= p0:
@@ -139,13 +141,19 @@ def _build_columns(X: np.ndarray, order: GnarOrder, net: Network, W: np.ndarray,
         return out
 
     y = X[rows, p0:].T.ravel()
+    R, local = None, None
     if order.variant != "local":
-        return gather(range(len(entries))).reshape(y.size, -1), y, None
-    b_idx = [j for j, e in enumerate(entries) if e.node is None]
-    a_idx = np.asarray([j for j, e in enumerate(entries) if e.node is not None])
-    a_idx = a_idx.reshape(order.lags[0], d).T  # theta_index: lag-major, nodes ascending
-    # Node 1's alpha columns read X at each lag on every row: node i's own lags.
-    return None, y, (gather(a_idx[0]), gather(b_idx), a_idx, b_idx)
+        R = gather(range(len(entries))).reshape(y.size, -1)
+    else:
+        b_idx = [j for j, e in enumerate(entries) if e.node is None]
+        a_idx = np.asarray([j for j, e in enumerate(entries) if e.node is not None])
+        a_idx = a_idx.reshape(order.lags[0], d).T  # theta_index: lag-major, nodes ascending
+        # Node 1's alpha columns read X at each lag on every row: node i's own lags.
+        local = (gather(a_idx[0]), gather(b_idx), a_idx, b_idx)
+    return DesignSystem(R=R, y=y, columns=tuple(entries), order=order,
+                        variant=order.variant, lag_offset=p0, node_ids=tuple(row_nodes),
+                        node_labels=tuple(panel.node_labels[i] for i in rows),
+                        time_labels=panel.time_labels[p0:], group=group, local=local)
 
 
 def build_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
@@ -153,15 +161,8 @@ def build_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
     """Joint design over all nodes, usable range t = p_max+1 .. T."""
     if panel.d != net.d:
         raise DesignError(f"panel has {panel.d} nodes, network has {net.d}")
-    entries = theta_index(order, d=panel.d)
-    p0 = order.p_max
-    R, y, local = _build_columns(panel.values, order, net, W, part, entries, p0,
-                                 list(range(1, panel.d + 1)))
-    return DesignSystem(R=R, y=y, columns=tuple(entries), order=order,
-                        variant=order.variant, lag_offset=p0,
-                        node_ids=tuple(range(1, panel.d + 1)),
-                        node_labels=panel.node_labels,
-                        time_labels=panel.time_labels[p0:], local=local)
+    return _build_columns(panel, order, net, W, part, theta_index(order, d=panel.d),
+                          order.p_max, list(range(1, panel.d + 1)))
 
 
 def build_community_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
@@ -171,15 +172,9 @@ def build_community_design(panel: TimeSeriesPanel, order: GnarOrder, net: Networ
     if order.variant != "community":
         raise DesignError("community blocks only exist for community orders")
     part.check_community(c)
-    entries = [e for e in theta_index(order) if e.group == c]
-    p0 = order.lags[c - 1]
-    members = part.members(c)
-    R, y, _ = _build_columns(panel.values, order, net, W, part, entries, p0, members)
-    return DesignSystem(R=R, y=y, columns=tuple(entries), order=order,
-                        variant=order.variant, lag_offset=p0,
-                        node_ids=tuple(members),
-                        node_labels=tuple(panel.node_labels[i - 1] for i in members),
-                        time_labels=panel.time_labels[p0:], group=c)
+    return _build_columns(panel, order, net, W, part,
+                          [e for e in theta_index(order) if e.group == c],
+                          order.lags[c - 1], part.members(c), group=c)
 
 
 def solve_least_squares(R: np.ndarray, y: np.ndarray,
@@ -266,27 +261,17 @@ def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, gram_inv, resid[:, :, 0].T.ravel()
 
 
-def _stationarity_for(ds: DesignSystem, theta: np.ndarray) -> tuple[bool, np.ndarray]:
-    if ds.group is not None:
-        block_sum = float(np.sum(np.abs(theta)))
-        return block_sum < 1.0, np.asarray([block_sum])
-    d = len(ds.node_labels)
-    coeffs = GnarCoefficients.from_theta(theta, ds.order, noise_sd=1.0, d=d)
-    report = stationarity_margin(coeffs, ds.order)
-    return report.stationary, report.sums
-
-
 def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
                 sigma2: float, resid: np.ndarray) -> FitResult:
     m = len(ds.node_ids)
     resid_panel = TimeSeriesPanel(values=resid.reshape(-1, m).T,
                                   node_labels=ds.node_labels,
                                   time_labels=ds.time_labels)
-    stationary, sums = _stationarity_for(ds, theta)
+    report = abs_sums(ds.columns, theta)
     return FitResult(theta=theta, columns=ds.columns, names=ds.column_names(),
                      sigma2=sigma2, cov=cov, se=np.sqrt(np.diag(cov)),
                      residuals=resid_panel, df_resid=ds.n - ds.q,
-                     stationary=stationary, stationarity_sums=sums,
+                     stationary=report.stationary, stationarity_sums=report.sums,
                      order=ds.order, variant=ds.variant, group=ds.group)
 
 

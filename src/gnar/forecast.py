@@ -127,12 +127,10 @@ class ForecastReport:
 
 def _fit_and_predict(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
                      W: np.ndarray, part: CommunityPartition | None) -> np.ndarray:
-    ds = build_design(panel, order, net, W,
-                      part if order.variant == "community" else None)
-    fit = fit_ols(ds)
-    coeffs = fit.to_coefficients()
-    return forecast(coeffs, order, net, W, panel, 1,
-                    part if order.variant == "community" else None)[0]
+    if order.variant != "community":
+        part = None
+    coeffs = fit_ols(build_design(panel, order, net, W, part)).to_coefficients()
+    return forecast(coeffs, order, net, W, panel, 1, part)[0]
 
 
 def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,

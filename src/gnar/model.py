@@ -13,10 +13,14 @@ parameters, Phi_k = sum_j theta_j M_j, where M_j is diag(xi_g) for a group
 alpha, the community-masked stage weights W_g o S_r for a beta and
 e_i e_i' for a node alpha.  :func:`theta_index` lists the slots j once;
 the parameter vector, the VAR matrices, the design columns, the node-wise
-expansion and the model-file lines are all loops over that one list.
+expansion and the model-file lines are all loops over that one list, and
+the parameter count is its length.  :func:`_layout` gives the matching
+array shapes, which build and check every coefficient container.
 
 The module also checks the sufficient stationarity condition (every
-group's sum of absolute coefficients below one).
+group's sum of absolute coefficients below one): :func:`abs_sums` adds
+|theta| per group, or per node, in ``theta_index`` order, for model
+coefficients and fitted parameter vectors alike.
 """
 
 from __future__ import annotations
@@ -96,18 +100,9 @@ class GnarOrder:
         """Maximum stage depth used anywhere in the model."""
         return max((max(s) if s else 0) for s in self.stages)
 
-    def group_param_count(self, g: int) -> int:
-        """Parameters of group g (1-based): one alpha per lag plus stage betas."""
-        return self.lags[g - 1] + sum(self.stages[g - 1])
-
     def param_count(self, d: int | None = None) -> int:
         """Total parameter count; the local variant needs the node count d."""
-        if self.variant == "local":
-            if d is None:
-                raise OrderError("local orders need the node count for parameter counts")
-            p, s = self.lags[0], self.stages[0]
-            return d * p + sum(s)
-        return sum(self.group_param_count(g) for g in range(1, self.n_groups + 1))
+        return len(theta_index(self, d))
 
 
 class ThetaEntry(NamedTuple):
@@ -152,6 +147,14 @@ def theta_index(order: GnarOrder, d: int | None = None) -> list[ThetaEntry]:
     return entries
 
 
+def _layout(order: GnarOrder, d: int | None = None) -> tuple:
+    """Array shapes of the order's alphas, betas and node-wise alphas (None if not local)."""
+    local = order.variant == "local"
+    return (() if local else tuple((p,) for p in order.lags),
+            tuple(tuple((sk,) for sk in s) for s in order.stages),
+            (d, order.lags[0]) if local else None)
+
+
 @dataclass(frozen=True)
 class GnarCoefficients:
     """Coefficient values matching a :class:`GnarOrder`.
@@ -171,7 +174,7 @@ class GnarCoefficients:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise OrderError(f"unknown variant {self.variant!r}")
-        if self.noise_sd <= 0:
+        if not self.noise_sd > 0:
             raise OrderError(f"noise sd must be positive, got {self.noise_sd}")
         object.__setattr__(self, "alpha",
                            tuple(np.asarray(a, dtype=float) for a in self.alpha))
@@ -185,35 +188,16 @@ class GnarCoefficients:
     def validate_against(self, order: GnarOrder, d: int | None = None) -> None:
         if self.variant != order.variant:
             raise OrderError(f"coefficients are {self.variant}, order is {order.variant}")
-        if order.variant == "local":
-            if self.alpha_nodes is None:
-                raise OrderError("local coefficients need node-wise alphas")
-            p = order.lags[0]
-            if self.alpha_nodes.ndim != 2 or self.alpha_nodes.shape[1] != p:
-                raise OrderError(f"node-wise alphas must be d x {p}")
-            if d is not None and self.alpha_nodes.shape[0] != d:
-                raise OrderError(f"node-wise alphas for {self.alpha_nodes.shape[0]} nodes, "
-                                 f"expected {d}")
-        else:
-            if len(self.alpha) != order.n_groups:
-                raise OrderError(f"{len(self.alpha)} alpha groups for {order.n_groups}")
-            for g in range(order.n_groups):
-                if self.alpha[g].shape != (order.lags[g],):
-                    raise OrderError(f"group {g + 1}: alpha length {self.alpha[g].shape} "
-                                     f"does not match lag order {order.lags[g]}")
-        if len(self.beta) != len(self.beta_groups_expected(order)):
-            raise OrderError("beta group count does not match the order")
-        for g, stages in enumerate(self.beta_groups_expected(order)):
-            if len(self.beta[g]) != len(stages):
-                raise OrderError(f"group {g + 1}: beta lag count mismatch")
-            for k, s in enumerate(stages):
-                if self.beta[g][k].shape != (s,):
-                    raise OrderError(f"group {g + 1}, lag {k + 1}: expected {s} stage "
-                                     f"coefficients, got {self.beta[g][k].shape[0]}")
-
-    @staticmethod
-    def beta_groups_expected(order: GnarOrder) -> tuple[tuple[int, ...], ...]:
-        return order.stages
+        nodes = self.alpha_nodes
+        if d is None and nodes is not None and nodes.ndim:
+            d = len(nodes)
+        actual = (tuple(a.shape for a in self.alpha),
+                  tuple(tuple(b.shape for b in group) for group in self.beta),
+                  None if nodes is None else nodes.shape)
+        for name, got, want in zip(("alpha", "beta", "alpha_nodes"), actual, _layout(order, d)):
+            if got != want:
+                raise OrderError(f"{name} shapes {got} do not match the order "
+                                 f"{format_order(order)}, which needs {want}")
 
     def _entries(self, order: GnarOrder) -> list[ThetaEntry]:
         """``theta_index`` of the order, sized by the node-wise alphas if any."""
@@ -223,12 +207,10 @@ class GnarCoefficients:
     def _zeros(cls, order: GnarOrder, noise_sd: float,
                d: int | None = None) -> "GnarCoefficients":
         """All-zero coefficients of the order, ready to be filled slot by slot."""
-        local = order.variant == "local"
-        return cls(variant=order.variant,
-                   alpha=() if local else tuple(np.zeros(p) for p in order.lags),
-                   beta=tuple(tuple(np.zeros(sk) for sk in s) for s in order.stages),
-                   noise_sd=noise_sd,
-                   alpha_nodes=np.zeros((d, order.lags[0])) if local else None)
+        alpha, beta, nodes = _layout(order, d)
+        return cls(variant=order.variant, alpha=tuple(np.zeros(s) for s in alpha),
+                   beta=tuple(tuple(np.zeros(s) for s in group) for group in beta),
+                   noise_sd=noise_sd, alpha_nodes=None if nodes is None else np.zeros(nodes))
 
     # -- flat parameter vector --------------------------------------------
     def to_theta(self, order: GnarOrder) -> np.ndarray:
@@ -239,11 +221,11 @@ class GnarCoefficients:
     def from_theta(cls, theta: np.ndarray, order: GnarOrder,
                    noise_sd: float = 1.0, d: int | None = None) -> "GnarCoefficients":
         theta = np.asarray(theta, dtype=float)
-        expected = order.param_count(d)
-        if theta.shape != (expected,):
-            raise OrderError(f"theta length {theta.shape} does not match {expected}")
+        entries = theta_index(order, d)
+        if theta.shape != (len(entries),):
+            raise OrderError(f"theta length {theta.shape} does not match {len(entries)}")
         coeffs = cls._zeros(order, noise_sd, d)
-        for e, value in zip(theta_index(order, d), theta):
+        for e, value in zip(entries, theta):
             _coef(coeffs, e, value)
         return coeffs
 
@@ -261,17 +243,9 @@ def _coef(coeffs: GnarCoefficients, e: ThetaEntry, value: float | None = None) -
     return float(arr[idx])
 
 
-@dataclass(frozen=True)
-class StationarityReport:
-    """Per-group absolute-coefficient sums and the resulting verdict.
-
-    The sufficient condition is strict: every group (or node) sum below 1.
-    ``margin`` is 1 minus the largest sum, so positive margin certifies the
-    verdict and a small margin warns of a near-boundary model.
-    """
-
-    sums: np.ndarray
-    labels: tuple[str, ...]
+class _Stationarity:
+    """The strict sufficient condition on ``self.sums``: every sum below 1.  ``margin``
+    is 1 minus the largest sum: positive certifies it, small warns of the boundary."""
 
     @property
     def stationary(self) -> bool:
@@ -282,22 +256,34 @@ class StationarityReport:
         return float(1.0 - np.max(self.sums))
 
 
+@dataclass(frozen=True)
+class StationarityReport(_Stationarity):
+    """Per-group (or per-node) absolute-coefficient sums and their labels."""
+
+    sums: np.ndarray
+    labels: tuple[str, ...]
+
+
+def abs_sums(entries: Sequence[ThetaEntry], theta: np.ndarray) -> StationarityReport:
+    """Sum |theta| per group of the slots, or per node if they hold node-wise alphas.
+
+    One bincount adds the slots in order; shared betas (bin 0) count toward
+    every node.  Only groups with slots are reported, one for a block fit.
+    """
+    weights = np.abs(np.asarray(theta, dtype=float))
+    if any(e.node is not None for e in entries):
+        sums = np.bincount([e.node or 0 for e in entries], weights)
+        return StationarityReport(sums[1:] + sums[0],
+                                  tuple(f"node{i}" for i in range(1, len(sums))))
+    groups = [e.group for e in entries]
+    present = np.flatnonzero(np.bincount(groups))
+    return StationarityReport(np.bincount(groups, weights)[present],
+                              tuple(str(g) for g in present))
+
+
 def stationarity_margin(coeffs: GnarCoefficients, order: GnarOrder) -> StationarityReport:
-    """Sum |alpha| + |beta| per group and compare against the unit bound."""
-    coeffs.validate_against(order)
-    if order.variant == "local":
-        p, s = order.lags[0], order.stages[0]
-        beta_total = sum(float(np.sum(np.abs(b))) for b in coeffs.beta[0])
-        sums = np.sum(np.abs(coeffs.alpha_nodes), axis=1) + beta_total
-        labels = tuple(f"node{i}" for i in range(1, coeffs.alpha_nodes.shape[0] + 1))
-        return StationarityReport(sums=sums, labels=labels)
-    sums = []
-    for g in range(order.n_groups):
-        total = float(np.sum(np.abs(coeffs.alpha[g])))
-        total += sum(float(np.sum(np.abs(b))) for b in coeffs.beta[g])
-        sums.append(total)
-    labels = tuple(str(g) for g in range(1, order.n_groups + 1))
-    return StationarityReport(sums=np.asarray(sums), labels=labels)
+    """Sum |alpha| + |beta| per group (per node if local) against the unit bound."""
+    return abs_sums(coeffs._entries(order), coeffs.to_theta(order))
 
 
 def to_var(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
@@ -347,7 +333,7 @@ def _group_bases(order: GnarOrder, d: int, part: CommunityPartition | None,
 
 
 @dataclass(frozen=True)
-class NodewiseCoefficients:
+class NodewiseCoefficients(_Stationarity):
     """Node-wise representation of a community model.
 
     ``alpha[i-1, k-1]`` and ``beta[i-1, k-1, r-1]`` carry each node's
@@ -357,16 +343,10 @@ class NodewiseCoefficients:
     alpha: np.ndarray
     beta: np.ndarray
 
-    def abs_sums(self) -> np.ndarray:
+    @property
+    def sums(self) -> np.ndarray:
+        """Each node's sum of absolute coefficients."""
         return np.sum(np.abs(self.alpha), axis=1) + np.sum(np.abs(self.beta), axis=(1, 2))
-
-    @property
-    def stationary(self) -> bool:
-        return bool(np.all(self.abs_sums() < 1.0))
-
-    @property
-    def margin(self) -> float:
-        return float(1.0 - np.max(self.abs_sums()))
 
 
 def to_local_alpha(coeffs: GnarCoefficients, order: GnarOrder,
@@ -413,32 +393,25 @@ def parse_order(text: str) -> GnarOrder:
         raise OrderError(f"order string needs a variant prefix, got {text!r}")
     variant, rest = text.split(":", 1)
     variant = variant.strip()
-    if variant in ("global", "local"):
-        try:
-            p_text, s_text = rest.split(";", 1)
-            p = int(p_text)
-        except ValueError:
-            raise OrderError(f"malformed {variant} order {text!r}") from None
-        s = _parse_int_list(s_text, "stage list")
-        if variant == "global":
-            return GnarOrder.global_order(p, s)
-        return GnarOrder.local_order(p, s)
-    if variant == "community":
-        try:
-            p_text, s_text = rest.split(";", 1)
-        except ValueError:
-            raise OrderError(f"malformed community order {text!r}") from None
-        lags = _parse_int_list(p_text, "lag list")
-        s_text = s_text.strip()
-        if not (s_text.startswith("{") and s_text.endswith("}")):
-            raise OrderError(f"community stage lists must sit in braces, got {s_text!r}")
-        body = s_text[1:-1].strip()
-        lists = re.findall(r"\[[^\[\]]*\]", body)
-        if len(lists) != len(lags):
-            raise OrderError(f"{len(lists)} stage lists for {len(lags)} communities")
-        stages = [_parse_int_list(x, "stage list") for x in lists]
-        return GnarOrder.community_order(lags, stages)
-    raise OrderError(f"unknown variant {variant!r}")
+    if variant not in VARIANTS:
+        raise OrderError(f"unknown variant {variant!r}")
+    try:
+        p_text, s_text = rest.split(";", 1)
+        p = None if variant == "community" else int(p_text)
+    except ValueError:
+        raise OrderError(f"malformed {variant} order {text!r}") from None
+    if p is not None:
+        return GnarOrder(variant, (p,), (tuple(_parse_int_list(s_text, "stage list")),))
+    lags = _parse_int_list(p_text, "lag list")
+    s_text = s_text.strip()
+    if not (s_text.startswith("{") and s_text.endswith("}")):
+        raise OrderError(f"community stage lists must sit in braces, got {s_text!r}")
+    body = s_text[1:-1].strip()
+    lists = re.findall(r"\[[^\[\]]*\]", body)
+    if len(lists) != len(lags):
+        raise OrderError(f"{len(lists)} stage lists for {len(lags)} communities")
+    stages = [_parse_int_list(x, "stage list") for x in lists]
+    return GnarOrder.community_order(lags, stages)
 
 
 def format_order(order: GnarOrder) -> str:
@@ -488,13 +461,21 @@ def write_model(coeffs: GnarCoefficients, order: GnarOrder, path: str | Path,
 _HEADER_KEYS = ("variant", "C", "p", "s", "d", "sigma")
 
 
+def _finite(text: str) -> float:
+    """``float(text)``; inf and nan raise ValueError too."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     """Read a model file; every other line than the header keys sets one coefficient.
 
     A coefficient line that is malformed, names no slot of the order or
     repeats an earlier one raises :class:`DataError` with its line number,
     and so do a repeated header line, a header line without a value or with
-    one that is not a number, and a community ``s`` line that names no
+    one that is not a finite number, and a community ``s`` line that names no
     community or repeats one; a missing header line is named.  A node
     count above :data:`~gnar.network.MAX_NODES`, or a stage order that no
     network of that size has, is refused before anything is sized by it.
@@ -526,7 +507,7 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
         try:
             values = [convert(x) for x in row]
         except ValueError:
-            kind = {int: "an integer", float: "a number"}[convert]
+            kind = {int: "an integer", _finite: "a number"}[convert]
             raise DataError(f"{path}:{ln}: {key!r} needs {kind}, got {' '.join(row)!r}") from None
         if limit is not None and max(values) > limit:
             raise DataError(f"{path}:{ln}: {key!r} value {max(values)} exceeds {limit} "
@@ -537,7 +518,7 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     for key, at in key_lines.items():
         if len(at) > 1 and not (key == "s" and variant == "community"):
             raise DataError(f"{path}:{at[1]}: {key!r} was already set on line {at[0]}")
-    sigma = header("sigma", float)[0]
+    sigma = header("sigma", _finite)[0]
     try:
         if variant == "community":
             lags = header("p", int)
@@ -578,10 +559,9 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
         if key in seen:
             raise DataError(f"{path}:{ln}: {key!r} was already set on line {seen[key]}")
         try:
-            _coef(coeffs, slots[key], float(parts[-1]))
+            _coef(coeffs, slots[key], _finite(parts[-1]))
         except ValueError:
-            raise DataError(f"{path}:{ln}: coefficient value must be a number, "
+            raise DataError(f"{path}:{ln}: coefficient value must be a finite number, "
                             f"got {parts[-1]!r}") from None
         seen[key] = ln
-    coeffs.validate_against(order)
     return coeffs, order

@@ -88,29 +88,21 @@ class Network:
         return A
 
     def neighbours(self, i: int) -> list[int]:
-        """1-based ids of the direct neighbours of node i."""
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        """1-based ids of the direct neighbours of node i, ascending."""
+        if not 1 <= i <= self.d:
+            raise NetworkError(f"node {i} out of range 1..{self.d}")
+        return (np.flatnonzero(self.distances[i - 1] == 1) + 1).tolist()
 
 
 def build_network(d: int, edges: list[tuple[int, int]]) -> Network:
     """Validate an edge list and build a :class:`Network`.
 
-    Self-loops, out-of-range ids and duplicate edges (order-insensitive)
-    are hard errors: fail fast on malformed fixtures.  The node count is
-    checked by :class:`Network`.
+    Duplicate edges (order-insensitive) are refused here; the node count,
+    self-loops and out-of-range ids are refused by :class:`Network`.  All
+    are hard errors: fail fast on malformed fixtures.
     """
     seen: set[tuple[int, int]] = set()
     for i, j in edges:
-        if i == j:
-            raise NetworkError(f"self-loop at node {i}")
-        if not (1 <= i <= d) or not (1 <= j <= d):
-            raise NetworkError(f"edge ({i},{j}) out of range 1..{d}")
         key = (min(i, j), max(i, j))
         if key in seen:
             raise NetworkError(f"duplicate edge ({i},{j})")

@@ -9,7 +9,8 @@ which is the oracle for the local variant's structured solve.
 :func:`lstsq_pnacf` solves each auxiliary regression of the partial NACF
 by ``np.linalg.lstsq`` on its dense design.  :func:`loop_default_weights`
 builds the equal-split weights one stage at a time, as the library first
-did.  :func:`dictreader_returns` is
+did.  :func:`loop_abs_sums` adds the stationarity sums array by array, as
+the library first did.  :func:`dictreader_returns` is
 the election-returns tally as first written, one ``csv.DictReader`` dict and
 numpy scalar update per row.
 """
@@ -52,6 +53,20 @@ def loop_default_weights(dist: np.ndarray) -> np.ndarray:
         rows = counts > 0
         W[mask] = np.repeat(1.0 / counts[rows], counts[rows])
     return W
+
+
+def loop_abs_sums(coeffs, order) -> tuple[np.ndarray, tuple[str, ...]]:
+    """(sums, labels) of |alpha| + |beta| per group, or per node for local orders."""
+    if order.variant == "local":
+        beta_total = sum(float(np.sum(np.abs(b))) for b in coeffs.beta[0])
+        sums = np.sum(np.abs(coeffs.alpha_nodes), axis=1) + beta_total
+        return sums, tuple(f"node{i}" for i in range(1, coeffs.alpha_nodes.shape[0] + 1))
+    sums = []
+    for g in range(order.n_groups):
+        total = float(np.sum(np.abs(coeffs.alpha[g])))
+        total += sum(float(np.sum(np.abs(b))) for b in coeffs.beta[g])
+        sums.append(total)
+    return np.asarray(sums), tuple(str(g) for g in range(1, order.n_groups + 1))
 
 
 def normal_equations_solve(R: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -277,3 +277,12 @@ def test_grid_csv_format(fivenet, fivenet_weights, fivenet_partition):
     lines = plain.to_csv_text().strip().splitlines()
     assert len(lines) == 1 + 4 * 3
     assert lines[1].startswith("nacf,all,1,1,")
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_grid_rejects_partition_of_another_size(fivenet, fivenet_weights, n):
+    from gnar.errors import DataError
+
+    panel = noise_panel(np.random.default_rng(3), T=30)
+    with pytest.raises(DataError, match=f"^partition has {n} nodes, panel has 5$"):
+        corbit_grid(panel, fivenet, fivenet_weights, 2, 1, "nacf", single_community(n))

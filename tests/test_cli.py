@@ -329,3 +329,22 @@ def test_only_solving_commands_load_scipy(tmp_path):
             f"assert main({fit!r}) == 0\n"
             f"print('loaded', 'scipy.linalg' in sys.modules)\n")
     assert fresh_python(code, tmp_path) == ["loaded False", "loaded True"]
+
+
+@pytest.mark.parametrize("flag", ["--length", "--burn-in", "--horizon"])
+def test_unallocatable_size_is_one_error_line(tmp_path, capsys, flag):
+    panel_path = tmp_path / "panel.csv"
+    assert run("simulate", "--network", EDGES, "--partition", PART, "--model", MODEL,
+               "--length", "30", "--out", str(panel_path)) == 0
+    huge = str(10**15)  # petabytes: numpy refuses it before reserving any memory
+    out = tmp_path / "out" / "result.csv"
+    if flag == "--horizon":
+        argv = ("forecast", "--panel", str(panel_path), "--horizon", huge)
+    else:
+        argv = ("simulate", "--length", "30", flag, huge)
+    capsys.readouterr()
+    assert run(*argv[:1], "--network", EDGES, "--partition", PART, "--model", MODEL,
+               *argv[1:], "--out", str(out)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
+    assert not out.parent.exists()

@@ -405,3 +405,26 @@ def test_model_file_bounds_sizes_before_allocating(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DataError, match=f"^{re.escape(str(path) + message)}$"):
         read_model(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gnar-model v1\nvariant global\nsigma nan\np 1\ns 1\n", ":3: 'sigma' needs a number, got 'nan'"),
+    ("gnar-model v1\nvariant global\nsigma inf\np 1\ns 1\n", ":3: 'sigma' needs a number, got 'inf'"),
+    (GLOBAL_HEADER + "p 1\ns 1\nalpha 1 inf\n",
+     ":6: coefficient value must be a finite number, got 'inf'"),
+    (GLOBAL_HEADER + "p 1\ns 1\nbeta 1 1 -inf\n",
+     ":6: coefficient value must be a finite number, got '-inf'"),
+    ("gnar-model v1\nvariant community\nC 1\np 1\nsigma 1.0\ns 1 1\nalpha 1 1 nan\n",
+     ":7: coefficient value must be a finite number, got 'nan'"),
+], ids=["sigma-nan", "sigma-inf", "alpha-inf", "beta-inf", "community-alpha-nan"])
+def test_model_file_rejects_non_finite_values(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path) + message)}$"):
+        read_model(path)
+
+
+def test_coefficients_reject_nan_noise_sd():
+    with pytest.raises(OrderError, match="positive"):
+        GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
+                         beta=((np.array([0.1]),),), noise_sd=float("nan"))

@@ -3,8 +3,10 @@
 Runs ``bench/workloads.py``'s ``setup`` and one pass of its ``ops`` for each
 workload and seed, from the checkout given by ``--root`` (default: this
 one), and prints one ``sha256  workload/seed/{inputs,out}/file`` line per
-file, sorted.  Diffing the output of two checkouts shows which files a
-change moved.  From the repository root:
+file and one ``sha256  workload/seed/console/op`` line per operation, for
+what it printed on stdout and stderr with the work directory replaced by
+``<work>``; sorted.  Diffing the output of two checkouts shows which files
+and messages a change moved.  From the repository root:
 
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python3 tools/output_hashes.py --root /tmp/parent > parent.txt
@@ -57,6 +59,7 @@ def main(argv=None) -> int:
                 inputs, out = work / "inputs", work / "out"
                 workloads.setup(name, seed, size, inputs)
                 out.mkdir()
+                lines = []
                 for op in workloads.ops(name, seed, size, inputs, out):
                     sink = io.StringIO()
                     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -65,10 +68,12 @@ def main(argv=None) -> int:
                         failed += 1
                         print(f"output_hashes: {name} seed {seed}: {op.name} exited "
                               f"{code}: {sink.getvalue()}", file=sys.stderr)
-                for f in sorted(work.rglob("*")):
-                    if f.is_file():
-                        digest = hashlib.sha256(f.read_bytes()).hexdigest()
-                        print(f"{digest}  {name}/{seed}/{f.relative_to(work)}")
+                    console = sink.getvalue().replace(str(work), "<work>").encode()
+                    lines.append((console, f"console/{op.name}"))
+                lines += [(f.read_bytes(), f.relative_to(work))
+                          for f in work.rglob("*") if f.is_file()]
+                for data, rel in sorted(lines, key=lambda line: str(line[1])):
+                    print(f"{hashlib.sha256(data).hexdigest()}  {name}/{seed}/{rel}")
     return 1 if failed else 0
 
 
