@@ -131,13 +131,13 @@ def _cmd_corbit(args) -> int:
     grid, part = _grid_from_args(args)
     out_dir = Path(args.out_dir)
     opts = corbit_svg.RenderOptions(size=args.size)
-    write_text_atomic(out_dir / "grid.csv", grid.to_csv_text())
     if grid.has_communities:
         svg = corbit_svg.render_rcorbit(grid, opts)
         name = "rcorbit.svg"
     else:
         svg = corbit_svg.render_corbit(grid, opts)
         name = "corbit.svg"
+    write_text_atomic(out_dir / "grid.csv", grid.to_csv_text())
     write_text_atomic(out_dir / name, svg)
     print(f"wrote {out_dir}/{name} and grid.csv")
     return 0

@@ -126,18 +126,17 @@ def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np
     if T <= p0:
         raise DesignError(f"panel length {T} cannot support maximum lag {p0}; "
                           f"need at least {p0 + 1} time steps")
-    xi, Bs = _group_bases(order, d, part, stage_weights(net, W, order.r_star))
+    depth = max(e.stage or 0 for e in entries)
+    node_group, Bs = _group_bases(order, d, part, stage_weights(net, W, order.r_star)[:depth])
+    V = [X] + [B @ X for B in Bs]
     rows = [i - 1 for i in row_nodes]
-    z = {g: [B @ X for B in Bs[g - 1]] for g in sorted({e.group for e in entries})}
 
     def gather(js) -> np.ndarray:  # columns js on every row, as [t, node, column]
         out = np.empty((T - p0, len(rows), len(js)))
         for k, j in enumerate(js):
             e = entries[j]
-            lo, hi = p0 - e.lag, T - e.lag
-            M = (xi[e.group - 1][:, None] * X[:, lo:hi] if e.stage is None
-                 else z[e.group][e.stage - 1][:, lo:hi])
-            out[:, :, k] = M[rows].T
+            M = V[e.stage or 0][rows, p0 - e.lag:T - e.lag]
+            out[:, :, k] = ((node_group[rows] == e.group)[:, None] * M).T
         return out
 
     y = X[rows, p0:].T.ravel()

@@ -127,8 +127,6 @@ class ForecastReport:
 
 def _fit_and_predict(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
                      W: np.ndarray, part: CommunityPartition | None) -> np.ndarray:
-    if order.variant != "community":
-        part = None
     coeffs = fit_ols(build_design(panel, order, net, W, part)).to_coefficients()
     return forecast(coeffs, order, net, W, panel, 1, part)[0]
 

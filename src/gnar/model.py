@@ -8,14 +8,19 @@ Three coefficient-sharing variants are supported:
 * ``local``: node-specific autoregressive coefficients with neighbourhood
   coefficients shared across nodes.
 
-Every variant is a VAR whose transition matrices are linear in the stacked
-parameters, Phi_k = sum_j theta_j M_j, where M_j is diag(xi_g) for a group
-alpha, the community-masked stage weights W_g o S_r for a beta and
-e_i e_i' for a node alpha.  :func:`theta_index` lists the slots j once;
-the parameter vector, the VAR matrices, the design columns, the node-wise
-expansion and the model-file lines are all loops over that one list, and
-the parameter count is its length.  :func:`_layout` gives the matching
-array shapes, which build and check every coefficient container.
+Every variant is a node-wise model: node i uses its group's alphas and
+betas (its own alphas for the local variant), and its betas act only on
+neighbours in its own group.  So the VAR matrices are
+Phi_k = diag(alpha_k) + sum_r diag(beta_k,r) (W_c o S_r), where W_c keeps
+the within-community weights (all weights for global and local orders).
+:func:`theta_index` lists the coefficient slots once; the parameter
+vector, the node-wise coefficients (and through them the VAR matrices),
+the design columns and the model-file lines are all loops over that one
+list, and the parameter count is its length.  :func:`_group_bases` gives
+each node's group and the masked stage weights; the VAR form, the design
+and the node-wise expansion read a partition only through it.
+:func:`_layout` gives the matching array shapes, which build and check
+every coefficient container.
 
 The module also checks the sufficient stationarity condition (every
 group's sum of absolute coefficients below one): :func:`abs_sums` adds
@@ -34,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, OrderError
-from .network import MAX_NODES, Network, mask_weights, stage_weights
+from .network import MAX_NODES, Network, stage_weights
 from .partition import CommunityPartition
 from .textfile import read_rows
 
@@ -290,37 +295,30 @@ def to_var(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
            W: np.ndarray, part: CommunityPartition | None = None) -> np.ndarray:
     """Transition matrices of the equivalent VAR(p), shape (p_max, d, d).
 
-    Group g contributes a diagonal block of its alphas on its member nodes
-    (node-wise alphas for the local variant) plus its stage betas times the
-    community-masked, stage-masked weight matrix; lags beyond a group's own
+    Phi_k = diag(alpha_k) + sum_r diag(beta_k,r) (W_c o S_r) with the
+    node-wise coefficients of :func:`_nodewise`; lags beyond a group's own
     order contribute zero.
     """
     coeffs.validate_against(order, d=net.d)
-    xi, Bs = _group_bases(order, net.d, part, stage_weights(net, W, order.r_star))
+    group, Bs = _group_bases(order, net.d, part, stage_weights(net, W, order.r_star))
+    nodewise = _nodewise(coeffs, order, group)
     phi = np.zeros((order.p_max, net.d, net.d))
-    for e in theta_index(order, net.d):
-        v = _coef(coeffs, e)
-        if e.stage is not None:
-            phi[e.lag - 1] += v * Bs[e.group - 1][e.stage - 1]
-        elif e.node is not None:
-            phi[e.lag - 1, e.node - 1, e.node - 1] += v
-        else:
-            phi[e.lag - 1] += np.diag(v * xi[e.group - 1])
+    phi[:, range(net.d), range(net.d)] = nodewise.alpha.T
+    for r, B in enumerate(Bs):
+        phi += nodewise.beta[:, :, r].T[:, :, None] * B
     return phi
 
 
 def _group_bases(order: GnarOrder, d: int, part: CommunityPartition | None,
-                 Bs: Sequence[np.ndarray] = ()) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
-    """Each group's indicator xi_g and stage weights W_g o S_1 .. up to its own stage depth.
+                 Bs: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each node's group id and the stage weights ``Bs`` masked to within-group pairs.
 
-    ``Bs`` are the unmasked stage weights; community groups get them masked
-    to within-community pairs.  This is the one check that a community
-    order comes with a partition of the same communities and nodes.
+    Global and local orders have one group, so their ids are all 1 and
+    ``Bs`` stay as given.  This is the one check that a community order
+    comes with a partition of the same communities and nodes.
     """
-    groups = range(1, order.n_groups + 1)
-    depth = [max(s) for s in order.stages]
     if order.variant != "community":
-        return [np.ones(d)], [list(Bs[:depth[0]])]
+        return np.ones(d, dtype=int), list(Bs)
     if part is None:
         raise OrderError("community models need a partition")
     if part.n_communities != order.n_groups:
@@ -328,16 +326,17 @@ def _group_bases(order: GnarOrder, d: int, part: CommunityPartition | None,
                          f"partition has {part.n_communities}")
     if part.d != d:
         raise OrderError(f"partition has {part.d} nodes, the model {d}")
-    return ([part.indicator(g) for g in groups],
-            [[mask_weights(B, part, g) for B in Bs[:depth[g - 1]]] for g in groups])
+    group = np.asarray(part.assignment)
+    return group, [B * (group[:, None] == group) for B in Bs]
 
 
 @dataclass(frozen=True)
 class NodewiseCoefficients(_Stationarity):
-    """Node-wise representation of a community model.
+    """Node-wise representation of any model: what each node's equation uses.
 
-    ``alpha[i-1, k-1]`` and ``beta[i-1, k-1, r-1]`` carry each node's
-    coefficients, zero-padded to the global maximum lag and stage depth.
+    ``alpha[i-1, k-1]`` and ``beta[i-1, k-1, r-1]`` carry node i's
+    coefficients (its group's, or its own alphas in a local model),
+    zero-padded to the global maximum lag and stage depth.
     """
 
     alpha: np.ndarray
@@ -347,6 +346,21 @@ class NodewiseCoefficients(_Stationarity):
     def sums(self) -> np.ndarray:
         """Each node's sum of absolute coefficients."""
         return np.sum(np.abs(self.alpha), axis=1) + np.sum(np.abs(self.beta), axis=(1, 2))
+
+
+def _nodewise(coeffs: GnarCoefficients, order: GnarOrder,
+              group: np.ndarray) -> NodewiseCoefficients:
+    """Fill each node's coefficients from the slots: a group slot fills the rows
+    of its group's nodes, a node-wise alpha its own row."""
+    alpha = np.zeros((len(group), order.p_max))
+    beta = np.zeros((len(group), order.p_max, order.r_star))
+    for e in theta_index(order, len(group)):
+        rows = group == e.group if e.node is None else e.node - 1
+        if e.stage is None:
+            alpha[rows, e.lag - 1] = _coef(coeffs, e)
+        else:
+            beta[rows, e.lag - 1, e.stage - 1] = _coef(coeffs, e)
+    return NodewiseCoefficients(alpha=alpha, beta=beta)
 
 
 def to_local_alpha(coeffs: GnarCoefficients, order: GnarOrder,
@@ -359,16 +373,7 @@ def to_local_alpha(coeffs: GnarCoefficients, order: GnarOrder,
     if order.variant != "community":
         raise OrderError("node-wise expansion applies to community models")
     coeffs.validate_against(order)
-    xi, _ = _group_bases(order, part.d, part)
-    alpha = np.zeros((part.d, order.p_max))
-    beta = np.zeros((part.d, order.p_max, order.r_star))
-    for e in theta_index(order):
-        rows = xi[e.group - 1] == 1.0
-        if e.stage is None:
-            alpha[rows, e.lag - 1] = _coef(coeffs, e)
-        else:
-            beta[rows, e.lag - 1, e.stage - 1] = _coef(coeffs, e)
-    return NodewiseCoefficients(alpha=alpha, beta=beta)
+    return _nodewise(coeffs, order, _group_bases(order, part.d, part)[0])
 
 
 # ---------------------------------------------------------------------------

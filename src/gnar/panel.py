@@ -66,8 +66,30 @@ def default_node_labels(d: int) -> tuple[str, ...]:
     return tuple(f"n{i}" for i in range(1, d + 1))
 
 
+def _check_cell(kind: str, text: str, forbidden: str = ",") -> None:
+    """Raise GnarError naming ``text`` unless a panel file reads it back as written."""
+    for bad, why in ((not text and kind.endswith("label"), "is empty"),
+                     ("".join(text.splitlines()) != text, "holds a line break"),
+                     (text != text.strip(), "has leading or trailing whitespace"),
+                     (any(c in text for c in forbidden), f"holds {forbidden!r}"),
+                     (kind == "time label" and text.startswith("#"), "starts with '#'")):
+        if bad:
+            raise GnarError(f"{kind} {text!r} {why}, so a panel file cannot hold it")
+
+
 def format_panel(panel: TimeSeriesPanel) -> str:
-    """The shared panel format; floats use repr for exact round-trips."""
+    """The shared panel format; floats use repr for exact round-trips.
+
+    A label or metadata entry that would not read back as written raises
+    GnarError: an empty label, a line break, a comma or surrounding
+    whitespace, a time label starting with ``#``, a metadata key with ``:``.
+    """
+    for key, value in panel.meta.items():
+        _check_cell("metadata key", str(key), ":")
+        _check_cell("metadata value", str(value), "")
+    for kind, labels in (("node label", panel.node_labels), ("time label", panel.time_labels)):
+        for label in labels:
+            _check_cell(kind, label)
     lines = [f"# {k}: {v}" for k, v in panel.meta.items()]
     lines.append(",".join(("time",) + panel.node_labels))
     for label, row in zip(panel.time_labels, panel.values.T.tolist()):
@@ -91,12 +113,16 @@ def read_panel(path: str | Path) -> TimeSeriesPanel:
     header = [c.strip() for c in cells[1:]]
     if not header:
         raise DataError(f"{path}:{ln}: no node columns")
+    if "" in header:
+        raise DataError(f"{path}:{ln}: node column {header.index('') + 1} has no label")
     times: list[str] = []
     rows: list[list[float]] = []
     for ln, cells in lines:
         if len(cells) != len(header) + 1:
             raise DataError(f"{path}:{ln}: expected {len(header) + 1} cells, got {len(cells)}")
         times.append(cells[0].strip())
+        if not times[-1]:
+            raise DataError(f"{path}:{ln}: empty time label")
         try:
             rows.append([float(c) for c in cells[1:]])
         except ValueError as exc:

@@ -10,7 +10,10 @@ which is the oracle for the local variant's structured solve.
 by ``np.linalg.lstsq`` on its dense design.  :func:`loop_default_weights`
 builds the equal-split weights one stage at a time, as the library first
 did.  :func:`loop_abs_sums` adds the stationarity sums array by array, as
-the library first did.  :func:`dictreader_returns` is
+the library first did.  :func:`loop_to_var` sums the VAR matrices slot by
+slot and :func:`masked_design` builds a design column by column, both from
+stage weights masked once per community by ``mask_weights``, as the
+library first did.  :func:`dictreader_returns` is
 the election-returns tally as first written, one ``csv.DictReader`` dict and
 numpy scalar update per row.
 """
@@ -67,6 +70,60 @@ def loop_abs_sums(coeffs, order) -> tuple[np.ndarray, tuple[str, ...]]:
         total += sum(float(np.sum(np.abs(b))) for b in coeffs.beta[g])
         sums.append(total)
     return np.asarray(sums), tuple(str(g) for g in range(1, order.n_groups + 1))
+
+
+def loop_to_var(coeffs, order, net, W, part=None) -> np.ndarray:
+    """VAR matrices added up slot by slot from per-community masked stage weights."""
+    from gnar.model import _coef, theta_index
+    from gnar.network import mask_weights, stage_weights
+
+    Bs = stage_weights(net, W, order.r_star)
+    groups = range(1, order.n_groups + 1)
+    depth = [max(s) for s in order.stages]
+    if order.variant != "community":
+        xi, Bs = [np.ones(net.d)], [list(Bs[:depth[0]])]
+    else:
+        xi = [part.indicator(g) for g in groups]
+        Bs = [[mask_weights(B, part, g) for B in Bs[:depth[g - 1]]] for g in groups]
+    phi = np.zeros((order.p_max, net.d, net.d))
+    for e in theta_index(order, net.d):
+        v = _coef(coeffs, e)
+        if e.stage is not None:
+            phi[e.lag - 1] += v * Bs[e.group - 1][e.stage - 1]
+        elif e.node is not None:
+            phi[e.lag - 1, e.node - 1, e.node - 1] += v
+        else:
+            phi[e.lag - 1] += np.diag(v * xi[e.group - 1])
+    return phi
+
+
+def masked_design(panel, order, net, W, part=None, c=None) -> np.ndarray:
+    """Dense design of the joint fit, or of community c's block, one column at a time.
+
+    An alpha column is the indicator of its group (or its node) times the
+    lagged panel; a beta column is its group's masked stage weights times
+    the panel, one product per community and stage.
+    """
+    from gnar.model import theta_index
+    from gnar.network import mask_weights, stage_weights
+
+    X, d, T = panel.values, panel.d, panel.T
+    community = order.variant == "community"
+    entries = [e for e in theta_index(order, d) if c is None or e.group == c]
+    p0 = order.p_max if c is None else order.lags[c - 1]
+    rows = list(range(d)) if c is None else [i - 1 for i in part.members(c)]
+    Bs = stage_weights(net, W, order.r_star)
+    columns = []
+    for e in entries:
+        if e.stage is not None:
+            B = Bs[e.stage - 1]
+            M = (mask_weights(B, part, e.group) if community else B) @ X
+        elif e.node is not None:
+            M = (np.arange(d) == e.node - 1)[:, None] * X
+        else:
+            M = (part.indicator(e.group) if community else np.ones(d))[:, None] * X
+        columns.append(M[rows, p0 - e.lag:T - e.lag].T.ravel())
+    return np.column_stack(columns)
 
 
 def normal_equations_solve(R: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -348,3 +348,24 @@ def test_unallocatable_size_is_one_error_line(tmp_path, capsys, flag):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("case", ["one community", "small canvas"])
+def test_failed_corbit_render_leaves_no_grid(tmp_path, capsys, case):
+    panel_path = tmp_path / "panel.csv"
+    assert run("simulate", "--network", EDGES, "--partition", PART, "--model", MODEL,
+               "--length", "40", "--seed", "5", "--out", str(panel_path)) == 0
+    if case == "one community":
+        one = tmp_path / "one.csv"
+        one.write_text("node,community\n" + "".join(f"{i},1\n" for i in range(1, 6)))
+        extra = ["--partition", str(one)]
+    else:
+        extra = ["--size", "100"]
+    out_dir = tmp_path / "plots"
+    capsys.readouterr()
+    assert run("corbit", "--network", EDGES, "--panel", str(panel_path),
+               "--max-lag", "3", "--max-stage", "2", *extra,
+               "--out-dir", str(out_dir)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not (out_dir / "grid.csv").exists()

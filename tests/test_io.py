@@ -165,3 +165,44 @@ def test_fixed_rows_reject_a_wrong_cell_count(tmp_path, read, text, line, got):
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: expected "
                                         f"'[a-z,]+' with numeric cells, got '{got}'$"):
         read(path)
+
+
+@pytest.mark.parametrize("nodes, times, meta, named", [
+    (("", "b"), ("1", "2"), {}, "node label ''"),
+    (("a", "b"), ("1", ""), {}, "time label ''"),
+    (("a,b", "c"), ("1", "2"), {}, "node label 'a,b'"),
+    (("a", "b"), ("1,5", "2"), {}, "time label '1,5'"),
+    (("a\nb", "c"), ("1", "2"), {}, "node label 'a\\nb'"),
+    (("a", "b"), ("1", "2\r"), {}, "time label '2\\r'"),
+    (("a", "b\u2028"), ("1", "2"), {}, "node label 'b\\u2028'"),
+    ((" a", "b"), ("1", "2"), {}, "node label ' a'"),
+    (("a", "b"), ("1", "2 "), {}, "time label '2 '"),
+    (("a", "b"), ("#1", "2"), {}, "time label '#1'"),
+    (("a", "b"), ("1", "2"), {"seed\nx": "1"}, "metadata key 'seed\\nx'"),
+    (("a", "b"), ("1", "2"), {"seed": "1\n2"}, "metadata value '1\\n2'"),
+    (("a", "b"), ("1", "2"), {"a:b": "1"}, "metadata key 'a:b'"),
+])
+def test_format_panel_refuses_what_would_not_read_back(nodes, times, meta, named):
+    panel = TimeSeriesPanel(np.ones((2, 2)), nodes, times, meta=meta)
+    with pytest.raises(GnarError, match=re.escape(named)):
+        format_panel(panel)
+
+
+def test_panel_labels_that_read_back_are_written(tmp_path):
+    panel = TimeSeriesPanel(np.ones((2, 2)), ("#a", "b c"), ("1#", "t:2"),
+                            meta={"source": "x: y, z", "empty": ""})
+    write_panel(panel, tmp_path / "panel.csv")
+    again = read_panel(tmp_path / "panel.csv")
+    assert (again.node_labels, again.time_labels, again.meta) == (
+        panel.node_labels, panel.time_labels, panel.meta)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("time,a,,c\n1,1,2,3\n", "bad.csv:1: node column 2 has no label"),
+    ("# seed: 1\ntime,a\n1,0.5\n ,0.25\n", "bad.csv:4: empty time label"),
+])
+def test_panel_read_refuses_empty_labels(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=re.escape(where)):
+        read_panel(path)

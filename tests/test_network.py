@@ -1,10 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
 from gnar.autocorr import KINDS, corbit_grid
 from gnar.errors import DataError, GnarError, NetworkError, OrderError
-from gnar.estimate import build_design, fit_ols
-from gnar.model import parse_order, to_var
+from gnar.estimate import build_design, fit_ols, fit_per_community
+from gnar.forecast import ModelSpec, compare, forecast
+from gnar.model import parse_order, to_local_alpha, to_var
 from gnar.network import (MAX_NODES, UNREACHABLE, Network, bfs_distances, build_network,
                           default_weights, load_weight_overrides, mask_weights,
                           max_stage, read_edge_list, stage_adjacency,
@@ -296,3 +299,25 @@ def test_library_paths_build_no_stage_matrices(table1_model, fivenet_partition):
     for kind in KINDS:
         corbit_grid(panel, net, W, 2, 3, kind, fivenet_partition)
     assert "stages" not in vars(net)
+
+
+def test_library_paths_mask_stage_weights_once(monkeypatch, table1_model, fivenet_partition):
+    def refuse(*args):
+        raise AssertionError("a library path masked weights per community")
+
+    for name, module in list(sys.modules.items()):  # every gnar module holding it
+        if name.split(".")[0] == "gnar" and getattr(module, "mask_weights", None) is mask_weights:
+            monkeypatch.setattr(module, "mask_weights", refuse)
+    monkeypatch.setattr(CommunityPartition, "indicator", refuse)
+    net = read_edge_list(DATA_DIR / "fivenet_edges.csv")
+    W = default_weights(net.distances)
+    coeffs, order = table1_model
+    part = fivenet_partition
+    panel = simulate(coeffs, order, net, W, 60, part=part, seed=1)
+    fit = fit_ols(build_design(panel, order, net, W, part))
+    fit_per_community(panel, order, net, W, part)
+    forecast(fit.to_coefficients(), order, net, W, panel, 2, part)
+    to_local_alpha(coeffs, order, part)
+    compare(panel, net, W, [ModelSpec("community", order)], part)
+    for kind in KINDS:
+        corbit_grid(panel, net, W, 2, 3, kind, part)

@@ -1,7 +1,9 @@
 """Property tests on random graphs, including disconnected ones and singleton
 communities: the design reproduces the VAR form, the community Gram matrix
 is block-diagonal, model files and parameter vectors round-trip exactly,
-the node-wise expansion agrees with the VAR form, the (P)NACF grid agrees
+the node-wise expansion agrees with the VAR form, the VAR matrices and every
+joint and per-community design equal those built from stage weights masked
+once per community, the (P)NACF grid agrees
 with single-cell calls, every autocorrelation is bounded by one, the
 cross-product PNACF agrees with dense lstsq auxiliary fits (near-collinear
 panels included), the level-synchronous BFS gives the shortest paths, and
@@ -31,7 +33,7 @@ from gnar.autocorr import KINDS, corbit_grid, nacf, pnacf
 from gnar.cli import build_parser, main
 from gnar.elections import ELECTION_YEARS, STATE_NAMES, load_returns
 from gnar.errors import GnarError
-from gnar.estimate import build_design, fit_ols
+from gnar.estimate import build_community_design, build_design, fit_ols
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
                         theta_index, to_local_alpha, to_var)
 from gnar.network import (bfs_distances, build_network, default_weights, load_weight_overrides,
@@ -41,8 +43,8 @@ from gnar.panel import (TimeSeriesPanel, default_node_labels, format_panel, read
 from gnar.partition import CommunityPartition, read_partition
 
 from conftest import DATA_DIR
-from oracles import (dictreader_returns, floyd_warshall, loop_default_weights, lstsq_pnacf,
-                     pivoted_qr_fit)
+from oracles import (dictreader_returns, floyd_warshall, loop_default_weights, loop_to_var,
+                     lstsq_pnacf, masked_design, pivoted_qr_fit)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -223,6 +225,34 @@ def test_nodewise_expansion_agrees_with_var_form(data, graph):
             for r in range(order.r_star):
                 row += nodewise.beta[i, k, r] * Bs[r][i] * same
             assert np.array_equal(phi[k, i, off], row[off])
+
+
+@PROPERTY
+@given(st.data(), graphs())
+def test_to_var_equals_per_community_slot_loop(data, graph):
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities))
+    n = len(theta_index(order, d=net.d))
+    theta = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    coeffs = GnarCoefficients.from_theta(np.asarray(theta), order, d=net.d)
+    W = default_weights(net.distances)
+    assert np.array_equal(to_var(coeffs, order, net, W, part),
+                          loop_to_var(coeffs, order, net, W, part))
+
+
+@PROPERTY
+@given(st.data(), graphs(), st.integers(0, 2**32 - 1))
+def test_designs_equal_per_community_masked_products(data, graph, seed):
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities))
+    panel = random_panel(seed, net.d, 12)
+    W = default_weights(net.distances)
+    assert np.array_equal(build_design(panel, order, net, W, part).R,
+                          masked_design(panel, order, net, W, part))
+    if order.variant == "community":
+        for c in range(1, part.n_communities + 1):
+            assert np.array_equal(build_community_design(panel, order, net, W, part, c).R,
+                                  masked_design(panel, order, net, W, part, c))
 
 
 @PROPERTY
