@@ -115,20 +115,18 @@ def _cmd_fit(args) -> int:
 def _grid_from_args(args):
     net, W, part = _load_network(args)
     panel = read_panel(args.panel)
-    grid = autocorr.corbit_grid(panel, net, W, args.max_lag, args.max_stage,
-                                args.kind, part)
-    return grid, part
+    return autocorr.corbit_grid(panel, net, W, args.max_lag, args.max_stage, args.kind, part)
 
 
 def _cmd_nacf(args) -> int:
-    grid, _ = _grid_from_args(args)
+    grid = _grid_from_args(args)
     write_text_atomic(args.out, grid.to_csv_text())
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_corbit(args) -> int:
-    grid, part = _grid_from_args(args)
+    grid = _grid_from_args(args)
     out_dir = Path(args.out_dir)
     opts = corbit_svg.RenderOptions(size=args.size)
     if grid.has_communities:
@@ -205,14 +203,12 @@ def _cmd_elections(args) -> int:
         "fit_standardised.csv": estimate.coefficient_table(fit_std),
         "residuals_standardised.csv": format_panel(fit_std.residuals),
         "pnacf_grid_standardised.csv": grid_std.to_csv_text(),
-        "rcorbit_pnacf_standardised.svg":
-            corbit_svg.render_rcorbit(grid_std, corbit_svg.RenderOptions()),
+        "rcorbit_pnacf_standardised.svg": corbit_svg.render_rcorbit(grid_std),
         "panel_differenced_standardised.csv": format_panel(diff),
         "fit_differenced.csv": estimate.coefficient_table(fit_diff),
         "residuals_differenced.csv": format_panel(fit_diff.residuals),
         "pnacf_grid_differenced.csv": grid_diff.to_csv_text(),
-        "rcorbit_pnacf_differenced.svg":
-            corbit_svg.render_rcorbit(grid_diff, corbit_svg.RenderOptions()),
+        "rcorbit_pnacf_differenced.svg": corbit_svg.render_rcorbit(grid_diff),
         "comparison.csv": report.to_csv_text(),
     }
     out_dir = Path(args.out_dir)

@@ -4,46 +4,47 @@ Each lag occupies one angular position (lag 1 at twelve o'clock, increasing
 clockwise) and each stage one ring, innermost ring for stage 1.  Point
 colour comes from a diverging scale anchored at -1/0/+1 and point radius
 grows with the absolute value; degenerate cells render hollow.  The
-community variant replaces each point by a small circle of per-community
-points with the across-community mean at its centre.  Every data point
-carries machine-readable ``data-*`` attributes, and output is byte
-deterministic for identical inputs.
+community variant surrounds each cell's across-community mean with a small
+circle of per-community points.  Every data point carries machine-readable
+``data-*`` attributes, and output is byte deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .autocorr import CorbitGrid
 from .errors import GnarError
 
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
 
 @dataclass(frozen=True)
 class RenderOptions:
-    """Canvas geometry and colour scale.
+    """Canvas size; the layout and the colour scale are fixed.
 
     The diverging scale interpolates ``colour_neg`` -> ``colour_zero`` ->
     ``colour_pos`` linearly in RGB over [-1, 0] and [0, 1].
     """
 
     size: int = 640
-    inner_radius: float = 70.0
-    ring_gap: float = 46.0
-    point_radius_min: float = 2.5
-    point_radius_max: float = 9.0
-    cluster_radius: float = 11.0
-    label_offset: float = 30.0
-    label_font_size: float = 13.0
-    colour_neg: str = "#2166ac"
-    colour_zero: str = "#f7f7f7"
-    colour_pos: str = "#b2182b"
+    inner_radius: ClassVar[float] = 70.0
+    ring_gap: ClassVar[float] = 46.0
+    point_radius_min: ClassVar[float] = 2.5
+    point_radius_max: ClassVar[float] = 9.0
+    cluster_radius: ClassVar[float] = 11.0
+    label_offset: ClassVar[float] = 30.0
+    label_font_size: ClassVar[float] = 13.0
+    colour_neg: ClassVar[str] = "#2166ac"
+    colour_zero: ClassVar[str] = "#f7f7f7"
+    colour_pos: ClassVar[str] = "#b2182b"
 
     def __post_init__(self):
-        if self.size <= 0 or self.inner_radius <= 0 or self.ring_gap <= 0:
+        if self.size <= 0:
             raise GnarError("render dimensions must be positive")
-        if self.point_radius_min <= 0 or self.point_radius_max < self.point_radius_min:
-            raise GnarError("point radius range is invalid")
 
 
 def _hex_rgb(colour: str) -> tuple[int, int, int]:
@@ -66,127 +67,94 @@ def _fmt(x: float) -> str:
     return format(x, ".3f")
 
 
-def _point_radius(v: float, opts: RenderOptions) -> float:
-    return opts.point_radius_min + (opts.point_radius_max - opts.point_radius_min) \
-        * min(abs(v), 1.0)
-
-
 def _angle(h: int, H: int) -> float:
     """Angle in radians for lag h; twelve o'clock start, clockwise."""
     return math.radians(-90.0 + (h - 1) * 360.0 / H)
 
 
-def _check_fit(outer: float, opts: RenderOptions) -> None:
-    if outer + opts.label_font_size > opts.size / 2.0 - 2.0:
-        raise GnarError(f"layout radius {outer:.0f} overflows a {opts.size}px canvas; "
-                        "increase size or reduce ring spacing")
-
-
-def _header(opts: RenderOptions, title: str) -> list[str]:
-    s = opts.size
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{s}" height="{s}" viewBox="0 0 {s} {s}">',
-        f"<title>{title}</title>",
-        f'<rect class="background" x="0" y="0" width="{s}" height="{s}" fill="#ffffff"/>',
-    ]
-
-
-def _rings_and_labels(H: int, R: int, label_radius: float,
-                      opts: RenderOptions) -> list[str]:
-    cx = cy = opts.size / 2.0
-    parts = []
-    for r in range(1, R + 1):
-        radius = opts.inner_radius + (r - 1) * opts.ring_gap
-        parts.append(f'<circle class="ring-guide" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                     f'r="{_fmt(radius)}" fill="none" stroke="#cccccc" '
-                     f'stroke-width="1"/>')
-    for h in range(1, H + 1):
-        ang = _angle(h, H)
-        x = cx + label_radius * math.cos(ang)
-        y = cy + label_radius * math.sin(ang)
-        parts.append(f'<text class="lag-label" x="{_fmt(x)}" y="{_fmt(y)}" '
-                     f'text-anchor="middle" dominant-baseline="middle" '
-                     f'font-size="{_fmt(opts.label_font_size)}">{h}</text>')
-    parts.append(f'<circle class="zero-marker" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.0" '
-                 f'fill="{value_colour(0.0, opts)}" stroke="#888888" stroke-width="1"/>')
-    return parts
-
-
 def _point(cls: str, x: float, y: float, v: float, degenerate: bool,
-           opts: RenderOptions, extra: str = "") -> str:
-    radius = _point_radius(v, opts)
-    colour = value_colour(v, opts)
+           opts: RenderOptions, extra: str) -> str:
+    v, degenerate = float(v), bool(degenerate)
+    radius = opts.point_radius_min + (opts.point_radius_max - opts.point_radius_min) \
+        * min(abs(v), 1.0)
     if degenerate:
         fill, stroke = "none", "#888888"
     else:
-        fill, stroke = colour, "#555555"
+        fill, stroke = value_colour(v, opts), "#555555"
     return (f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="0.8"{extra} '
-            f'data-value="{float(v)!r}" data-degenerate="{int(degenerate)}"/>')
+            f'data-value="{v!r}" data-degenerate="{int(degenerate)}"/>')
+
+
+def _render(grid: CorbitGrid, opts: RenderOptions, name: str,
+            labels: tuple[str, ...]) -> str:
+    """Rings and one centre point per cell: the value, or with ``labels`` the community mean."""
+    H, R, C = grid.max_lag, grid.max_stage, len(labels)
+    if labels:
+        centre, centre_deg, centre_cls = grid.mean_values, grid.mean_degenerate, "rcorbit-mean"
+    else:
+        centre, centre_deg, centre_cls = grid.values, grid.degenerate, f"{name}-point"
+    radii = [opts.inner_radius + (r - 1) * opts.ring_gap for r in range(1, R + 1)]
+    outer = opts.inner_radius + (R - 1) * opts.ring_gap + (opts.cluster_radius if labels else 0.0)
+    label_radius = outer + opts.label_offset
+    s = opts.size
+    cx = s / 2.0
+    if label_radius + opts.label_font_size > cx - 2.0:
+        raise GnarError(f"layout radius {label_radius:.0f} overflows a {s}px canvas; "
+                        "increase size or reduce ring spacing")
+    font = _fmt(opts.label_font_size)
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{s}" height="{s}" viewBox="0 0 {s} {s}">',
+        f"<title>{name} {grid.kind}</title>",
+        f'<rect class="background" x="0" y="0" width="{s}" height="{s}" fill="#ffffff"/>',
+    ]
+    labels = [label.translate(_XML_ESCAPES) for label in labels]
+    parts += [f'<text class="legend-label" x="10" '
+              f'y="{_fmt(18.0 + ci * (opts.label_font_size + 4.0))}" '
+              f'font-size="{font}">{label}</text>' for ci, label in enumerate(labels)]
+    parts += [f'<circle class="ring-guide" cx="{_fmt(cx)}" cy="{_fmt(cx)}" r="{_fmt(radius)}" '
+              f'fill="none" stroke="#cccccc" stroke-width="1"/>' for radius in radii]
+    for h in range(1, H + 1):
+        ang = _angle(h, H)
+        x = cx + label_radius * math.cos(ang)
+        y = cx + label_radius * math.sin(ang)
+        parts.append(f'<text class="lag-label" x="{_fmt(x)}" y="{_fmt(y)}" '
+                     f'text-anchor="middle" dominant-baseline="middle" '
+                     f'font-size="{font}">{h}</text>')
+    parts.append(f'<circle class="zero-marker" cx="{_fmt(cx)}" cy="{_fmt(cx)}" r="3.0" '
+                 f'fill="{value_colour(0.0, opts)}" stroke="#888888" stroke-width="1"/>')
+    for h in range(1, H + 1):
+        ang = _angle(h, H)
+        for r, radius in enumerate(radii, start=1):
+            x = cx + radius * math.cos(ang)
+            y = cx + radius * math.sin(ang)
+            cell = f' data-lag="{h}" data-stage="{r}"'
+            parts.append(_point(centre_cls, x, y, centre[h - 1, r - 1],
+                                centre_deg[h - 1, r - 1], opts, cell))
+            for ci, label in enumerate(labels):
+                cang = math.radians(-90.0 + ci * 360.0 / C)
+                parts.append(_point("rcorbit-point", x + opts.cluster_radius * math.cos(cang),
+                                    y + opts.cluster_radius * math.sin(cang),
+                                    grid.values[ci, h - 1, r - 1],
+                                    grid.degenerate[ci, h - 1, r - 1], opts,
+                                    f'{cell} data-community="{label}"'))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def render_corbit(grid: CorbitGrid, opts: RenderOptions = RenderOptions()) -> str:
     """SVG text for a plain (no-community) autocorrelation grid."""
     if grid.has_communities:
         raise GnarError("grid carries communities; use render_rcorbit")
-    H, R = grid.max_lag, grid.max_stage
-    outer = opts.inner_radius + (R - 1) * opts.ring_gap
-    label_radius = outer + opts.label_offset
-    _check_fit(label_radius, opts)
-    cx = cy = opts.size / 2.0
-    parts = _header(opts, f"corbit {grid.kind}")
-    parts += _rings_and_labels(H, R, label_radius, opts)
-    for h in range(1, H + 1):
-        ang = _angle(h, H)
-        for r in range(1, R + 1):
-            radius = opts.inner_radius + (r - 1) * opts.ring_gap
-            x = cx + radius * math.cos(ang)
-            y = cy + radius * math.sin(ang)
-            v = float(grid.values[h - 1, r - 1])
-            deg = bool(grid.degenerate[h - 1, r - 1])
-            extra = f' data-lag="{h}" data-stage="{r}"'
-            parts.append(_point("corbit-point", x, y, v, deg, opts, extra))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _render(grid, opts, "corbit", ())
 
 
 def render_rcorbit(grid: CorbitGrid, opts: RenderOptions = RenderOptions()) -> str:
     """SVG text for a community grid: per-cell community circles plus means."""
     if not grid.has_communities:
         raise GnarError("grid has no communities; use render_corbit")
-    C = len(grid.communities)
-    if C < 2:
+    if len(grid.communities) < 2:
         raise GnarError("community plots need at least two communities")
-    H, R = grid.max_lag, grid.max_stage
-    outer = opts.inner_radius + (R - 1) * opts.ring_gap + opts.cluster_radius
-    label_radius = outer + opts.label_offset
-    _check_fit(label_radius, opts)
-    cx = cy = opts.size / 2.0
-    parts = _header(opts, f"rcorbit {grid.kind}")
-    for ci, label in enumerate(grid.communities):
-        parts.append(f'<text class="legend-label" x="10" '
-                     f'y="{_fmt(18.0 + ci * (opts.label_font_size + 4.0))}" '
-                     f'font-size="{_fmt(opts.label_font_size)}">{label}</text>')
-    parts += _rings_and_labels(H, R, label_radius, opts)
-    for h in range(1, H + 1):
-        ang = _angle(h, H)
-        for r in range(1, R + 1):
-            radius = opts.inner_radius + (r - 1) * opts.ring_gap
-            ax = cx + radius * math.cos(ang)
-            ay = cy + radius * math.sin(ang)
-            mv = float(grid.mean_values[h - 1, r - 1])
-            mdeg = bool(grid.mean_degenerate[h - 1, r - 1])
-            extra = f' data-lag="{h}" data-stage="{r}"'
-            parts.append(_point("rcorbit-mean", ax, ay, mv, mdeg, opts, extra))
-            for ci, label in enumerate(grid.communities):
-                cang = math.radians(-90.0 + ci * 360.0 / C)
-                x = ax + opts.cluster_radius * math.cos(cang)
-                y = ay + opts.cluster_radius * math.sin(cang)
-                v = float(grid.values[ci, h - 1, r - 1])
-                deg = bool(grid.degenerate[ci, h - 1, r - 1])
-                extra = f' data-lag="{h}" data-stage="{r}" data-community="{label}"'
-                parts.append(_point("rcorbit-point", x, y, v, deg, opts, extra))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _render(grid, opts, "rcorbit", grid.communities)

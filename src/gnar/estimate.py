@@ -122,6 +122,8 @@ def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np
     """The design of the given entries on the given node rows; blocks only if local."""
     X = panel.values
     d, T = X.shape
+    if d != net.d:
+        raise DesignError(f"panel has {d} nodes, network has {net.d}")
     p0 = lag_offset
     if T <= p0:
         raise DesignError(f"panel length {T} cannot support maximum lag {p0}; "
@@ -158,8 +160,6 @@ def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np
 def build_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
                  W: np.ndarray, part: CommunityPartition | None = None) -> DesignSystem:
     """Joint design over all nodes, usable range t = p_max+1 .. T."""
-    if panel.d != net.d:
-        raise DesignError(f"panel has {panel.d} nodes, network has {net.d}")
     return _build_columns(panel, order, net, W, part, theta_index(order, d=panel.d),
                           order.p_max, list(range(1, panel.d + 1)))
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, GnarError
-from .textfile import read_rows
+from .textfile import check_cell, read_rows
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,6 @@ def default_node_labels(d: int) -> tuple[str, ...]:
     return tuple(f"n{i}" for i in range(1, d + 1))
 
 
-def _check_cell(kind: str, text: str, forbidden: str = ",") -> None:
-    """Raise GnarError naming ``text`` unless a panel file reads it back as written."""
-    for bad, why in ((not text and kind.endswith("label"), "is empty"),
-                     ("".join(text.splitlines()) != text, "holds a line break"),
-                     (text != text.strip(), "has leading or trailing whitespace"),
-                     (any(c in text for c in forbidden), f"holds {forbidden!r}"),
-                     (kind == "time label" and text.startswith("#"), "starts with '#'")):
-        if bad:
-            raise GnarError(f"{kind} {text!r} {why}, so a panel file cannot hold it")
-
-
 def format_panel(panel: TimeSeriesPanel) -> str:
     """The shared panel format; floats use repr for exact round-trips.
 
@@ -85,11 +74,11 @@ def format_panel(panel: TimeSeriesPanel) -> str:
     whitespace, a time label starting with ``#``, a metadata key with ``:``.
     """
     for key, value in panel.meta.items():
-        _check_cell("metadata key", str(key), ":")
-        _check_cell("metadata value", str(value), "")
+        check_cell("metadata key", str(key), ":")
+        check_cell("metadata value", str(value), "")
     for kind, labels in (("node label", panel.node_labels), ("time label", panel.time_labels)):
         for label in labels:
-            _check_cell(kind, label)
+            check_cell(kind, label)
     lines = [f"# {k}: {v}" for k, v in panel.meta.items()]
     lines.append(",".join(("time",) + panel.node_labels))
     for label, row in zip(panel.time_labels, panel.values.T.tolist()):

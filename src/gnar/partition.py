@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, GnarError
-from .textfile import fixed_rows, read_rows
+from .textfile import check_cell, fixed_rows, read_rows
 
 
 def _absent(ids: set[int] | dict[int, int], n: int) -> str:
@@ -87,10 +87,14 @@ def read_partition(path: str | Path) -> CommunityPartition:
         if text.lower().startswith("label "):
             try:
                 head, name = text.split(":", 1)
-                labels[int(head.split()[1])] = name.strip()
+                c, name = int(head.split()[1]), name.strip()
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{ln}: expected '# label C: name', "
                                 f"got {text!r}") from None
+            if not name or "," in name:
+                raise DataError(f"{path}:{ln}: community {c} label {name!r} "
+                                f"{'holds a comma' if name else 'is empty'}")
+            labels[c] = name
     for ln, (node, c) in fixed_rows(path, rows, "node,community", lambda n, c: (int(n), int(c))):
         if node in pairs:
             raise DataError(f"{path}:{ln}: node {node} assigned twice")
@@ -112,6 +116,9 @@ def read_partition(path: str | Path) -> CommunityPartition:
 
 
 def format_partition(part: CommunityPartition) -> str:
+    """The partition file; a label that would not read back as written raises GnarError."""
+    for label in part.labels:
+        check_cell("community label", label)
     lines = [f"# label {c}: {part.labels[c - 1]}" for c in range(1, part.n_communities + 1)]
     lines.append("node,community")
     lines += [f"{i},{c}" for i, c in enumerate(part.assignment, start=1)]

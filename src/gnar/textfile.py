@@ -3,12 +3,13 @@
 Edge lists, weights, partitions, panels and model files are UTF-8 text.  A
 line (as :meth:`str.splitlines` splits) is stripped; blank lines are skipped,
 ``#`` starts a comment and other lines are rows.  Errors read ``path:line``.
+:func:`check_cell` is the writers' side: what a written cell may hold.
 """
 
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, GnarError
 
 
 def read_rows(path: str | Path, sep: str | None = ","
@@ -40,3 +41,14 @@ def fixed_rows(path: str | Path, rows: Iterator[tuple[int, list[str]]], header: 
             raise DataError(f"{path}:{ln}: expected {header!r} with numeric cells, "
                             f"got {line!r}") from None
         yield ln, values
+
+
+def check_cell(kind: str, text: str, forbidden: str = ",") -> None:
+    """Raise GnarError naming ``text`` unless a written file reads it back as written."""
+    for bad, why in ((not text and kind.endswith("label"), "is empty"),
+                     ("".join(text.splitlines()) != text, "holds a line break"),
+                     (text != text.strip(), "has leading or trailing whitespace"),
+                     (any(c in text for c in forbidden), f"holds {forbidden!r}"),
+                     (kind == "time label" and text.startswith("#"), "starts with '#'")):
+        if bad:
+            raise GnarError(f"{kind} {text!r} {why}, so a gnar file cannot hold it")

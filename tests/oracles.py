@@ -15,14 +15,20 @@ slot and :func:`masked_design` builds a design column by column, both from
 stage weights masked once per community by ``mask_weights``, as the
 library first did.  :func:`dictreader_returns` is
 the election-returns tally as first written, one ``csv.DictReader`` dict and
-numpy scalar update per row.
+numpy scalar update per row.  :func:`separate_render_corbit` and
+:func:`separate_render_rcorbit` are the radial SVG renderers as first
+written, each with its own rings, overflow check and point loop.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
+
+from gnar.corbit_svg import RenderOptions
+from gnar.errors import GnarError
 
 UNREACHABLE = -1
 
@@ -351,3 +357,151 @@ def dictreader_returns(path):
             elif party == "DEMOCRAT":
                 dem[i, j] += n
     return rep, dem, total
+
+
+# The radial SVG renderers as first written, with the helpers they call.
+
+def _hex_rgb(colour: str) -> tuple[int, int, int]:
+    colour = colour.lstrip("#")
+    return int(colour[0:2], 16), int(colour[2:4], 16), int(colour[4:6], 16)
+
+
+def value_colour(v: float, opts: RenderOptions) -> str:
+    """Diverging colour for a value clipped to [-1, 1]."""
+    v = max(-1.0, min(1.0, v))
+    if v < 0:
+        a, b, t = _hex_rgb(opts.colour_zero), _hex_rgb(opts.colour_neg), -v
+    else:
+        a, b, t = _hex_rgb(opts.colour_zero), _hex_rgb(opts.colour_pos), v
+    rgb = tuple(round(x + (y - x) * t) for x, y in zip(a, b))
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".3f")
+
+
+def _point_radius(v: float, opts: RenderOptions) -> float:
+    return opts.point_radius_min + (opts.point_radius_max - opts.point_radius_min) \
+        * min(abs(v), 1.0)
+
+
+def _angle(h: int, H: int) -> float:
+    """Angle in radians for lag h; twelve o'clock start, clockwise."""
+    return math.radians(-90.0 + (h - 1) * 360.0 / H)
+
+
+def _check_fit(outer: float, opts: RenderOptions) -> None:
+    if outer + opts.label_font_size > opts.size / 2.0 - 2.0:
+        raise GnarError(f"layout radius {outer:.0f} overflows a {opts.size}px canvas; "
+                        "increase size or reduce ring spacing")
+
+
+def _header(opts: RenderOptions, title: str) -> list[str]:
+    s = opts.size
+    return [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{s}" height="{s}" viewBox="0 0 {s} {s}">',
+        f"<title>{title}</title>",
+        f'<rect class="background" x="0" y="0" width="{s}" height="{s}" fill="#ffffff"/>',
+    ]
+
+
+def _rings_and_labels(H: int, R: int, label_radius: float,
+                      opts: RenderOptions) -> list[str]:
+    cx = cy = opts.size / 2.0
+    parts = []
+    for r in range(1, R + 1):
+        radius = opts.inner_radius + (r - 1) * opts.ring_gap
+        parts.append(f'<circle class="ring-guide" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                     f'r="{_fmt(radius)}" fill="none" stroke="#cccccc" '
+                     f'stroke-width="1"/>')
+    for h in range(1, H + 1):
+        ang = _angle(h, H)
+        x = cx + label_radius * math.cos(ang)
+        y = cy + label_radius * math.sin(ang)
+        parts.append(f'<text class="lag-label" x="{_fmt(x)}" y="{_fmt(y)}" '
+                     f'text-anchor="middle" dominant-baseline="middle" '
+                     f'font-size="{_fmt(opts.label_font_size)}">{h}</text>')
+    parts.append(f'<circle class="zero-marker" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.0" '
+                 f'fill="{value_colour(0.0, opts)}" stroke="#888888" stroke-width="1"/>')
+    return parts
+
+
+def _point(cls: str, x: float, y: float, v: float, degenerate: bool,
+           opts: RenderOptions, extra: str = "") -> str:
+    radius = _point_radius(v, opts)
+    colour = value_colour(v, opts)
+    if degenerate:
+        fill, stroke = "none", "#888888"
+    else:
+        fill, stroke = colour, "#555555"
+    return (f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
+            f'fill="{fill}" stroke="{stroke}" stroke-width="0.8"{extra} '
+            f'data-value="{float(v)!r}" data-degenerate="{int(degenerate)}"/>')
+
+
+def separate_render_corbit(grid: CorbitGrid, opts: RenderOptions = RenderOptions()) -> str:
+    """SVG text for a plain (no-community) autocorrelation grid."""
+    if grid.has_communities:
+        raise GnarError("grid carries communities; use render_rcorbit")
+    H, R = grid.max_lag, grid.max_stage
+    outer = opts.inner_radius + (R - 1) * opts.ring_gap
+    label_radius = outer + opts.label_offset
+    _check_fit(label_radius, opts)
+    cx = cy = opts.size / 2.0
+    parts = _header(opts, f"corbit {grid.kind}")
+    parts += _rings_and_labels(H, R, label_radius, opts)
+    for h in range(1, H + 1):
+        ang = _angle(h, H)
+        for r in range(1, R + 1):
+            radius = opts.inner_radius + (r - 1) * opts.ring_gap
+            x = cx + radius * math.cos(ang)
+            y = cy + radius * math.sin(ang)
+            v = float(grid.values[h - 1, r - 1])
+            deg = bool(grid.degenerate[h - 1, r - 1])
+            extra = f' data-lag="{h}" data-stage="{r}"'
+            parts.append(_point("corbit-point", x, y, v, deg, opts, extra))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def separate_render_rcorbit(grid: CorbitGrid, opts: RenderOptions = RenderOptions()) -> str:
+    """SVG text for a community grid: per-cell community circles plus means."""
+    if not grid.has_communities:
+        raise GnarError("grid has no communities; use render_corbit")
+    C = len(grid.communities)
+    if C < 2:
+        raise GnarError("community plots need at least two communities")
+    H, R = grid.max_lag, grid.max_stage
+    outer = opts.inner_radius + (R - 1) * opts.ring_gap + opts.cluster_radius
+    label_radius = outer + opts.label_offset
+    _check_fit(label_radius, opts)
+    cx = cy = opts.size / 2.0
+    parts = _header(opts, f"rcorbit {grid.kind}")
+    for ci, label in enumerate(grid.communities):
+        parts.append(f'<text class="legend-label" x="10" '
+                     f'y="{_fmt(18.0 + ci * (opts.label_font_size + 4.0))}" '
+                     f'font-size="{_fmt(opts.label_font_size)}">{label}</text>')
+    parts += _rings_and_labels(H, R, label_radius, opts)
+    for h in range(1, H + 1):
+        ang = _angle(h, H)
+        for r in range(1, R + 1):
+            radius = opts.inner_radius + (r - 1) * opts.ring_gap
+            ax = cx + radius * math.cos(ang)
+            ay = cy + radius * math.sin(ang)
+            mv = float(grid.mean_values[h - 1, r - 1])
+            mdeg = bool(grid.mean_degenerate[h - 1, r - 1])
+            extra = f' data-lag="{h}" data-stage="{r}"'
+            parts.append(_point("rcorbit-mean", ax, ay, mv, mdeg, opts, extra))
+            for ci, label in enumerate(grid.communities):
+                cang = math.radians(-90.0 + ci * 360.0 / C)
+                x = ax + opts.cluster_radius * math.cos(cang)
+                y = ay + opts.cluster_radius * math.sin(cang)
+                v = float(grid.values[ci, h - 1, r - 1])
+                deg = bool(grid.degenerate[ci, h - 1, r - 1])
+                extra = f' data-lag="{h}" data-stage="{r}" data-community="{label}"'
+                parts.append(_point("rcorbit-point", x, y, v, deg, opts, extra))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -369,3 +369,52 @@ def test_failed_corbit_render_leaves_no_grid(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert not (out_dir / "grid.csv").exists()
+
+
+def test_per_community_fit_refuses_a_panel_larger_than_the_network(tmp_path, capsys):
+    panel_path, part_path = tmp_path / "panel.csv", tmp_path / "part.csv"
+    write_panel(TimeSeriesPanel(np.random.default_rng(0).normal(size=(6, 30)),
+                                default_node_labels(6), [str(t) for t in range(30)]),
+                panel_path)
+    part_path.write_text("node,community\n" + "".join(f"{i},{1 + i % 2}\n" for i in range(1, 7)))
+    for order in ("community:[1,1];{[1],[1]}", "community:[1,1];{[0],[0]}"):
+        out_dir = tmp_path / "fit"
+        capsys.readouterr()
+        assert run("fit", "--network", EDGES, "--partition", str(part_path),
+                   "--panel", str(panel_path), "--order", order, "--per-community",
+                   "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: panel has 6 nodes, network has 5"]
+        assert not out_dir.exists()
+
+
+def test_corbit_escapes_community_labels(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    panel_path, part_path = tmp_path / "panel.csv", tmp_path / "part.csv"
+    assert run("simulate", "--network", EDGES, "--partition", PART, "--model", MODEL,
+               "--length", "40", "--seed", "5", "--out", str(panel_path)) == 0
+    part_path.write_text('# label 1: R&D\n# label 2: "x" <y>\n'
+                         "node,community\n1,2\n2,1\n3,1\n4,1\n5,2\n")
+    out_dir = tmp_path / "plots"
+    assert run("corbit", "--network", EDGES, "--partition", str(part_path),
+               "--panel", str(panel_path), "--max-lag", "3", "--max-stage", "2",
+               "--out-dir", str(out_dir)) == 0
+    root = ET.fromstring((out_dir / "rcorbit.svg").read_text())
+    legend = [el.text for el in root.iter() if el.get("class") == "legend-label"]
+    assert legend == ["R&D", '"x" <y>']
+
+
+def test_comma_in_community_label_is_one_error_line(tmp_path, capsys):
+    panel_path, part_path = tmp_path / "panel.csv", tmp_path / "part.csv"
+    assert run("simulate", "--network", EDGES, "--partition", PART, "--model", MODEL,
+               "--length", "40", "--seed", "5", "--out", str(panel_path)) == 0
+    part_path.write_text("# label 1: a,b\nnode,community\n1,2\n2,1\n3,1\n4,1\n5,2\n")
+    out = tmp_path / "grid.csv"
+    capsys.readouterr()
+    assert run("nacf", "--network", EDGES, "--partition", str(part_path),
+               "--panel", str(panel_path), "--max-lag", "2",
+               "--max-stage", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {part_path}:1: community 1 label 'a,b' holds a comma"]
+    assert not out.exists()

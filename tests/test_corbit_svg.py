@@ -170,3 +170,11 @@ def test_svg_parses_as_valid_xml_with_title():
     assert root.get("version") == "1.1"
     titles = [el for el in root.iter() if el.tag == f"{SVG_NS}title"]
     assert len(titles) == 1
+
+
+def test_community_labels_are_xml_escaped():
+    labels = ["R&D", '"x" <y>', "a>b'c"]
+    grid = community_grid(np.zeros((3, 2, 2)), labels)
+    root = parse(render_rcorbit(grid))
+    assert [el.text for el in by_class(root, "legend-label")] == labels
+    assert [el.get("data-community") for el in by_class(root, "rcorbit-point")] == labels * 4

@@ -387,3 +387,14 @@ def test_gls_on_local_design_matches_dense_oracle(fivenet, fivenet_weights):
                              ds.y, dense_sigma)
     for sigma in (KroneckerCovariance(sigma_u), dense_sigma):
         assert np.max(np.abs(fit_gls(ds, sigma).theta - oracle)) < 1e-8
+
+
+@pytest.mark.parametrize("text", ["community:[1,1];{[1],[1]}", "community:[1,1];{[0],[0]}"])
+def test_per_community_fit_refuses_a_panel_larger_than_the_network(fivenet, fivenet_weights,
+                                                                   text):
+    from gnar.model import parse_order
+
+    panel = make_panel(np.random.default_rng(0).normal(size=(6, 30)))
+    part = CommunityPartition(assignment=(1, 1, 1, 2, 2, 2), n_communities=2)
+    with pytest.raises(DesignError, match="^panel has 6 nodes, network has 5$"):
+        fit_per_community(panel, parse_order(text), fivenet, fivenet_weights, part)

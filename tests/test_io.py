@@ -12,8 +12,8 @@ from gnar.errors import DataError, GnarError
 from gnar.model import read_model
 from gnar.network import load_weight_overrides, read_edge_list
 from gnar.panel import TimeSeriesPanel, format_panel, read_panel, write_panel
-from gnar.partition import (CommunityPartition, read_partition, single_community,
-                            write_partition)
+from gnar.partition import (CommunityPartition, format_partition, read_partition,
+                            single_community, write_partition)
 
 
 def test_panel_round_trip_is_exact(tmp_path):
@@ -206,3 +206,36 @@ def test_panel_read_refuses_empty_labels(tmp_path, text, where):
     path.write_text(text)
     with pytest.raises(DataError, match=re.escape(where)):
         read_panel(path)
+
+
+@pytest.mark.parametrize("label, why", [
+    ("", "is empty"),
+    ("a,b", "holds ','"),
+    ("a\nb", "holds a line break"),
+    ("a\u2028b", "holds a line break"),
+    (" a", "has leading or trailing whitespace"),
+    ("b\t", "has leading or trailing whitespace"),
+])
+def test_format_partition_refuses_labels_that_would_not_read_back(label, why):
+    part = CommunityPartition(assignment=(1, 2), n_communities=2, labels=("ok", label))
+    with pytest.raises(GnarError, match=re.escape(f"community label {label!r} {why}")):
+        format_partition(part)
+
+
+@pytest.mark.parametrize("line, why", [
+    ("# label 2: a,b", "community 2 label 'a,b' holds a comma"),
+    ("# label 2:", "community 2 label '' is empty"),
+    ("# label 2:   ", "community 2 label '' is empty"),
+])
+def test_partition_read_refuses_labels_it_cannot_hold(tmp_path, line, why):
+    path = tmp_path / "part.csv"
+    path.write_text(f"node,community\n1,1\n{line}\n2,2\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: {re.escape(why)}$"):
+        read_partition(path)
+
+
+def test_partition_labels_that_read_back_are_written(tmp_path):
+    part = CommunityPartition(assignment=(1, 2, 2), n_communities=2,
+                              labels=("R&D: #1", '"x" <y>'))
+    write_partition(part, tmp_path / "part.csv")
+    assert read_partition(tmp_path / "part.csv") == part

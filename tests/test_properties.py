@@ -8,7 +8,9 @@ with single-cell calls, every autocorrelation is bounded by one, the
 cross-product PNACF agrees with dense lstsq auxiliary fits (near-collinear
 panels included), the level-synchronous BFS gives the shortest paths, and
 the local variant's structured OLS solve, and its design-free residuals,
-agree with a pivoted QR of the whole design.  The election-returns loader
+agree with a pivoted QR of the whole design.  The one radial-plot layout
+renders every plain and community grid byte for byte as the two separate
+renderers it replaced did, overflow errors included.  The election-returns loader
 sums valid files exactly as a ``csv.DictReader`` tally does, and on mangled
 or random text it raises nothing but ``GnarError``; so do the readers of
 edge lists, weights, partitions, panels and model files on mangled bytes.
@@ -21,6 +23,7 @@ Runs are derandomised and bounded so the suite stays deterministic and fast.
 import argparse
 import contextlib
 import io
+import string
 import tempfile
 from pathlib import Path
 
@@ -29,8 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnar.autocorr import KINDS, corbit_grid, nacf, pnacf
+from gnar.autocorr import KINDS, CorbitGrid, corbit_grid, nacf, pnacf
 from gnar.cli import build_parser, main
+from gnar.corbit_svg import RenderOptions, render_corbit, render_rcorbit
 from gnar.elections import ELECTION_YEARS, STATE_NAMES, load_returns
 from gnar.errors import GnarError
 from gnar.estimate import build_community_design, build_design, fit_ols
@@ -44,7 +48,8 @@ from gnar.partition import CommunityPartition, read_partition
 
 from conftest import DATA_DIR
 from oracles import (dictreader_returns, floyd_warshall, loop_default_weights, loop_to_var,
-                     lstsq_pnacf, masked_design, pivoted_qr_fit)
+                     lstsq_pnacf, masked_design, pivoted_qr_fit, separate_render_corbit,
+                     separate_render_rcorbit)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -586,3 +591,40 @@ def test_cli_exits_cleanly_on_any_argv(cli_inputs, command, data):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+@st.composite
+def corbit_grids(draw):
+    """A plain grid, or one of 2..4 communities, with values in [-1.5, 1.5] and random flags."""
+    C, H, R = draw(st.sampled_from([0, 2, 3, 4])), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.5, 1.5))
+
+    def cells(shape, elements):
+        return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    shape, kind = ((C, H, R) if C else (H, R)), draw(st.sampled_from(KINDS))
+    values, degenerate = cells(shape, value), cells(shape, st.booleans())
+    if not C:
+        return CorbitGrid(kind, H, R, values, degenerate)
+    labels = draw(st.lists(st.text(string.ascii_letters, min_size=1, max_size=6),
+                           min_size=C, max_size=C))
+    return CorbitGrid(kind, H, R, values, degenerate, tuple(labels),
+                      cells((H, R), value), cells((H, R), st.booleans()))
+
+
+@PROPERTY
+@given(corbit_grids(), st.sampled_from([320, 640, 900]))
+def test_one_layout_renders_as_the_separate_renderers(grid, size):
+    """Both entry points give the oracle's bytes, or raise its error (wrong grid, overflow)."""
+    opts = RenderOptions(size=size)
+    for render, oracle in ((render_corbit, separate_render_corbit),
+                           (render_rcorbit, separate_render_rcorbit)):
+        try:
+            expected = oracle(grid, opts)
+        except GnarError as exc:
+            with pytest.raises(GnarError) as got:
+                render(grid, opts)
+            assert str(got.value) == str(exc)
+        else:
+            assert render(grid, opts).encode() == expected.encode()

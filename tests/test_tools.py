@@ -31,3 +31,17 @@ def test_output_hashes_are_stable_across_runs():
 def test_geometry_probe_runs():
     done = run_tool("geometry_probe.py", "--d", "51", "--runs", "1")
     assert done.returncode == 0, done.stderr
+
+
+def test_corbit_probe_runs():
+    done = run_tool("corbit_probe.py", "--d", "200", "--seed", "1")
+    assert done.returncode == 0, done.stderr
+    assert len(re.findall(r"^(?:pnacf|nacf): .*, 72 cells, ", done.stdout, re.M)) == 2
+
+
+def test_startup_probe_runs():
+    done = run_tool("startup_probe.py", "--runs", "1")
+    assert done.returncode == 0, done.stderr
+    rows = re.findall(r"^(?:import gnar\S*|gnar \w+) +\d+\.\d{3} +(?:true|false)$",
+                      done.stdout, re.M)
+    assert len(rows) == 6, done.stdout
