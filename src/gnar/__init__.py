@@ -3,7 +3,7 @@
 from .autocorr import AcfCell, CorbitGrid, corbit_grid, nacf, pnacf
 from .corbit_svg import RenderOptions, render_corbit, render_rcorbit
 from .errors import (CovarianceError, DataError, DesignError, GnarError,
-                     NetworkError, OrderError, RankDeficiencyError)
+                     NetworkError, OrderError, RankDeficiencyError, SizeError)
 from .estimate import (DesignSystem, FitResult, KroneckerCovariance,
                        build_community_design, build_design, coefficient_table,
                        fit_gls, fit_ols, fit_per_community)
@@ -28,7 +28,7 @@ __all__ = [
     "FitResult", "ForecastReport", "GnarCoefficients", "GnarError",
     "GnarOrder", "KroneckerCovariance", "ModelSpec", "Network",
     "NetworkError", "NodewiseCoefficients", "OrderError",
-    "RankDeficiencyError", "RenderOptions", "StationarityReport",
+    "RankDeficiencyError", "RenderOptions", "SizeError", "StationarityReport",
     "TimeSeriesPanel", "UNREACHABLE", "bfs_distances",
     "build_community_design", "build_design", "build_network",
     "coefficient_table", "compare", "corbit_grid", "default_weights",

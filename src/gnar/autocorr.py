@@ -35,10 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DataError, GnarError
+from .errors import GnarError, check_size
 from .network import Network, stage_weights
 from .panel import TimeSeriesPanel
 from .partition import CommunityPartition
+from .textfile import check_cell
 
 KINDS = ("nacf", "pnacf")
 
@@ -71,8 +72,7 @@ def _subset_indices(d: int, nodes) -> list[int]:
 def _inputs(panel: TimeSeriesPanel, net: Network, W: np.ndarray, max_lag: int,
             r: int, nodes) -> tuple[np.ndarray, list[np.ndarray]]:
     """Checked kernel inputs: the centred panel and B_1..B_r, cut to ``nodes``."""
-    if panel.d != net.d:
-        raise DataError(f"panel has {panel.d} nodes, network has {net.d}")
+    check_size("panel", panel.d, "network", net.d)
     if not 1 <= max_lag < panel.T:
         raise GnarError(f"lag {max_lag} outside 1..{panel.T - 1} "
                         f"(panel has {panel.T} time steps)")
@@ -223,6 +223,7 @@ class CorbitGrid:
             emit("all", self.values, self.degenerate)
         else:
             for ci, label in enumerate(self.communities):
+                check_cell("community label", label)
                 emit(label, self.values[ci], self.degenerate[ci])
             emit("mean", self.mean_values, self.mean_degenerate)
         return "\n".join(lines) + "\n"
@@ -252,8 +253,7 @@ def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
         values, degs = layer(None)
         return CorbitGrid(kind=kind, max_lag=H, max_stage=R,
                           values=values, degenerate=degs)
-    if part.d != panel.d:
-        raise DataError(f"partition has {part.d} nodes, panel has {panel.d}")
+    check_size("partition", part.d, "panel", panel.d)
     layers = [layer(part.members(g)) for g in range(1, part.n_communities + 1)]
     values = np.stack([v for v, _ in layers])
     degs = np.stack([g for _, g in layers])

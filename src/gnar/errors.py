@@ -31,3 +31,15 @@ class CovarianceError(GnarError):
 
 class DataError(GnarError):
     """Input data files are malformed or incomplete."""
+
+
+class SizeError(DataError, DesignError, NetworkError, OrderError):
+    """Inputs that must cover the same nodes do not; raised by :func:`check_size` only."""
+
+
+def check_size(a: str, n: int | tuple[int, ...], b: str, m: int) -> None:
+    """The one size rule: ``a`` covers ``b``'s m nodes, with n nodes or an m x m shape."""
+    if isinstance(n, tuple) and n != (m, m):
+        raise SizeError(f"{a} has shape {n}, {b} has {m} nodes")
+    if not isinstance(n, tuple) and n != m:
+        raise SizeError(f"{a} has {n} nodes, {b} has {m}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CovarianceError, DesignError, RankDeficiencyError
+from .errors import CovarianceError, DesignError, RankDeficiencyError, check_size
 from .model import (GnarCoefficients, GnarOrder, ThetaEntry, _group_bases, abs_sums,
                     theta_index)
 from .network import Network, stage_weights
@@ -122,8 +122,7 @@ def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np
     """The design of the given entries on the given node rows; blocks only if local."""
     X = panel.values
     d, T = X.shape
-    if d != net.d:
-        raise DesignError(f"panel has {d} nodes, network has {net.d}")
+    check_size("panel", d, "network", net.d)
     p0 = lag_offset
     if T <= p0:
         raise DesignError(f"panel length {T} cannot support maximum lag {p0}; "

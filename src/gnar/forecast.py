@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, GnarError
+from .errors import DataError, GnarError, check_size
 from .estimate import build_design, fit_ols
 from .model import GnarCoefficients, GnarOrder, to_var
 from .network import Network
 from .panel import TimeSeriesPanel, read_panel
 from .partition import CommunityPartition
 from .simulate import var_recursion
+from .textfile import check_cell
 
 
 def forecast(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
@@ -30,8 +31,7 @@ def forecast(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     """Iterated one-step predictions; returns an array of shape (horizon, d)."""
     if horizon < 1:
         raise GnarError(f"horizon must be >= 1, got {horizon}")
-    if panel.d != net.d:
-        raise DataError(f"panel has {panel.d} nodes, network has {net.d}")
+    check_size("panel", panel.d, "network", net.d)
     phi = to_var(coeffs, order, net, W, part)
     p = phi.shape[0]
     if panel.T < p:
@@ -66,6 +66,9 @@ class ModelSpec:
     name: str
     order: GnarOrder
 
+    def __post_init__(self):
+        check_cell("model label", self.name)
+
 
 @dataclass(frozen=True)
 class ExternalForecast:
@@ -79,12 +82,14 @@ class ExternalForecast:
     raw: np.ndarray
     centred: np.ndarray | None = None
 
+    def __post_init__(self):
+        check_cell("external forecast label", self.name)
+
 
 def load_external_forecast(name: str, path: str | Path, d: int) -> ExternalForecast:
     """Read an external forecast file (panel format, rows 'raw'/'centred')."""
     panel = read_panel(path)
-    if panel.d != d:
-        raise DataError(f"{path}: forecast has {panel.d} nodes, panel has {d}")
+    check_size(f"{path}: forecast", panel.d, "panel", d)
     rows = {label: panel.values[:, t] for t, label in enumerate(panel.time_labels)}
     if "raw" not in rows:
         raise DataError(f"{path}: no row labelled 'raw'")
@@ -140,8 +145,12 @@ def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
     Every report includes the previous-observation baseline.  Raw-scale
     fits give the rmspe column; refits on per-node mean-centred training
     data give the centred column (training means only, so the held-out
-    value leaks into neither).
+    value leaks into neither).  Model names are distinct and none is ``naive``.
     """
+    names = ["naive"] + [s.name for s in specs] + [e.name for e in external or []]
+    for i, name in enumerate(names[1:], start=1):
+        if name in names[:i]:
+            raise GnarError(f"model name {name!r} is taken; names are distinct and not 'naive'")
     idx = holdout if holdout >= 0 else panel.T + holdout
     if not (0 < idx < panel.T):
         raise GnarError(f"hold-out index {holdout} outside the panel")
@@ -168,9 +177,7 @@ def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
         rmspe_centred=rmspe(actual_c, naive - means),
         n_params=None))
     for ext in external or []:
-        if ext.raw.shape != actual.shape:
-            raise DataError(f"external forecast {ext.name!r} has shape "
-                            f"{ext.raw.shape}, panel step has {actual.shape}")
+        check_size(f"external forecast {ext.name!r}", np.size(ext.raw), "panel", panel.d)
         entries.append(ComparisonEntry(
             name=ext.name, prediction=ext.raw,
             rmspe=rmspe(actual, ext.raw),

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, OrderError
+from .errors import DataError, OrderError, check_size
 from .network import MAX_NODES, Network, stage_weights
 from .partition import CommunityPartition
 from .textfile import read_rows
@@ -315,8 +315,11 @@ def _group_bases(order: GnarOrder, d: int, part: CommunityPartition | None,
 
     Global and local orders have one group, so their ids are all 1 and
     ``Bs`` stay as given.  This is the one check that a community order
-    comes with a partition of the same communities and nodes.
+    comes with a partition of the same communities; a given partition of any
+    order must cover the network's d nodes.
     """
+    if part is not None:
+        check_size("partition", part.d, "network", d)
     if order.variant != "community":
         return np.ones(d, dtype=int), list(Bs)
     if part is None:
@@ -324,8 +327,6 @@ def _group_bases(order: GnarOrder, d: int, part: CommunityPartition | None,
     if part.n_communities != order.n_groups:
         raise OrderError(f"order has {order.n_groups} communities, "
                          f"partition has {part.n_communities}")
-    if part.d != d:
-        raise OrderError(f"partition has {part.d} nodes, the model {d}")
     group = np.asarray(part.assignment)
     return group, [B * (group[:, None] == group) for B in Bs]
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NetworkError, OrderError
+from .errors import DataError, NetworkError, OrderError, check_size
 from .textfile import fixed_rows, read_rows
 
 #: Sentinel distance for unreachable pairs.
@@ -168,9 +168,7 @@ def stage_weights(net: Network, W: np.ndarray, r: int) -> list[np.ndarray]:
     against the network's largest stage.
     """
     W = np.asarray(W)
-    if W.shape != (net.d, net.d):
-        raise NetworkError(f"weight matrix has shape {W.shape}, "
-                           f"network has {net.d} nodes")
+    check_size("weight matrix", W.shape, "network", net.d)
     if not 0 <= r <= net.r_max:
         raise OrderError(f"stage {r} outside the network's stages 0..{net.r_max}")
     return [W * (net.distances == s) for s in range(1, r + 1)]
@@ -199,9 +197,7 @@ def mask_weights(W: np.ndarray, part, c: int) -> np.ndarray:
     the mask is idempotent and commutes with stage masking.
     """
     part.check_community(c)
-    if part.d != W.shape[0]:
-        raise NetworkError(f"partition has {part.d} nodes, "
-                           f"weight matrix has {W.shape[0]}")
+    check_size("partition", part.d, "weight matrix", W.shape[0])
     member = np.asarray(part.assignment) == c
     return W * np.outer(member, member)
 

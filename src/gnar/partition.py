@@ -11,6 +11,9 @@ import numpy as np
 from .errors import DataError, GnarError
 from .textfile import check_cell, fixed_rows, read_rows
 
+#: Names of the across-community rows of a grid file, so no community may take them.
+RESERVED_LABELS = ("all", "mean")
+
 
 def _absent(ids: set[int] | dict[int, int], n: int) -> str:
     """The first five ids of 1..n not in ``ids``, found in at most len(ids) + 6 steps."""
@@ -23,7 +26,8 @@ class CommunityPartition:
     """Assignment of nodes 1..d to communities 1..C.
 
     Every node belongs to exactly one community and every community id in
-    1..C is nonempty.  ``labels`` are display names in community order.
+    1..C is nonempty.  ``labels`` are display names in community order; none
+    is one of :data:`RESERVED_LABELS`.
     """
 
     assignment: tuple[int, ...]
@@ -45,6 +49,8 @@ class CommunityPartition:
             object.__setattr__(self, "labels", tuple(str(c) for c in range(1, C + 1)))
         elif len(self.labels) != C:
             raise GnarError("labels length must equal the community count")
+        if reserved := set(self.labels) & set(RESERVED_LABELS):
+            raise GnarError(f"community label {min(reserved)!r} is reserved for grid rows")
 
     @property
     def d(self) -> int:
@@ -82,7 +88,7 @@ def read_partition(path: str | Path) -> CommunityPartition:
     """Read a ``node,community`` CSV; optional ``# label c: name`` comments."""
     comments, rows = read_rows(path)
     pairs: dict[int, int] = {}
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[int, str]] = {}
     for ln, text in comments:
         if text.lower().startswith("label "):
             try:
@@ -91,10 +97,12 @@ def read_partition(path: str | Path) -> CommunityPartition:
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{ln}: expected '# label C: name', "
                                 f"got {text!r}") from None
-            if not name or "," in name:
-                raise DataError(f"{path}:{ln}: community {c} label {name!r} "
-                                f"{'holds a comma' if name else 'is empty'}")
-            labels[c] = name
+            why = ("is empty" if not name else "holds a comma" if "," in name
+                   else "is reserved for grid rows" if name in RESERVED_LABELS
+                   else f"repeats line {labels[c][0]}'s label" if c in labels else "")
+            if why:
+                raise DataError(f"{path}:{ln}: community {c} label {name!r} {why}")
+            labels[c] = ln, name
     for ln, (node, c) in fixed_rows(path, rows, "node,community", lambda n, c: (int(n), int(c))):
         if node in pairs:
             raise DataError(f"{path}:{ln}: node {node} assigned twice")
@@ -107,7 +115,11 @@ def read_partition(path: str | Path) -> CommunityPartition:
     C = max(pairs.values())
     if C > d:
         raise DataError(f"{path}: community {C} but only {d} nodes to fill it")
-    label_tuple = tuple(labels.get(c, str(c)) for c in range(1, C + 1)) if labels else ()
+    for c, (ln, _) in labels.items():
+        if not 1 <= c <= C:
+            raise DataError(f"{path}:{ln}: label for community {c}, outside 1..{C}")
+    label_tuple = tuple(labels[c][1] if c in labels else str(c)
+                        for c in range(1, C + 1)) if labels else ()
     return CommunityPartition(
         assignment=tuple(pairs[i] for i in range(1, d + 1)),
         n_communities=C,

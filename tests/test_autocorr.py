@@ -286,3 +286,11 @@ def test_grid_rejects_partition_of_another_size(fivenet, fivenet_weights, n):
     panel = noise_panel(np.random.default_rng(3), T=30)
     with pytest.raises(DataError, match=f"^partition has {n} nodes, panel has 5$"):
         corbit_grid(panel, fivenet, fivenet_weights, 2, 1, "nacf", single_community(n))
+
+
+def test_grid_file_refuses_a_label_that_would_split_its_row(fivenet, fivenet_weights):
+    panel = noise_panel(np.random.default_rng(3))
+    part = CommunityPartition((2, 1, 1, 1, 2), 2, labels=("a,b", "x"))
+    grid = corbit_grid(panel, fivenet, fivenet_weights, 1, 1, "nacf", part)
+    with pytest.raises(GnarError, match="^community label 'a,b' holds ','"):
+        grid.to_csv_text()

@@ -418,3 +418,31 @@ def test_comma_in_community_label_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {part_path}:1: community 1 label 'a,b' holds a comma"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("order", ["global:1;[1]", "local:1;[1]"])
+def test_fit_refuses_a_partition_of_another_size_for_any_order(tmp_path, capsys, order):
+    panel_path, part_path = tmp_path / "panel.csv", tmp_path / "part.csv"
+    assert run("simulate", "--network", EDGES, "--partition", PART, "--model", MODEL,
+               "--length", "40", "--seed", "5", "--out", str(panel_path)) == 0
+    part_path.write_text("node,community\n1,1\n2,1\n3,2\n4,2\n")
+    out_dir = tmp_path / "fit"
+    capsys.readouterr()
+    assert run("fit", "--network", EDGES, "--partition", str(part_path),
+               "--panel", str(panel_path), "--order", order, "--out-dir", str(out_dir)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: partition has 4 nodes, network has 5"]
+    assert not out_dir.exists()
+
+
+def test_compare_refuses_a_model_name_that_would_split_its_row(tmp_path, capsys):
+    panel_path, out = tmp_path / "panel.csv", tmp_path / "comparison.csv"
+    assert run("simulate", "--network", EDGES, "--partition", PART, "--model", MODEL,
+               "--length", "40", "--seed", "5", "--out", str(panel_path)) == 0
+    capsys.readouterr()
+    assert run("compare", "--network", EDGES, "--panel", str(panel_path),
+               "--spec", "a,b=global:1;[1]", "--spec", "mean=global:1;[0]",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: model label 'a,b' holds ',', so a gnar file cannot hold it"]
+    assert not out.exists()

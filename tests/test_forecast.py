@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from gnar.errors import DataError, GnarError
+from gnar.errors import DataError, GnarError, SizeError
+from gnar.estimate import build_design
 from gnar.forecast import (ExternalForecast, ModelSpec, compare, forecast,
                            load_external_forecast, naive_forecast, rmspe)
-from gnar.model import GnarCoefficients, GnarOrder, parse_order
+from gnar.model import GnarCoefficients, GnarOrder, parse_order, to_var
 from gnar.panel import TimeSeriesPanel, default_node_labels, write_panel
+from gnar.partition import CommunityPartition
 from gnar.simulate import simulate
 
 from oracles import structural_prediction
@@ -163,3 +165,41 @@ def test_compare_holdout_validation(fivenet, fivenet_weights):
         compare(panel, fivenet, fivenet_weights, [], holdout=0)
     with pytest.raises(GnarError):
         compare(panel, fivenet, fivenet_weights, [], holdout=6)
+
+
+@pytest.mark.parametrize("text", ["global:1;[1]", "local:1;[1]"])
+@pytest.mark.parametrize("entry", ["simulate", "to_var", "build_design", "forecast", "compare"])
+def test_non_community_orders_refuse_a_partition_of_another_size(fivenet, fivenet_weights,
+                                                                  entry, text):
+    order, part = parse_order(text), CommunityPartition((1, 1, 2, 2), 2)
+    coeffs = GnarCoefficients.from_theta(np.full(order.param_count(5), 0.1), order, d=5)
+    panel = make_panel(np.random.default_rng(0).normal(size=(5, 20)))
+    calls = {
+        "simulate": lambda: simulate(coeffs, order, fivenet, fivenet_weights, 10, part=part),
+        "to_var": lambda: to_var(coeffs, order, fivenet, fivenet_weights, part),
+        "build_design": lambda: build_design(panel, order, fivenet, fivenet_weights, part),
+        "forecast": lambda: forecast(coeffs, order, fivenet, fivenet_weights, panel, 1, part),
+        "compare": lambda: compare(panel, fivenet, fivenet_weights,
+                                   [ModelSpec("m", order)], part),
+    }
+    with pytest.raises(SizeError, match="^partition has 4 nodes, network has 5$"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("make", [lambda o: ModelSpec("a,b", o),
+                                  lambda o: ExternalForecast("a,b", np.zeros(5))],
+                         ids=["ModelSpec", "ExternalForecast"])
+def test_model_names_that_would_break_the_report_are_refused(make):
+    with pytest.raises(GnarError, match="label 'a,b' holds ','"):
+        make(GnarOrder.global_order(1, [0]))
+
+
+@pytest.mark.parametrize("spec_names, ext_names, taken", [
+    (("a", "a"), (), "a"), (("naive",), (), "naive"), (("a",), ("a",), "a")])
+def test_compare_refuses_repeated_or_naive_names(fivenet, fivenet_weights,
+                                                 spec_names, ext_names, taken):
+    panel = make_panel(np.random.default_rng(1).normal(size=(5, 20)))
+    specs = [ModelSpec(n, GnarOrder.global_order(1, [0])) for n in spec_names]
+    external = [ExternalForecast(n, np.zeros(5)) for n in ext_names]
+    with pytest.raises(GnarError, match=f"^model name '{taken}' is taken"):
+        compare(panel, fivenet, fivenet_weights, specs, external=external)

@@ -239,3 +239,48 @@ def test_partition_labels_that_read_back_are_written(tmp_path):
                               labels=("R&D: #1", '"x" <y>'))
     write_partition(part, tmp_path / "part.csv")
     assert read_partition(tmp_path / "part.csv") == part
+
+
+@pytest.mark.parametrize("label", ["all", "mean"])
+def test_partition_refuses_a_grid_row_name_as_label(tmp_path, label):
+    with pytest.raises(GnarError, match=f"^community label '{label}' is reserved for grid rows$"):
+        CommunityPartition(assignment=(1, 2), n_communities=2, labels=("x", label))
+    path = tmp_path / "part.csv"
+    path.write_text(f"node,community\n1,1\n# label 2: {label}\n2,2\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: community 2 label "
+                                        f"'{label}' is reserved for grid rows$"):
+        read_partition(path)
+
+
+@pytest.mark.parametrize("comments, line, why", [
+    (["# label 1: a", "# label 7: b", "# label 1: c"], 3,
+     "community 1 label 'c' repeats line 1's label"),
+    (["# label 1: a", "# label 7: b"], 2, "label for community 7, outside 1..2"),
+    (["# label 0: a"], 1, "label for community 0, outside 1..2"),
+])
+def test_partition_read_refuses_labels_for_no_community(tmp_path, comments, line, why):
+    path = tmp_path / "part.csv"
+    path.write_text("\n".join(comments) + "\nnode,community\n1,1\n2,2\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: {re.escape(why)}$"):
+        read_partition(path)
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(gnar.__all__) == [
+        "AcfCell", "CommunityPartition", "CorbitGrid", "CovarianceError", "DataError",
+        "DesignError", "DesignSystem", "ExternalForecast", "FitResult", "ForecastReport",
+        "GnarCoefficients", "GnarError", "GnarOrder", "KroneckerCovariance", "ModelSpec",
+        "Network", "NetworkError", "NodewiseCoefficients", "OrderError",
+        "RankDeficiencyError", "RenderOptions", "SizeError", "StationarityReport",
+        "TimeSeriesPanel", "UNREACHABLE", "bfs_distances", "build_community_design",
+        "build_design", "build_network", "coefficient_table", "compare", "corbit_grid",
+        "default_weights", "fit_gls", "fit_ols", "fit_per_community", "forecast",
+        "format_order", "mask_weights", "max_stage", "nacf", "naive_forecast", "parse_order",
+        "pnacf", "read_edge_list", "read_model", "read_panel", "read_partition",
+        "render_corbit", "render_rcorbit", "rmspe", "simulate", "single_community",
+        "stage_adjacency", "stage_weights", "stationarity_margin", "theta_index",
+        "to_local_alpha", "to_var", "write_edge_list", "write_model", "write_panel",
+        "write_partition"]
+    assert all(hasattr(gnar, name) for name in gnar.__all__)
+    assert issubclass(gnar.SizeError, (gnar.DataError, gnar.DesignError,
+                                       gnar.NetworkError, gnar.OrderError))

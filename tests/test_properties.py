@@ -16,6 +16,8 @@ or random text it raises nothing but ``GnarError``; so do the readers of
 edge lists, weights, partitions, panels and model files on mangled bytes.
 Every ``gnar`` subcommand, given argv drawn from its own flags, exits 0,
 exits 1 with one ``error:`` line, or stops with argparse's usage error.
+Every entry point given a panel, weight matrix or partition that is one to
+three nodes off the network raises ``SizeError`` naming both node counts.
 
 Runs are derandomised and bounded so the suite stays deterministic and fast.
 """
@@ -23,6 +25,7 @@ Runs are derandomised and bounded so the suite stays deterministic and fast.
 import argparse
 import contextlib
 import io
+import re
 import string
 import tempfile
 from pathlib import Path
@@ -36,15 +39,17 @@ from gnar.autocorr import KINDS, CorbitGrid, corbit_grid, nacf, pnacf
 from gnar.cli import build_parser, main
 from gnar.corbit_svg import RenderOptions, render_corbit, render_rcorbit
 from gnar.elections import ELECTION_YEARS, STATE_NAMES, load_returns
-from gnar.errors import GnarError
-from gnar.estimate import build_community_design, build_design, fit_ols
+from gnar.errors import GnarError, SizeError
+from gnar.estimate import build_community_design, build_design, fit_ols, fit_per_community
+from gnar.forecast import ModelSpec, compare, forecast
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
                         theta_index, to_local_alpha, to_var)
 from gnar.network import (bfs_distances, build_network, default_weights, load_weight_overrides,
-                          read_edge_list, stage_adjacency, stage_weights)
+                          mask_weights, read_edge_list, stage_adjacency, stage_weights)
 from gnar.panel import (TimeSeriesPanel, default_node_labels, format_panel, read_panel,
                         write_panel)
-from gnar.partition import CommunityPartition, read_partition
+from gnar.partition import CommunityPartition, read_partition, single_community
+from gnar.simulate import simulate
 
 from conftest import DATA_DIR
 from oracles import (dictreader_returns, floyd_warshall, loop_default_weights, loop_to_var,
@@ -628,3 +633,48 @@ def test_one_layout_renders_as_the_separate_renderers(grid, size):
             assert str(got.value) == str(exc)
         else:
             assert render(grid, opts).encode() == expected.encode()
+
+
+@PROPERTY
+@given(st.data(), graphs(), st.integers(1, 3), st.booleans())
+def test_every_size_mismatch_is_one_size_error(data, graph, k, grow):
+    """A panel, W or partition k nodes off the network's d raises SizeError naming d and d ± k,
+    for every variant, at every entry point that takes it."""
+    net, part = graph
+    d = net.d
+    n = d + k if grow or d <= k else d - k
+    order = data.draw(orders(net.r_max, part.n_communities))
+    community = GnarOrder.community_order([1] * part.n_communities,
+                                          [[0]] * part.n_communities)
+    W, panel = default_weights(net.distances), random_panel(0, d, 12)
+    coeffs = GnarCoefficients.from_theta(np.zeros(len(theta_index(order, d=d))), order, d=d)
+    bad_panel, bad_W = random_panel(0, n, 12), np.ones((n, n))
+    bad_part = (CommunityPartition(part.assignment + (1,) * k, part.n_communities)
+                if n > d else single_community(n))
+    calls = {
+        "build_design": lambda P, W, Q: build_design(P, order, net, W, Q),
+        "fit_per_community": lambda P, W, Q: fit_per_community(P, community, net, W, Q),
+        "compare": lambda P, W, Q: compare(P, net, W, [ModelSpec("m", order)], Q),
+        "forecast": lambda P, W, Q: forecast(coeffs, order, net, W, P, 1, Q),
+        "nacf": lambda P, W, Q: nacf(P, net, W, 1, 1),
+        "pnacf": lambda P, W, Q: pnacf(P, net, W, 1, 1),
+        "corbit_grid": lambda P, W, Q: corbit_grid(P, net, W, 1, 1, "nacf", Q),
+        "to_var": lambda P, W, Q: to_var(coeffs, order, net, W, Q),
+        "simulate": lambda P, W, Q: simulate(coeffs, order, net, W, 5, part=Q, burn_in=0),
+        "stage_weights": lambda P, W, Q: stage_weights(net, W, 0),
+        "mask_weights": lambda P, W, Q: mask_weights(W, Q, 1),
+    }
+    takes_panel = {"build_design", "fit_per_community", "compare", "forecast", "nacf",
+                   "pnacf", "corbit_grid"}
+    no_partition = {"nacf", "pnacf", "stage_weights"}
+    for name, call in calls.items():
+        cases = [(panel, bad_W, part)]
+        cases += [(bad_panel, W, part)] if name in takes_panel else []
+        cases += [] if name in no_partition else [(panel, W, bad_part)]
+        for args in cases:
+            with pytest.raises(SizeError) as got:
+                call(*args)
+            message = str(got.value)
+            assert re.fullmatch(r"[\w ]+ has (\d+ nodes|shape \(\d+, \d+\)), [\w ]+ has \d+( nodes)?",
+                                message), (name, message)
+            assert set(map(int, re.findall(r"\d+", message))) == {d, n}, (name, message)
