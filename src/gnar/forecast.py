@@ -146,11 +146,17 @@ def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
     fits give the rmspe column; refits on per-node mean-centred training
     data give the centred column (training means only, so the held-out
     value leaks into neither).  Model names are distinct and none is ``naive``.
+    External forecasts are checked against the panel's size before any fit.
     """
     names = ["naive"] + [s.name for s in specs] + [e.name for e in external or []]
     for i, name in enumerate(names[1:], start=1):
         if name in names[:i]:
             raise GnarError(f"model name {name!r} is taken; names are distinct and not 'naive'")
+    for ext in external or []:
+        for suffix, values in (("", ext.raw), (" centred row", ext.centred)):
+            if values is not None:
+                check_size(f"external forecast {ext.name!r}{suffix}", np.size(values),
+                           "panel", panel.d)
     idx = holdout if holdout >= 0 else panel.T + holdout
     if not (0 < idx < panel.T):
         raise GnarError(f"hold-out index {holdout} outside the panel")
@@ -177,7 +183,6 @@ def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
         rmspe_centred=rmspe(actual_c, naive - means),
         n_params=None))
     for ext in external or []:
-        check_size(f"external forecast {ext.name!r}", np.size(ext.raw), "panel", panel.d)
         entries.append(ComparisonEntry(
             name=ext.name, prediction=ext.raw,
             rmspe=rmspe(actual, ext.raw),

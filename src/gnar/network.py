@@ -5,8 +5,7 @@ A network is a simple undirected graph on nodes 1..d, d at most
 matrix, from a breadth-first search of all sources at once over a frontier
 bit-packed along the sources (:func:`bfs_distances`).  Stage r marks the
 pairs at distance exactly r.  The equal-split weights and the stage-masked
-weights W . S_r are read off the distances; the dense 0/1 stage matrices
-S_r are built only on request (:attr:`Network.stages`).  Disconnected
+weights W . S_r are read off the distances.  Disconnected
 graphs are allowed: unreachable pairs carry the ``UNREACHABLE`` sentinel
 and belong to no stage, and isolated nodes get all-zero weight rows.
 """
@@ -34,9 +33,12 @@ MAX_NODES = 10_000
 class Network:
     """Simple undirected graph on nodes 1..d.
 
-    Edges are stored as sorted 1-based pairs.  No self-loops, no duplicates.
-    The distance matrix is derived on first use, once per network, and the
-    stage matrices only when :attr:`stages` is read; both are read-only.
+    ``edges`` may list each undirected pair in either orientation; it is
+    stored as a frozenset of sorted 1-based pairs.  Self-loops, ids outside
+    1..d and a pair given twice (in either orientation) raise
+    :class:`NetworkError`, naming the first such pair in iteration order.
+    The distance matrix is derived on first use, once per network, and is
+    read-only.
     """
 
     d: int
@@ -47,13 +49,17 @@ class Network:
             raise NetworkError(f"node count must be >= 1, got {self.d}")
         if self.d > MAX_NODES:
             raise NetworkError(f"node count d = {self.d} is too large for a d x d matrix")
+        pairs: set[tuple[int, int]] = set()
         for i, j in self.edges:
             if i == j:
                 raise NetworkError(f"self-loop at node {i}")
             if not (1 <= i <= self.d) or not (1 <= j <= self.d):
                 raise NetworkError(f"edge ({i},{j}) out of range 1..{self.d}")
-            if i > j:
-                raise NetworkError(f"edge ({i},{j}) not stored in sorted order")
+            key = (min(i, j), max(i, j))
+            if key in pairs:
+                raise NetworkError(f"duplicate edge ({i},{j})")
+            pairs.add(key)
+        object.__setattr__(self, "edges", frozenset(pairs))
 
     @property
     def n_edges(self) -> int:
@@ -66,48 +72,20 @@ class Network:
         dist.flags.writeable = False
         return dist
 
-    @cached_property
-    def stages(self) -> tuple[np.ndarray, ...]:
-        """Binary stage matrices S_1..S_rmax (see :func:`stage_adjacency`)."""
-        S = stage_adjacency(self.distances)
-        for s in S:
-            s.flags.writeable = False
-        return tuple(S)
-
     @property
     def r_max(self) -> int:
         """Largest shortest-path distance realised in the network."""
         return max_stage(self.distances)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (d x d, zero diagonal, symmetric)."""
-        A = np.zeros((self.d, self.d))
-        for i, j in self.edges:
-            A[i - 1, j - 1] = 1.0
-            A[j - 1, i - 1] = 1.0
-        return A
-
-    def neighbours(self, i: int) -> list[int]:
-        """1-based ids of the direct neighbours of node i, ascending."""
-        if not 1 <= i <= self.d:
-            raise NetworkError(f"node {i} out of range 1..{self.d}")
-        return (np.flatnonzero(self.distances[i - 1] == 1) + 1).tolist()
-
 
 def build_network(d: int, edges: list[tuple[int, int]]) -> Network:
-    """Validate an edge list and build a :class:`Network`.
+    """Build a :class:`Network` from an edge list; :class:`Network` makes every check.
 
-    Duplicate edges (order-insensitive) are refused here; the node count,
-    self-loops and out-of-range ids are refused by :class:`Network`.  All
-    are hard errors: fail fast on malformed fixtures.
+    Pairs may come in either orientation.  A node count outside
+    1..:data:`MAX_NODES`, a self-loop, an id outside 1..d or a pair listed
+    twice raises :class:`NetworkError`.
     """
-    seen: set[tuple[int, int]] = set()
-    for i, j in edges:
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise NetworkError(f"duplicate edge ({i},{j})")
-        seen.add(key)
-    return Network(d=d, edges=frozenset(seen))
+    return Network(d=d, edges=edges)
 
 
 def bfs_distances(net: Network) -> np.ndarray:

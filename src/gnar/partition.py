@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError, GnarError
 from .textfile import check_cell, fixed_rows, read_rows
 
@@ -26,8 +24,8 @@ class CommunityPartition:
     """Assignment of nodes 1..d to communities 1..C.
 
     Every node belongs to exactly one community and every community id in
-    1..C is nonempty.  ``labels`` are display names in community order; none
-    is one of :data:`RESERVED_LABELS`.
+    1..C is nonempty.  ``labels`` are distinct display names in community
+    order; none is one of :data:`RESERVED_LABELS`.
     """
 
     assignment: tuple[int, ...]
@@ -51,6 +49,8 @@ class CommunityPartition:
             raise GnarError("labels length must equal the community count")
         if reserved := set(self.labels) & set(RESERVED_LABELS):
             raise GnarError(f"community label {min(reserved)!r} is reserved for grid rows")
+        if repeated := {label for label in self.labels if self.labels.count(label) > 1}:
+            raise GnarError(f"community label {min(repeated)!r} names more than one community")
 
     @property
     def d(self) -> int:
@@ -69,11 +69,6 @@ class CommunityPartition:
         self.check_community(c)
         return [i for i, a in enumerate(self.assignment, start=1) if a == c]
 
-    def indicator(self, c: int) -> np.ndarray:
-        """0/1 membership vector for community c (length d)."""
-        self.check_community(c)
-        return np.asarray([1.0 if a == c else 0.0 for a in self.assignment])
-
     def label_of(self, c: int) -> str:
         self.check_community(c)
         return self.labels[c - 1]
@@ -85,7 +80,10 @@ def single_community(d: int) -> CommunityPartition:
 
 
 def read_partition(path: str | Path) -> CommunityPartition:
-    """Read a ``node,community`` CSV; optional ``# label c: name`` comments."""
+    """Read a ``node,community`` CSV; optional ``# label c: name`` comments.
+
+    A community without a comment is labelled by its id; labels are distinct.
+    """
     comments, rows = read_rows(path)
     pairs: dict[int, int] = {}
     labels: dict[int, tuple[int, str]] = {}
@@ -115,9 +113,14 @@ def read_partition(path: str | Path) -> CommunityPartition:
     C = max(pairs.values())
     if C > d:
         raise DataError(f"{path}: community {C} but only {d} nodes to fill it")
-    for c, (ln, _) in labels.items():
+    owner = {str(c): c for c in range(1, C + 1) if c not in labels}
+    for c, (ln, name) in labels.items():
         if not 1 <= c <= C:
             raise DataError(f"{path}:{ln}: label for community {c}, outside 1..{C}")
+        if name in owner:
+            raise DataError(f"{path}:{ln}: community {c} label {name!r} "
+                            f"is community {owner[name]}'s label too")
+        owner[name] = c
     label_tuple = tuple(labels[c][1] if c in labels else str(c)
                         for c in range(1, C + 1)) if labels else ()
     return CommunityPartition(

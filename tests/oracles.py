@@ -18,6 +18,9 @@ the election-returns tally as first written, one ``csv.DictReader`` dict and
 numpy scalar update per row.  :func:`separate_render_corbit` and
 :func:`separate_render_rcorbit` are the radial SVG renderers as first
 written, each with its own rings, overflow check and point loop.
+:func:`adjacency_matrix`, :func:`neighbours` and :func:`indicator` are the
+adjacency, neighbour and membership views the network and partition
+classes once had, read off the edge set and the assignment.
 """
 
 from __future__ import annotations
@@ -50,6 +53,24 @@ def floyd_warshall(d: int, edges) -> np.ndarray:
     finite = dist < INF
     out[finite] = dist[finite].astype(np.int64)
     return out
+
+
+def adjacency_matrix(net) -> np.ndarray:
+    """Dense 0/1 adjacency matrix of a network, one edge at a time."""
+    A = np.zeros((net.d, net.d))
+    for i, j in net.edges:
+        A[i - 1, j - 1] = A[j - 1, i - 1] = 1.0
+    return A
+
+
+def neighbours(net, i: int) -> list[int]:
+    """1-based ids of node i's direct neighbours, ascending, read off the edge set."""
+    return sorted(b if a == i else a for a, b in net.edges if i in (a, b))
+
+
+def indicator(part, c: int) -> np.ndarray:
+    """0/1 membership vector of community c (length d)."""
+    return np.asarray([1.0 if a == c else 0.0 for a in part.assignment])
 
 
 def loop_default_weights(dist: np.ndarray) -> np.ndarray:
@@ -89,7 +110,7 @@ def loop_to_var(coeffs, order, net, W, part=None) -> np.ndarray:
     if order.variant != "community":
         xi, Bs = [np.ones(net.d)], [list(Bs[:depth[0]])]
     else:
-        xi = [part.indicator(g) for g in groups]
+        xi = [indicator(part, g) for g in groups]
         Bs = [[mask_weights(B, part, g) for B in Bs[:depth[g - 1]]] for g in groups]
     phi = np.zeros((order.p_max, net.d, net.d))
     for e in theta_index(order, net.d):
@@ -127,7 +148,7 @@ def masked_design(panel, order, net, W, part=None, c=None) -> np.ndarray:
         elif e.node is not None:
             M = (np.arange(d) == e.node - 1)[:, None] * X
         else:
-            M = (part.indicator(e.group) if community else np.ones(d))[:, None] * X
+            M = (indicator(part, e.group) if community else np.ones(d))[:, None] * X
         columns.append(M[rows, p0 - e.lag:T - e.lag].T.ravel())
     return np.column_stack(columns)
 
@@ -161,9 +182,11 @@ def local_design(panel, order, net, W) -> np.ndarray:
     beta column (k, r).  The neighbourhood series use the same (W o S_r) X
     matrix product as the library, so the two designs agree bit for bit.
     """
+    from gnar.network import stage_adjacency
+
     X, d, T = panel.values, panel.d, panel.T
     p, stages = order.lags[0], order.stages[0]
-    Z = [(W * S) @ X for S in net.stages]
+    Z = [(W * S) @ X for S in stage_adjacency(net.distances)]
     rows = []
     for t in range(p, T):
         for i in range(d):

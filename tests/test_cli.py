@@ -10,6 +10,7 @@ from gnar.cli import main
 from gnar.panel import TimeSeriesPanel, default_node_labels, read_panel, write_panel
 
 from conftest import DATA_DIR
+from oracles import random_graph
 
 EDGES = str(DATA_DIR / "fivenet_edges.csv")
 PART = str(DATA_DIR / "fivenet_partition.csv")
@@ -301,6 +302,34 @@ def fresh_python(code: str, cwd: Path) -> list[str]:
     done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
     return [line for line in done.stdout.splitlines() if line.startswith("loaded")]
+
+
+def test_fit_is_byte_identical_at_a_fixed_blas_thread_count(tmp_path):
+    """Reruns match at one BLAS thread count; two counts may differ in the last digit."""
+    d, T = 200, 200
+    rng = np.random.default_rng(20)
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"# d: {d}\nfrom,to\n"
+                     + "".join(f"{i},{j}\n" for i, j in random_graph(rng, d, p_edge=0.02)))
+    part = tmp_path / "part.csv"
+    part.write_text("node,community\n" + "".join(f"{i},{1 + i % 2}\n" for i in range(1, d + 1)))
+    panel = tmp_path / "panel.csv"
+    write_panel(TimeSeriesPanel(rng.normal(size=(d, T)), default_node_labels(d),
+                                tuple(range(1, T + 1))), panel)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    outputs = {}
+    for threads, run_no in [(1, 0), (1, 1), (2, 0), (2, 1)]:
+        out_dir = tmp_path / f"fit{threads}_{run_no}"
+        subprocess.run([sys.executable, "-m", "gnar.cli", "fit", "--network", str(edges),
+                        "--partition", str(part), "--panel", str(panel),
+                        "--order", "community:[1,1];{[1],[1]}", "--out-dir", str(out_dir)],
+                       cwd=tmp_path, env=dict(env, OPENBLAS_NUM_THREADS=str(threads)),
+                       capture_output=True, check=True)
+        outputs[threads, run_no] = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+    for threads in (1, 2):
+        assert sorted(outputs[threads, 0]) == ["coefficients.csv", "model.txt", "residuals.csv"]
+        assert outputs[threads, 0] == outputs[threads, 1]
 
 
 def test_import_does_not_load_scipy(tmp_path):

@@ -15,6 +15,7 @@ from gnar.network import UNREACHABLE, bfs_distances, default_weights
 from gnar.panel import TimeSeriesPanel
 
 from conftest import real_returns_path
+from oracles import neighbours
 
 STATE_INDEX = {name: i for i, name in enumerate(STATE_NAMES)}
 
@@ -201,10 +202,10 @@ def test_border_network_basics():
     net = us_border_network()
     assert net.d == 51
     assert net.n_edges == 107
-    assert net.neighbours(STATE_INDEX["ALASKA"] + 1) == []
-    assert net.neighbours(STATE_INDEX["HAWAII"] + 1) == []
+    assert neighbours(net, STATE_INDEX["ALASKA"] + 1) == []
+    assert neighbours(net, STATE_INDEX["HAWAII"] + 1) == []
     dc = STATE_INDEX["DISTRICT OF COLUMBIA"] + 1
-    assert sorted(STATE_NAMES[i - 1] for i in net.neighbours(dc)) == \
+    assert sorted(STATE_NAMES[i - 1] for i in neighbours(net, dc)) == \
         ["MARYLAND", "VIRGINIA"]
 
 
@@ -223,9 +224,9 @@ def test_border_network_corner_states_not_adjacent():
 
 def test_border_network_degrees():
     net = us_border_network()
-    assert len(net.neighbours(STATE_INDEX["MISSOURI"] + 1)) == 8
-    assert len(net.neighbours(STATE_INDEX["TENNESSEE"] + 1)) == 8
-    assert len(net.neighbours(STATE_INDEX["MAINE"] + 1)) == 1
+    assert len(neighbours(net, STATE_INDEX["MISSOURI"] + 1)) == 8
+    assert len(neighbours(net, STATE_INDEX["TENNESSEE"] + 1)) == 8
+    assert len(neighbours(net, STATE_INDEX["MAINE"] + 1)) == 1
     dist = bfs_distances(net)
     mainland = [i for i in range(51)
                 if STATE_NAMES[i] not in ("ALASKA", "HAWAII")]

@@ -5,7 +5,7 @@ from gnar.errors import CovarianceError, DesignError, RankDeficiencyError
 from gnar.estimate import (KroneckerCovariance, build_community_design,
                            build_design, coefficient_table, fit_gls, fit_ols,
                            fit_per_community, solve_least_squares)
-from gnar.model import GnarCoefficients, GnarOrder
+from gnar.model import GnarCoefficients, GnarOrder, parse_order, to_var
 from gnar.network import bfs_distances, build_network, default_weights
 from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition, single_community
@@ -398,3 +398,57 @@ def test_per_community_fit_refuses_a_panel_larger_than_the_network(fivenet, five
     part = CommunityPartition(assignment=(1, 1, 1, 2, 2, 2), n_communities=2)
     with pytest.raises(DesignError, match="^panel has 6 nodes, network has 5$"):
         fit_per_community(panel, parse_order(text), fivenet, fivenet_weights, part)
+
+
+# ---------------------------------------------------------------------------
+# standard-error calibration over a fixed seed set
+# ---------------------------------------------------------------------------
+
+#: True coefficients, in theta_index order, of the orders the SE guard fits.
+CALIBRATION_CASES = {
+    "community:[1,2];{[1],[1,1]}": [0.27, 0.18, 0.25, 0.30, 0.12, 0.20],
+    "global:2;[1,1]": [0.25, 0.20, 0.15, 0.10],
+    "local:2;[1,0]": [0.30, 0.10, 0.20, 0.25, 0.15, 0.20, 0.05, 0.10, 0.15, 0.20, 0.10],
+}
+_U = np.eye(5) + np.diag([0.5, 0.4, -0.3, 0.2], k=1) + 0.3 * np.eye(5, k=4)
+#: Non-identity per-step innovation covariance of the GLS half of the guard.
+CALIBRATION_SIGMA_U = _U @ _U.T
+
+
+def var_panels(phi: np.ndarray, chol: np.ndarray, seeds, T: int, burn_in: int = 100):
+    """One panel per seed of the VAR(phi) with innovations chol @ N(0, I), seeds side by side."""
+    p, d = phi.shape[:2]
+    X = np.zeros((len(seeds), d, p + burn_in + T))
+    for s, seed in enumerate(seeds):
+        X[s, :, p:] = chol @ np.random.default_rng(seed).normal(size=(d, burn_in + T))
+    for t in range(p, X.shape[2]):
+        for k in range(1, p + 1):
+            X[:, :, t] += X[:, :, t - k] @ phi[k - 1].T
+    return [make_panel(x[:, p + burn_in:]) for x in X]
+
+
+@pytest.mark.parametrize("text", list(CALIBRATION_CASES))
+def test_standard_errors_are_calibrated(fivenet, fivenet_weights, fivenet_partition, text):
+    """Per parameter, z = (estimate - truth) / SE over 300 seeds at T = 200 is near N(0, 1).
+
+    With 300 draws the sample sd of a standard normal has a spread of about
+    0.04 and the share of |z| < 1.96 one of about 0.013, so the bounds
+    1 +- 0.15 and 0.95 +- 0.04 leave three to four spreads for sampling and
+    finite-T bias.  OLS sees white noise of sd 0.5, so an SE that leaves
+    out the residual variance shows; Kronecker GLS sees innovations with
+    the covariance it is given.
+    """
+    order, theta = parse_order(text), np.array(CALIBRATION_CASES[text])
+    phi = to_var(GnarCoefficients.from_theta(theta, order, d=5), order,
+                 fivenet, fivenet_weights, fivenet_partition)
+    sigma = KroneckerCovariance(CALIBRATION_SIGMA_U)
+    for name, chol, fit in [
+            ("OLS", 0.5 * np.eye(5), fit_ols),
+            ("GLS", np.linalg.cholesky(CALIBRATION_SIGMA_U), lambda ds: fit_gls(ds, sigma))]:
+        z = []
+        for panel in var_panels(phi, chol, range(300), T=200):
+            result = fit(build_design(panel, order, fivenet, fivenet_weights, fivenet_partition))
+            z.append((result.theta - theta) / result.se)
+        sd, covered = np.std(z, axis=0, ddof=1), np.mean(np.abs(z) < 1.96, axis=0)
+        assert np.all(np.abs(sd - 1.0) <= 0.15), f"{name} sd(z) {sd}"
+        assert np.all(np.abs(covered - 0.95) <= 0.04), f"{name} coverage {covered}"

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,22 @@ def test_compare_scores_externals(fivenet, fivenet_weights):
     bad = ExternalForecast(name="bad", raw=np.zeros(4))
     with pytest.raises(DataError):
         compare(panel, fivenet, fivenet_weights, [], external=[bad])
+
+
+@pytest.mark.parametrize("raw, centred, where", [
+    (np.zeros(4), None, "'x'"), (np.zeros(5), np.zeros(4), "'x' centred row")],
+    ids=["raw", "centred"])
+def test_compare_checks_external_sizes_before_any_fit(fivenet, fivenet_weights, monkeypatch,
+                                                      raw, centred, where):
+    def refuse(*args):
+        raise AssertionError("a spec was fitted before the external forecasts were checked")
+
+    monkeypatch.setattr(sys.modules["gnar.forecast"], "_fit_and_predict", refuse)
+    panel = make_panel(np.random.default_rng(2).normal(size=(5, 20)))
+    specs = [ModelSpec("m", GnarOrder.global_order(1, [1]))]
+    with pytest.raises(SizeError, match=f"^external forecast {where} has 4 nodes, panel has 5$"):
+        compare(panel, fivenet, fivenet_weights, specs,
+                external=[ExternalForecast("x", raw, centred)])
 
 
 def test_compare_holdout_validation(fivenet, fivenet_weights):

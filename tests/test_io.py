@@ -15,6 +15,8 @@ from gnar.panel import TimeSeriesPanel, format_panel, read_panel, write_panel
 from gnar.partition import (CommunityPartition, format_partition, read_partition,
                             single_community, write_partition)
 
+from oracles import indicator
+
 
 def test_panel_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
@@ -72,7 +74,7 @@ def test_partition_validation():
         CommunityPartition(assignment=(1, 3), n_communities=2)
     part = single_community(4)
     assert part.members(1) == [1, 2, 3, 4]
-    assert np.array_equal(part.indicator(1), np.ones(4))
+    assert np.array_equal(indicator(part, 1), np.ones(4))
 
 
 def test_partition_read_rejects_gaps(tmp_path):
@@ -250,6 +252,20 @@ def test_partition_refuses_a_grid_row_name_as_label(tmp_path, label):
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: community 2 label "
                                         f"'{label}' is reserved for grid rows$"):
         read_partition(path)
+
+
+def test_partition_refuses_a_label_on_two_communities(tmp_path):
+    with pytest.raises(GnarError, match="^community label 'a' names more than one community$"):
+        CommunityPartition(assignment=(1, 1, 2, 2, 2), n_communities=2, labels=("a", "a"))
+    path = tmp_path / "part.csv"
+    for body, ln, why in [
+            ("# label 1: 2\nnode,community\n1,1\n2,2\n", 1,
+             "community 1 label '2' is community 2's label too"),
+            ("# label 2: a\nnode,community\n1,1\n# label 1: a\n2,2\n", 4,
+             "community 1 label 'a' is community 2's label too")]:
+        path.write_text(body)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{ln}: {why}$"):
+            read_partition(path)
 
 
 @pytest.mark.parametrize("comments, line, why", [

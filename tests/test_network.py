@@ -16,7 +16,7 @@ from gnar.partition import CommunityPartition, single_community
 from gnar.simulate import simulate
 
 from conftest import DATA_DIR
-from oracles import floyd_warshall, random_graph
+from oracles import adjacency_matrix, floyd_warshall, random_graph
 
 
 def test_fivenet_fixture_loads(fivenet):
@@ -54,6 +54,15 @@ def test_build_network_rejects_out_of_range():
         build_network(0, [])
 
 
+def test_network_takes_pairs_in_either_orientation_and_names_the_first_bad_one():
+    assert Network(3, frozenset({(2, 1)})).edges == frozenset({(1, 2)})
+    assert build_network(3, [(3, 2), (1, 2)]) == Network(3, frozenset({(1, 2), (2, 3)}))
+    with pytest.raises(NetworkError, match=r"^duplicate edge \(2,1\)$"):
+        Network(3, [(1, 2), (2, 1)])
+    with pytest.raises(NetworkError, match="^self-loop at node 1$"):
+        build_network(3, [(1, 1), (1, 2), (1, 2)])
+
+
 def test_bfs_path_graph():
     net = build_network(3, [(1, 2), (2, 3)])
     dist = bfs_distances(net)
@@ -89,7 +98,7 @@ def test_stage_adjacency_path_graph():
 
 def test_stage_one_is_adjacency(fivenet):
     S = stage_adjacency(bfs_distances(fivenet))
-    assert np.array_equal(S[0], fivenet.adjacency_matrix())
+    assert np.array_equal(S[0], adjacency_matrix(fivenet))
 
 
 def test_stage_partition_of_pairs():
@@ -248,12 +257,11 @@ def test_geometry_is_derived_once_and_read_only(fivenet, monkeypatch):
                         lambda net: calls.append(net) or bfs_distances(net))
     net = build_network(fivenet.d, sorted(fivenet.edges))
     assert net.distances is net.distances
-    assert net.stages is net.stages and net.r_max == 3
+    assert net.r_max == 3
     assert len(calls) == 1
     assert np.array_equal(net.distances, bfs_distances(fivenet))
-    for arr in (net.distances, *net.stages):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 7
+    with pytest.raises(ValueError):
+        net.distances[0, 0] = 7
 
 
 def test_stage_weights(fivenet, fivenet_weights):
@@ -308,7 +316,6 @@ def test_library_paths_mask_stage_weights_once(monkeypatch, table1_model, fivene
     for name, module in list(sys.modules.items()):  # every gnar module holding it
         if name.split(".")[0] == "gnar" and getattr(module, "mask_weights", None) is mask_weights:
             monkeypatch.setattr(module, "mask_weights", refuse)
-    monkeypatch.setattr(CommunityPartition, "indicator", refuse)
     net = read_edge_list(DATA_DIR / "fivenet_edges.csv")
     W = default_weights(net.distances)
     coeffs, order = table1_model
