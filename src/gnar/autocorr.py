@@ -16,6 +16,8 @@ The auxiliary fits never build a design: with V = [E, B_1E, ..., B_rE], each
 Gram and X'y entry is a diagonal sum of some V_a'V_b, read off prefix sums made
 once per community, and each residual is E minus theta-weighted lagged windows
 of V, refined once from X'residual when eps cond(Gram) |y| > 1e-12 |residual|.
+A grid fits every community of a lag/stage step at once: one eigenvalue call
+on their stacked Grams, one inverse of those that pass the rank rule.
 A fit with n = m(T - h + 1) rows and q columns is "auxiliary fit rank deficient
 (rank k of q)" when a Gram eigenvalue is at most sqrt(max(n, q) eps) times the
 largest, k counting the larger ones: in design terms sigma_min/sigma_max up to
@@ -30,10 +32,10 @@ degenerate (value zero) rather than silently reinterpreted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import GnarError, check_size
 from .network import Network, stage_weights
@@ -87,7 +89,7 @@ def _inputs(panel: TimeSeriesPanel, net: Network, W: np.ndarray, max_lag: int,
 
 def _lambda(Bs: list[np.ndarray]) -> float:
     """lambda_r for the last stage in Bs (1 at stage 0 or for zero weights)."""
-    if not Bs or not np.any(Bs[-1]):
+    if not Bs or not Bs[-1].any():
         return 1.0
     return 1.0 + float(np.linalg.norm(Bs[-1], 2))
 
@@ -103,7 +105,7 @@ def _apply_A(Bs: list[np.ndarray], E: np.ndarray) -> np.ndarray:
 
 def _nacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
                subset: bool, AE: np.ndarray) -> AcfCell:
-    if subset and Bs and not np.any(Bs[-1]):
+    if subset and Bs and not Bs[-1].any():
         return AcfCell(0.0, True, "no within-subset stage pairs")
     den = lam * float(np.sum(E * E))
     if den == 0.0:
@@ -112,58 +114,79 @@ def _nacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
     return AcfCell(num / den)
 
 
-def _cross_products(E: np.ndarray, Bs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """V = [E, B_1E, ..., B_rE] (r+1, m, T) and prefix sums P with sum_{s<n} M_ab[i+s,
-    j+s] = P[a, b, i+n, j+n] - P[a, b, i, j] for M_ab = V_a'V_b.  Each M_ab is its own
-    product, so a grid cell and a single call agree to the bit whatever their stages."""
-    V = np.stack([E] + [B @ E for B in Bs])
-    T = E.shape[1]
-    P = np.zeros(V.shape[:1] * 2 + (T + 1, T + 1))
-    P[:, :, 1:, 1:] = V.transpose(0, 2, 1)[:, None] @ V[None, :]
+def _cross_products(layers: list) -> tuple[list[np.ndarray], np.ndarray]:
+    """V = [E, B_1E, ..., B_rE] (r+1, m, T) for each layer (E, B_1..B_r), and prefix sums
+    P, stacked over layers, with sum_{s<n} M_ab[i+s, j+s] = P[k, a, b, i+n, j+n] -
+    P[k, a, b, i, j] for M_ab = V_a'V_b of layer k.  Each M_ab is its own product, so a
+    grid cell and a single call agree to the bit whatever their stages."""
+    Vs = [np.stack([E] + [B @ E for B in Bs]) for E, Bs in layers]
+    T = Vs[0].shape[2]
+    P = np.zeros((len(Vs),) + Vs[0].shape[:1] * 2 + (T + 1, T + 1))
+    for k, V in enumerate(Vs):
+        P[k, :, :, 1:, 1:] = V.transpose(0, 2, 1)[:, None] @ V[None, :]
     for i in range(2, T + 1):
-        P[:, :, i, 1:] += P[:, :, i - 1, :-1]
-    return V, P
+        P[..., i, 1:] += P[..., i - 1, :-1]
+    return Vs, P
 
 
-def _pnacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
-                subset: bool, cross: tuple[np.ndarray, np.ndarray]) -> AcfCell:
-    """``cross`` holds ``_cross_products`` of E with B_1..B_R, R >= len(Bs)."""
-    if h == 1 or (subset and Bs and not np.any(Bs[-1])):
-        return _nacf_cell(E, Bs, lam, h, subset, _apply_A(Bs, E))  # lag 1, or no stage pairs
-    (V, P), (m, T), L, c = cross, E.shape, h - 1, len(Bs) + 1
-    n, q, eps = T - L, L * c, np.finfo(float).eps
-    # S[(w, a), (v, b)] = sum_{s<n} V_a[:, w+s].V_b[:, v+s], w, v = 0..L: the forward fit
-    # takes window L of E on windows 0..L-1 (lags L..1), the backward one 0 on 1..L.
-    S = (P[:c, :c, n:, n:] - P[:c, :c, :h, :h]).transpose(2, 0, 3, 1).reshape(h * c, h * c)
-    gram, yy = np.array([S[:q, :q], S[c:, c:]]), np.array([S[q, q], S[0, 0]])
-    ev = np.linalg.eigvalsh(gram)
-    tol = ev[:, -1] * np.sqrt(max(m * n, q) * eps)
-    if np.any(ev[:, 0] <= tol):
-        d = int(ev[0, 0] > tol[0])
-        note = f"auxiliary fit rank deficient (rank {np.sum(ev[d] > tol[d])} of {q})"
-        return AcfCell(0.0, True, note + d * " (reversed)")
-    inv, Vc = np.linalg.inv(gram), V[:c].reshape(c, m * T)
+def _pnacf_cells(layers: list, P: np.ndarray, h: int, subset: bool) -> list[AcfCell]:
+    """PNACF at lag h and one stage r for each layer (E, B_1..B_r, lambda_r, V).
+
+    P stacks the layers' ``_cross_products`` prefix sums: the Gram matrices, their
+    eigenvalues and inverses are one stacked call each, the residuals stay on each
+    layer's own arrays and the scalar rules run on Python floats.
+    """
+    cells = [_nacf_cell(E, Bs, lam, h, subset, _apply_A(Bs, E))  # lag 1, or no stage pairs
+             if h == 1 or (subset and Bs and not Bs[-1].any()) else None
+             for E, Bs, lam, _ in layers]
+    fit = [k for k, cell in enumerate(cells) if cell is None]
+    if not fit:
+        return cells
+    L, c, T, eps = h - 1, len(layers[0][1]) + 1, P.shape[-1] - 1, float(np.finfo(float).eps)
+    n, q = T - L, L * c
+    # S[k, (w, a), (v, b)] = sum_{s<n} V_a[:, w+s].V_b[:, v+s] of layer fit[k], w, v = 0..L:
+    # forward fits take window L of E on windows 0..L-1 (lags L..1), backward ones 0 on 1..L.
+    S = (P[fit, :c, :c, n:, n:] - P[fit, :c, :c, :h, :h]).transpose(0, 3, 1, 4, 2)
+    S = S.reshape(len(fit), h * c, h * c)
+    gram = np.stack([S[:, :q, :q], S[:, c:, c:]], axis=1)
+    evs, yys, ok = np.linalg.eigvalsh(gram).tolist(), S[:, [q, 0], [q, 0]].tolist(), []
+    for j, (ev, k) in enumerate(zip(evs, fit)):
+        tol = [e[-1] * math.sqrt(max(layers[k][0].shape[0] * n, q) * eps) for e in ev]
+        if ev[0][0] > tol[0] and ev[1][0] > tol[1]:
+            ok.append(j)
+            continue
+        d = int(ev[0][0] > tol[0])
+        note = f"auxiliary fit rank deficient (rank {sum(e > tol[d] for e in ev[d])} of {q})"
+        cells[k] = AcfCell(0.0, True, note + d * " (reversed)")
 
     def stairs(U: np.ndarray) -> np.ndarray:  # [d, w, :, s] = U[d, w, :, w + d + s], s < n
         st = U.strides  # one time step is st[3]; w + d + n <= T keeps each window in its row
-        return as_strided(U, (2, L, m, n), (st[0] + st[3], st[1] + st[3], st[2], st[3]))
+        return np.ndarray((2, L, U.shape[2], n), U.dtype, U, 0,
+                          (st[0] + st[3], st[1] + st[3], st[2], st[3]))
 
-    def minus_fit(R: np.ndarray, xty: np.ndarray) -> np.ndarray:
-        theta = (inv @ xty).reshape(2 * L, c)
-        return R - stairs((theta @ Vc).reshape(2, L, m, T)).sum(axis=1)
+    for j, G in zip(ok, np.linalg.inv(gram[ok]) if ok else ()):
+        E, Bs, lam, V = layers[fit[j]]
+        m, Vc = E.shape[0], V[:c].reshape(c, E.size)
 
-    R = minus_fit(np.array([E[:, L:], E[:, :n]]), np.array([S[:q, q:q + 1], S[c:, :1]]))
-    energy = np.einsum("dis,dis->d", R, R)
-    if np.any(eps * (ev[:, -1] / ev[:, 0]) * np.sqrt(yy) > 1e-12 * np.sqrt(energy)):
-        K = np.zeros((2, L, m, T))
-        stairs(K)[...] = R[:, None]  # so that K V' is X'R
-        R = minus_fit(R, (K.reshape(2 * L, m * T) @ Vc.T).reshape(2, q, 1))
-        energy = np.einsum("dis,dis->d", R, R)
-    if np.any(energy <= eps * yy):
-        return AcfCell(0.0, True, "zero residual variance")
-    AG = _apply_A(Bs, R[1])
-    num = float(np.sum(R[0, :, 1:] * AG[:, :-1]))
-    return AcfCell(num / (lam * float(np.sqrt(energy[0] * energy[1]))))
+        def minus_fit(R: np.ndarray, xty: np.ndarray) -> np.ndarray:
+            theta = (G @ xty).reshape(2 * L, c)
+            return R - stairs((theta @ Vc).reshape(2, L, m, T)).sum(axis=1)
+
+        R = minus_fit(np.array([E[:, L:], E[:, :n]]), np.array([S[j, :q, q:q + 1], S[j, c:, :1]]))
+        energy = np.einsum("dis,dis->d", R, R).tolist()
+        if any(eps * (ev_d[-1] / ev_d[0]) * math.sqrt(yy) > 1e-12 * math.sqrt(e)
+               for ev_d, yy, e in zip(evs[j], yys[j], energy)):
+            K = np.zeros((2, L, m, T))
+            stairs(K)[...] = R[:, None]  # so that K V' is X'R
+            R = minus_fit(R, (K.reshape(2 * L, m * T) @ Vc.T).reshape(2, q, 1))
+            energy = np.einsum("dis,dis->d", R, R).tolist()
+        if energy[0] <= eps * yys[j][0] or energy[1] <= eps * yys[j][1]:
+            cells[fit[j]] = AcfCell(0.0, True, "zero residual variance")
+        else:
+            AG = _apply_A(Bs, R[1])
+            num = float(np.sum(R[0, :, 1:] * AG[:, :-1]))
+            cells[fit[j]] = AcfCell(num / (lam * math.sqrt(energy[0] * energy[1])))
+    return cells
 
 
 def nacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
@@ -185,7 +208,8 @@ def pnacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
     regressions must be estimable; failures surface as degenerate cells.
     """
     E, Bs = _inputs(panel, net, W, h, r, nodes)
-    return _pnacf_cell(E, Bs, _lambda(Bs), h, nodes is not None, _cross_products(E, Bs))
+    (V,), P = _cross_products([(E, Bs)])
+    return _pnacf_cells([(E, Bs, _lambda(Bs), V)], P, h, nodes is not None)[0]
 
 
 @dataclass(frozen=True)
@@ -195,6 +219,8 @@ class CorbitGrid:
     Without communities ``values`` has shape (H, R); with communities it has
     shape (C, H, R) and ``mean_values`` averages each cell's non-degenerate
     community values (0, and degenerate, when every community cell is).
+    ``notes`` has the shape of ``values`` and holds each degenerate cell's
+    reason, "" for regular cells.
     """
 
     kind: str
@@ -205,6 +231,7 @@ class CorbitGrid:
     communities: tuple[str, ...] | None = None
     mean_values: np.ndarray | None = None
     mean_degenerate: np.ndarray | None = None
+    notes: np.ndarray | None = None
 
     @property
     def has_communities(self) -> bool:
@@ -237,28 +264,34 @@ def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
         raise GnarError(f"kind must be one of {KINDS}, got {kind!r}")
     if max_stage < 1:
         raise GnarError(f"max stage must be >= 1, got {max_stage}")
-    H, R = max_lag, max_stage
+    H, R, subset = max_lag, max_stage, part is not None
+    if subset:
+        check_size("partition", part.d, "panel", panel.d)
+    inputs = [_inputs(panel, net, W, H, R, nodes) for nodes in
+              ([None] if part is None else map(part.members, range(1, part.n_communities + 1)))]
+    lams = [[_lambda(Bs[:r]) for r in range(1, R + 1)] for _, Bs in inputs]
+    if kind == "nacf":
+        AEs = [[_apply_A(Bs[:r], E) for r in range(1, R + 1)] for E, Bs in inputs]
 
-    def layer(nodes) -> tuple[np.ndarray, np.ndarray]:
-        E, Bs = _inputs(panel, net, W, H, R, nodes)
-        lams = [_lambda(Bs[:r]) for r in range(1, R + 1)]
-        kernel, extra = ((_nacf_cell, [_apply_A(Bs[:r], E) for r in range(1, R + 1)])
-                         if kind == "nacf" else (_pnacf_cell, [_cross_products(E, Bs)] * R))
-        cells = [[kernel(E, Bs[:r], lams[r - 1], h, nodes is not None, extra[r - 1])
-                  for r in range(1, R + 1)] for h in range(1, H + 1)]
-        return (np.array([[c.value for c in row] for row in cells]),
-                np.array([[c.degenerate for c in row] for row in cells]))
+        def step(h: int, r: int) -> list[AcfCell]:
+            return [_nacf_cell(E, Bs[:r], lam[r - 1], h, subset, AE[r - 1])
+                    for (E, Bs), lam, AE in zip(inputs, lams, AEs)]
+    else:
+        Vs, P = _cross_products(inputs)
 
+        def step(h: int, r: int) -> list[AcfCell]:
+            return _pnacf_cells([(E, Bs[:r], lam[r - 1], V) for (E, Bs), lam, V
+                                 in zip(inputs, lams, Vs)], P, h, subset)
+
+    cells = [[step(h, r) for r in range(1, R + 1)] for h in range(1, H + 1)]
+    values, degs, notes = (np.array([[[getattr(cs[k], f) for cs in row] for row in cells]
+                                     for k in range(len(inputs))])
+                           for f in ("value", "degenerate", "note"))
     if part is None:
-        values, degs = layer(None)
-        return CorbitGrid(kind=kind, max_lag=H, max_stage=R,
-                          values=values, degenerate=degs)
-    check_size("partition", part.d, "panel", panel.d)
-    layers = [layer(part.members(g)) for g in range(1, part.n_communities + 1)]
-    values = np.stack([v for v, _ in layers])
-    degs = np.stack([g for _, g in layers])
+        return CorbitGrid(kind=kind, max_lag=H, max_stage=R, values=values[0],
+                          degenerate=degs[0], notes=notes[0])
     count = np.maximum(np.sum(~degs, axis=0), 1)  # all-degenerate cells: 0 / 1
     return CorbitGrid(kind=kind, max_lag=H, max_stage=R, values=values,
                       degenerate=degs, communities=part.labels,
                       mean_values=np.where(degs, 0.0, values).sum(axis=0) / count,
-                      mean_degenerate=degs.all(axis=0))
+                      mean_degenerate=degs.all(axis=0), notes=notes)

@@ -322,13 +322,18 @@ def fit_gls(ds: DesignSystem, sigma) -> FitResult:
             raise CovarianceError(f"per-step block is {sigma.sigma_u.shape[0]} x "
                                   f"{sigma.sigma_u.shape[0]}, rows cycle over {m} nodes")
         L = _cholesky_or_reject(sigma.sigma_u, "per-step covariance block")
+        # The LAPACK call solve_triangular makes for a C-ordered L, without its checks.
+        trtrs = scipy.linalg.lapack.dtrtrs
         blocks_R = ds.R.reshape(-1, m, ds.q)
         blocks_y = ds.y.reshape(-1, m)
         Rw = np.empty_like(blocks_R)
         yw = np.empty_like(blocks_y)
         for b in range(blocks_R.shape[0]):
-            Rw[b] = scipy.linalg.solve_triangular(L, blocks_R[b], lower=True)
-            yw[b] = scipy.linalg.solve_triangular(L, blocks_y[b], lower=True)
+            Rw[b], info_R = trtrs(L.T, blocks_R[b], lower=0, trans=1)
+            yw[b], info_y = trtrs(L.T, blocks_y[b], lower=0, trans=1)
+            if info_R or info_y:
+                raise CovarianceError(f"per-step covariance block: triangular solve failed "
+                                      f"(LAPACK info {info_R or info_y})")
         Rw = Rw.reshape(ds.n, ds.q)
         yw = yw.ravel()
     else:

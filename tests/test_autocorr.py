@@ -203,6 +203,34 @@ def test_grid_matches_individual_calls(fivenet, fivenet_weights, fivenet_partiti
                     assert grid.degenerate[ci, h - 1, r - 1] == cell.degenerate
 
 
+def test_grid_step_mixes_singular_regular_and_pairless_communities():
+    # On the 8-cycle every node has two neighbours, so a stage-1 neighbour sum is
+    # half the neighbour's value.  At lag 3, stage 1 one step must carry:
+    # K1 = {1, 2}, copied series, where B_1E = E/2 makes both Grams singular;
+    # K2 = {3, 4, 5}, regular; K3 = {6}, with no within-community pairs; and
+    # K4 = {7, 8}, series that are 0 after t = 0, so only the backward Gram is
+    # singular.  No layer's singular Gram may stop another layer's inverse.
+    net = build_network(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8),
+                            (1, 8)])
+    W = default_weights(bfs_distances(net))
+    values = np.random.default_rng(4).normal(size=(8, 20))
+    values[1] = values[0]
+    values[6:] = 0.0
+    values[6:, 0] = 2.0, -1.0
+    panel = make_panel(values)
+    part = CommunityPartition((1, 1, 2, 2, 2, 3, 4, 4), 4)
+    grid = corbit_grid(panel, net, W, 4, 2, "pnacf", part)
+    assert list(grid.notes[:, 2, 0]) == [
+        "auxiliary fit rank deficient (rank 2 of 4)", "",
+        "no within-subset stage pairs",
+        "auxiliary fit rank deficient (rank 2 of 4) (reversed)"]
+    for c, h, r in np.ndindex(grid.values.shape):
+        cell = pnacf(panel, net, W, h + 1, r + 1, nodes=part.members(c + 1))
+        assert grid.values[c, h, r] == cell.value
+        assert grid.degenerate[c, h, r] == cell.degenerate
+        assert grid.notes[c, h, r] == cell.note
+
+
 def test_grid_single_community_equals_overall(fivenet, fivenet_weights):
     rng = np.random.default_rng(8)
     panel = noise_panel(rng, T=30)

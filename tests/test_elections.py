@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from gnar.autocorr import corbit_grid, pnacf
 from gnar.elections import (COMMUNITY_LABELS, ELECTION_YEARS, STATE_NAMES,
                             ElectionPanel, classify, difference, load_returns,
                             standardize, us_border_network)
@@ -317,6 +318,20 @@ def test_synthetic_full_study_runs(synthetic_returns_path):
                      part)
     assert report.entry("GNAR").n_params == 9
     assert report.entry("GNAR*").n_params == 3
+
+
+def test_election_grids_keep_each_cell_note(synthetic_returns_path):
+    data = load_returns(synthetic_returns_path)
+    part = classify(data).partition
+    net = us_border_network()
+    W = default_weights(bfs_distances(net))
+    for panel in (standardize(data.panel), standardize(difference(data.panel))):
+        grid = corbit_grid(panel, net, W, 8, 3, "pnacf", part)
+        assert grid.notes.shape == grid.values.shape and grid.degenerate.any()
+        for c, h, r in np.ndindex(grid.values.shape):
+            cell = pnacf(panel, net, W, h + 1, r + 1, nodes=part.members(c + 1))
+            assert grid.notes[c, h, r] == cell.note
+            assert (cell.note != "") == grid.degenerate[c, h, r]
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ Writes the inputs with ``bench/workloads.py``'s ``corbit-d200`` set-up at the
 chosen node count: the seeded spanning tree plus d extra edges, the balanced
 three-community partition and a T = 200 panel simulated from the benchmark's
 community model.  After the network geometry is derived (untimed), it times
-one per-community grid of each kind over 8 lags and 3 stages and prints the
-times and the degenerate cell counts.  From the repository root:
+one per-community grid of each kind over 8 lags and 3 stages ``RUNS`` times
+and prints the median and minimum times and the degenerate cell counts.  From
+the repository root:
 
     python3 tools/corbit_probe.py --d 800 --seed 1
 
 ``--root`` runs another checkout's ``src/`` and ``bench/``, for a comparison
-with a parent commit.  One BLAS thread is used, as in the benchmark; each
-figure is a single run.
+with a parent commit.  One BLAS thread is used, as in the benchmark.  Single
+runs vary by up to half their time on a shared machine, hence the repeats.
 """
 
 import os
@@ -20,10 +21,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+RUNS = 5
 
 
 def main(argv=None) -> int:
@@ -50,10 +54,13 @@ def main(argv=None) -> int:
     print(f"d={args.d} seed={args.seed} T={panel.T} communities={part.n_communities} "
           f"grid={size.max_lag} lags x {size.max_stage} stages")
     for kind in ("pnacf", "nacf"):
-        start = time.perf_counter()
-        grid = gnar.corbit_grid(panel, net, W, size.max_lag, size.max_stage, kind, part)
-        seconds = time.perf_counter() - start
-        print(f"{kind}: {seconds:.3f} s, {grid.values.size} cells, "
+        seconds = []
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            grid = gnar.corbit_grid(panel, net, W, size.max_lag, size.max_stage, kind, part)
+            seconds.append(time.perf_counter() - start)
+        print(f"{kind}: median {statistics.median(seconds):.3f} s, min {min(seconds):.3f} s "
+              f"over {RUNS} runs, {grid.values.size} cells, "
               f"{int(grid.degenerate.sum())} degenerate")
     return 0
 
