@@ -32,6 +32,7 @@ degenerate (value zero) rather than silently reinterpreted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,16 +115,33 @@ def _nacf_cell(E: np.ndarray, Bs: list[np.ndarray], lam: float, h: int,
     return AcfCell(num / den)
 
 
+@functools.lru_cache(maxsize=256)
+def _pair_windows(c: int, h: int) -> np.ndarray:
+    """[(w, a), (v, b)] -> flat index into a difference D[p, w, v] of ``_cross_products``
+    window sums (h x h per pair): D[p(a, b), w, v] for a <= b, else D[p(b, a), v, w], since
+    M_ba is M_ab transposed.  Read-only, as the cache shares it."""
+    w, a, v, b = np.ix_(range(h), range(c), range(h), range(c))
+    lo, hi, up = np.minimum(a, b), np.maximum(a, b), a <= b
+    flat = ((hi * (hi + 1) // 2 + lo) * h + np.where(up, w, v)) * h + np.where(up, v, w)
+    flat = flat.reshape(h * c, h * c)
+    flat.flags.writeable = False
+    return flat
+
+
 def _cross_products(layers: list) -> tuple[list[np.ndarray], np.ndarray]:
     """V = [E, B_1E, ..., B_rE] (r+1, m, T) for each layer (E, B_1..B_r), and prefix sums
-    P, stacked over layers, with sum_{s<n} M_ab[i+s, j+s] = P[k, a, b, i+n, j+n] -
-    P[k, a, b, i, j] for M_ab = V_a'V_b of layer k.  Each M_ab is its own product, so a
-    grid cell and a single call agree to the bit whatever their stages."""
+    P, stacked over layers, with sum_{s<n} M_ab[i+s, j+s] = P[k, p, i+n, j+n] -
+    P[k, p, i, j] for M_ab = V_a'V_b of layer k, a <= b and p = b(b+1)/2 + a, so that the
+    pairs of stages 0..r come first.  M_ba is M_ab transposed and is not formed.  Each
+    M_ab is its own product, so a grid cell and a single call agree to the bit whatever
+    their stages."""
     Vs = [np.stack([E] + [B @ E for B in Bs]) for E, Bs in layers]
-    T = Vs[0].shape[2]
-    P = np.zeros((len(Vs),) + Vs[0].shape[:1] * 2 + (T + 1, T + 1))
+    c, T = Vs[0].shape[0], Vs[0].shape[2]
+    P = np.zeros((len(Vs), c * (c + 1) // 2, T + 1, T + 1))
     for k, V in enumerate(Vs):
-        P[k, :, :, 1:, 1:] = V.transpose(0, 2, 1)[:, None] @ V[None, :]
+        for b in range(c):  # pairs (0, b) .. (b, b)
+            p = b * (b + 1) // 2
+            P[k, p:p + b + 1, 1:, 1:] = V[:b + 1].transpose(0, 2, 1) @ V[b]
     for i in range(2, T + 1):
         P[..., i, 1:] += P[..., i - 1, :-1]
     return Vs, P
@@ -146,8 +164,8 @@ def _pnacf_cells(layers: list, P: np.ndarray, h: int, subset: bool) -> list[AcfC
     n, q = T - L, L * c
     # S[k, (w, a), (v, b)] = sum_{s<n} V_a[:, w+s].V_b[:, v+s] of layer fit[k], w, v = 0..L:
     # forward fits take window L of E on windows 0..L-1 (lags L..1), backward ones 0 on 1..L.
-    S = (P[fit, :c, :c, n:, n:] - P[fit, :c, :c, :h, :h]).transpose(0, 3, 1, 4, 2)
-    S = S.reshape(len(fit), h * c, h * c)
+    D = P[fit, :c * (c + 1) // 2, n:, n:] - P[fit, :c * (c + 1) // 2, :h, :h]
+    S = D.reshape(len(fit), -1)[:, _pair_windows(c, h)]
     gram = np.stack([S[:, :q, :q], S[:, c:, c:]], axis=1)
     evs, yys, ok = np.linalg.eigvalsh(gram).tolist(), S[:, [q, 0], [q, 0]].tolist(), []
     for j, (ev, k) in enumerate(zip(evs, fit)):

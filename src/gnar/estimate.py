@@ -177,24 +177,36 @@ def build_community_design(panel: TimeSeriesPanel, order: GnarOrder, net: Networ
 
 def solve_least_squares(R: np.ndarray, y: np.ndarray,
                         names: tuple[str, ...] | None = None):
-    """Column-pivoted QR solve; returns (theta, unpivoted (R'R)^-1, rank data).
+    """Column-pivoted QR solve of R theta = y; returns (theta, (R'R)^-1).
 
-    Rank deficiency raises :class:`RankDeficiencyError` naming the columns
-    that the pivoting pushed beyond the numerical rank.
+    Both are in R's column order.  The solve holds one copy of the design
+    besides the caller's R: a Fortran-ordered copy that LAPACK's dgeqp3
+    factors in place and dorgqr then overwrites with Q.  The calls, their
+    workspace sizes and the input layout are those of
+    ``scipy.linalg.qr(R, mode="economic", pivoting=True)``, so the results
+    equal those of a solve on scipy's factors bit for bit.  Rank deficiency
+    raises :class:`RankDeficiencyError` naming the columns that the pivoting
+    pushed beyond the numerical rank.
     """
     import scipy.linalg
     n, q = R.shape
     if n < q:
         raise DesignError(f"system has {n} rows for {q} parameters")
-    Q, Rf, piv = scipy.linalg.qr(R, mode="economic", pivoting=True)
+    if q == 0:  # a local order's beta system without stages; LAPACK refuses empty input
+        return np.empty(0), np.empty((0, 0))
+    qr = np.array(np.asarray_chkfinite(R), dtype=float, order="F")
+    qr, piv, tau = _lapack(scipy.linalg.lapack.dgeqp3, "geqp3", qr)
+    piv -= 1  # dgeqp3 numbers columns from 1
+    Rf = np.triu(qr[:q])
     diag = np.abs(np.diag(Rf))
-    tol = diag[0] * max(n, q) * np.finfo(float).eps if diag.size else 0.0
+    tol = diag[0] * max(n, q) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
     if rank < q:
         dependent = [names[j] if names else f"column {j}" for j in piv[rank:]]
         raise RankDeficiencyError(
             f"design matrix is rank deficient (rank {rank} of {q}); "
             f"dependent columns: {', '.join(dependent)}", dependent)
+    Q, = _lapack(scipy.linalg.lapack.dorgqr, "gorgqr/gungqr", qr, tau)
     z = scipy.linalg.solve_triangular(Rf, Q.T @ y)
     theta = np.empty(q)
     theta[piv] = z
@@ -203,6 +215,19 @@ def solve_least_squares(R: np.ndarray, y: np.ndarray,
     gram_inv = np.empty((q, q))
     gram_inv[np.ix_(piv, piv)] = gram_inv_piv
     return theta, gram_inv
+
+
+def _lapack(routine, name: str, a: np.ndarray, *args):
+    """Run a LAPACK routine in place on ``a`` with its optimal workspace.
+
+    Mirrors ``scipy.linalg``'s internal call: a workspace query, then the
+    call, then a check of ``info``; returns the outputs before work and info.
+    """
+    lwork = int(routine(a, *args, lwork=-1, overwrite_a=1)[-2][0])
+    *out, _, info = routine(a, *args, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal {name}")
+    return out
 
 
 def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

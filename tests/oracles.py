@@ -6,7 +6,8 @@ equations, and one-step predictions from a literal term-by-term evaluation
 of the structural model equation.  The exceptions call the library's
 general QR solve: :func:`pivoted_qr_fit` on the whole design, the oracle for
 the local variant's structured solve, and :func:`blockwise_kronecker_gls` on
-a design whitened one time block at a time.
+a design whitened one time block at a time.  :func:`scipy_qr_solve` is the
+general QR solve as first written, on ``scipy.linalg.qr``.
 :func:`lstsq_pnacf` solves each auxiliary regression of the partial NACF
 by ``np.linalg.lstsq`` on its dense design.  :func:`loop_default_weights`
 builds the equal-split weights one stage at a time, as the library first
@@ -183,6 +184,34 @@ def blockwise_kronecker_gls(ds, sigma_u: np.ndarray):
     theta, gram_inv = solve_least_squares(Rw, yw, ds.column_names())
     resid = yw - Rw @ theta
     return theta, gram_inv, float(resid @ resid) / (ds.n - ds.q)
+
+
+def scipy_qr_solve(R: np.ndarray, y: np.ndarray, names=None):
+    """(theta, (R'R)^-1) by ``scipy.linalg.qr(R, mode="economic", pivoting=True)``, with
+    the library's size and rank checks, as the library's solve first did."""
+    import scipy.linalg
+
+    from gnar.errors import DesignError, RankDeficiencyError
+
+    n, q = R.shape
+    if n < q:
+        raise DesignError(f"system has {n} rows for {q} parameters")
+    Q, Rf, piv = scipy.linalg.qr(R, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(Rf))
+    tol = diag[0] * max(n, q) * np.finfo(float).eps if diag.size else 0.0
+    rank = int(np.sum(diag > tol))
+    if rank < q:
+        dependent = [names[j] if names else f"column {j}" for j in piv[rank:]]
+        raise RankDeficiencyError(
+            f"design matrix is rank deficient (rank {rank} of {q}); "
+            f"dependent columns: {', '.join(dependent)}", dependent)
+    z = scipy.linalg.solve_triangular(Rf, Q.T @ y)
+    theta = np.empty(q)
+    theta[piv] = z
+    r_inv = scipy.linalg.solve_triangular(Rf, np.eye(q))
+    gram_inv = np.empty((q, q))
+    gram_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+    return theta, gram_inv
 
 
 def pivoted_qr_fit(ds):

@@ -45,3 +45,10 @@ def test_startup_probe_runs():
     rows = re.findall(r"^(?:import gnar\S*|gnar \w+) +\d+\.\d{3} +(?:true|false)$",
                       done.stdout, re.M)
     assert len(rows) == 6, done.stdout
+
+
+def test_solve_probe_runs():
+    done = run_tool("solve_probe.py", "--d", "20", "--runs", "1")
+    assert done.returncode == 0, done.stderr
+    rows = re.findall(r"^ +20 +(\S+) +\d+\.\d{4} +-?\d+\.\d$", done.stdout, re.M)
+    assert rows == ["community", "global", "local", "gls", "per-community"], done.stdout
