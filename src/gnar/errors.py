@@ -6,7 +6,11 @@ class GnarError(ValueError):
 
 
 class NetworkError(GnarError):
-    """Malformed network input: self-loops, duplicate edges, bad node ids."""
+    """Malformed network input; ``at`` is the position of the pair to blame, if one is."""
+
+    def __init__(self, message: str, at: int | None = None):
+        super().__init__(message)
+        self.at = at
 
 
 class OrderError(GnarError):

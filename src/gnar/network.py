@@ -36,9 +36,9 @@ class Network:
     ``edges`` may list each undirected pair in either orientation; it is
     stored as a frozenset of sorted 1-based pairs.  Self-loops, ids outside
     1..d and a pair given twice (in either orientation) raise
-    :class:`NetworkError`, naming the first such pair in iteration order.
-    The distance matrix is derived on first use, once per network, and is
-    read-only.
+    :class:`NetworkError` naming the first such pair in iteration order, with
+    its position as ``at``.  The distance matrix is derived on first use,
+    once per network, and is read-only.
     """
 
     d: int
@@ -50,14 +50,14 @@ class Network:
         if self.d > MAX_NODES:
             raise NetworkError(f"node count d = {self.d} is too large for a d x d matrix")
         pairs: set[tuple[int, int]] = set()
-        for i, j in self.edges:
+        for at, (i, j) in enumerate(self.edges):
             if i == j:
-                raise NetworkError(f"self-loop at node {i}")
+                raise NetworkError(f"self-loop at node {i}", at)
             if not (1 <= i <= self.d) or not (1 <= j <= self.d):
-                raise NetworkError(f"edge ({i},{j}) out of range 1..{self.d}")
+                raise NetworkError(f"edge ({i},{j}) out of range 1..{self.d}", at)
             key = (min(i, j), max(i, j))
             if key in pairs:
-                raise NetworkError(f"duplicate edge ({i},{j})")
+                raise NetworkError(f"duplicate edge ({i},{j})", at)
             pairs.add(key)
         object.__setattr__(self, "edges", frozenset(pairs))
 
@@ -79,12 +79,7 @@ class Network:
 
 
 def build_network(d: int, edges: list[tuple[int, int]]) -> Network:
-    """Build a :class:`Network` from an edge list; :class:`Network` makes every check.
-
-    Pairs may come in either orientation.  A node count outside
-    1..:data:`MAX_NODES`, a self-loop, an id outside 1..d or a pair listed
-    twice raises :class:`NetworkError`.
-    """
+    """Build a :class:`Network` from an edge list; :class:`Network` makes every check."""
     return Network(d=d, edges=edges)
 
 
@@ -187,23 +182,31 @@ def mask_weights(W: np.ndarray, part, c: int) -> np.ndarray:
 def read_edge_list(path: str | Path, d: int | None = None) -> Network:
     """Read a ``from,to`` edge list with 1-based node ids.
 
-    The node count comes from a ``# d: N`` metadata comment in the file or
-    from the ``d`` argument (the argument wins if both are present).
+    The node count comes from one ``# d: N`` comment (a second is refused) or
+    the ``d`` argument, which wins.  A pair that :class:`Network` rejects
+    raises :class:`DataError` naming its line.
     """
     comments, rows = read_rows(path)
-    meta_d = None
+    meta_d = meta_ln = None
     for ln, text in comments:
         if text.lower().startswith("d:"):
+            if meta_ln is not None:
+                raise DataError(f"{path}:{ln}: 'd' was already set on line {meta_ln}")
             try:
-                meta_d = int(text[2:])
+                meta_d, meta_ln = int(text[2:]), ln
             except ValueError:
                 raise DataError(f"{path}:{ln}: node count must be an integer, "
                                 f"got {text!r}") from None
-    edges = [e for _, e in fixed_rows(path, rows, "from,to", lambda i, j: (int(i), int(j)))]
+    pairs = list(fixed_rows(path, rows, "from,to", lambda i, j: (int(i), int(j))))
     n = d if d is not None else meta_d
     if n is None:
         raise DataError(f"{path}: node count missing (no '# d: N' line and no override)")
-    return build_network(n, edges)
+    try:
+        return build_network(n, [e for _, e in pairs])
+    except NetworkError as exc:
+        if exc.at is None:
+            raise
+        raise DataError(f"{path}:{pairs[exc.at][0]}: {exc}") from None
 
 
 def format_edge_list(net: Network) -> str:
@@ -219,11 +222,13 @@ def write_edge_list(net: Network, path: str | Path) -> None:
 def load_weight_overrides(path: str | Path, W: np.ndarray) -> np.ndarray:
     """Apply ``from,to,w`` overrides on a copy of W; unlisted pairs keep defaults.
 
-    Overrides must be off-diagonal, in range and inside [0, 1].  Row sums
-    are not re-normalised: custom weightings are the caller's contract.
+    Overrides must be off-diagonal, in range, inside [0, 1] and given once
+    each.  Row sums are not re-normalised: custom weightings are the caller's
+    contract.
     """
     out = W.copy()
     d = W.shape[0]
+    set_on: dict[tuple[int, int], int] = {}
     _, rows = read_rows(path)
     for ln, (i, j, w) in fixed_rows(path, rows, "from,to,w",
                                     lambda i, j, w: (int(i), int(j), float(w))):
@@ -233,5 +238,7 @@ def load_weight_overrides(path: str | Path, W: np.ndarray) -> np.ndarray:
             raise DataError(f"{path}:{ln}: pair ({i},{j}) out of range 1..{d}")
         if not (0.0 <= w <= 1.0):
             raise DataError(f"{path}:{ln}: weight {w} outside [0, 1]")
+        if set_on.setdefault((i, j), ln) != ln:
+            raise DataError(f"{path}:{ln}: pair ({i},{j}) was already set on line {set_on[i, j]}")
         out[i - 1, j - 1] = w
     return out

@@ -234,7 +234,8 @@ def test_weight_overrides(tmp_path, fivenet_weights):
 def test_weight_overrides_rejects_bad_rows(tmp_path, fivenet_weights):
     for body, msg in [("1,1,0.5", "self-pair"), ("1,9,0.5", "out of range"),
                       ("1,2,1.5", "outside"), ("1,x,0.5", "w.csv:2: .*numeric"),
-                      ("1,2,heavy", "w.csv:2: .*numeric")]:
+                      ("1,2,heavy", "w.csv:2: .*numeric"),
+                      ("1,2,0.3\n1,2,0.7", r"^\S*w.csv:3: pair \(1,2\) was already set on line 2$")]:
         path = tmp_path / "w.csv"
         path.write_text(f"from,to,w\n{body}\n")
         with pytest.raises(DataError, match=msg):
@@ -243,9 +244,15 @@ def test_weight_overrides_rejects_bad_rows(tmp_path, fivenet_weights):
 
 def test_edge_list_rejects_non_numeric_cells(tmp_path):
     path = tmp_path / "edges.csv"
-    for body, ln in [("# d: x\nfrom,to\n1,2\n", 1), ("# d: 3\nfrom,to\n1,x\n", 3)]:
+    for body, ln, msg in [("# d: x\nfrom,to\n1,2\n", 1, "node count"),
+                          ("# d: 3\nfrom,to\n1,x\n", 3, "expected"),
+                          ("# d: 3\nfrom,to\n1,2\n4,5\n", 4, r"edge \(4,5\) out of range 1\.\.3$"),
+                          ("# d: 3\nfrom,to\n2,2\n", 3, "self-loop at node 2$"),
+                          ("# d: 3\n1,2\n2,3\n\n2,1\n", 5, r"duplicate edge \(2,1\)$"),
+                          ("# d: 3\n# d: 5\nfrom,to\n1,2\n", 2,
+                           "'d' was already set on line 1$")]:
         path.write_text(body)
-        with pytest.raises(DataError, match=f"edges.csv:{ln}: "):
+        with pytest.raises(DataError, match=f"edges.csv:{ln}: {msg}"):
             read_edge_list(path)
 
 

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -28,27 +30,37 @@ def test_output_hashes_are_stable_across_runs():
     assert second.returncode == 0 and second.stdout == first.stdout
 
 
-def test_geometry_probe_runs():
-    done = run_tool("geometry_probe.py", "--d", "51", "--runs", "1")
+# layer -> (smallest options, expected case names, expected node count column)
+PROBES = {
+    "network": (("--d", "51", "--runs", "1"), ["geometry"], "51"),
+    "estimate": (("--d", "20", "--runs", "1"),
+                 ["community", "global", "local", "gls", "per-community"], "20"),
+    "autocorr": (("--d", "200"), ["pnacf", "nacf"], "200"),
+    "startup": (("--runs", "1"), ["import gnar", "import gnar.cli", "gnar simulate",
+                                  "gnar nacf", "gnar forecast", "gnar fit"], "-"),
+}
+ROW = re.compile(r"^(\S+(?: \S+)?) +(\d+|-)" + r" +\d+\.\d{4}" * 3
+                 + r" +-?\d+\.\d +(true|false)  (.+)$", re.M)
+
+
+@pytest.mark.parametrize("layer", PROBES)
+def test_probe_runs(layer):
+    argv, names, d = PROBES[layer]
+    done = run_tool("probe.py", layer, *argv)
     assert done.returncode == 0, done.stderr
+    rows = ROW.findall(done.stdout)
+    assert [(name, size) for name, size, _, _ in rows] == [(n, d) for n in names], done.stdout
+    assert len(done.stdout.splitlines()) == 2 + len(names)
+    if layer == "autocorr":
+        assert all(result.startswith("72 cells, ") for *_, result in rows)
+    if layer == "startup":  # only the fit reaches a least-squares solve
+        assert [name for name, _, scipy, _ in rows if scipy == "true"] == ["gnar fit"]
 
 
-def test_corbit_probe_runs():
-    done = run_tool("corbit_probe.py", "--d", "200", "--seed", "1")
-    assert done.returncode == 0, done.stderr
-    assert len(re.findall(r"^(?:pnacf|nacf): .*, 72 cells, ", done.stdout, re.M)) == 2
-
-
-def test_startup_probe_runs():
-    done = run_tool("startup_probe.py", "--runs", "1")
-    assert done.returncode == 0, done.stderr
-    rows = re.findall(r"^(?:import gnar\S*|gnar \w+) +\d+\.\d{3} +(?:true|false)$",
-                      done.stdout, re.M)
-    assert len(rows) == 6, done.stdout
-
-
-def test_solve_probe_runs():
-    done = run_tool("solve_probe.py", "--d", "20", "--runs", "1")
-    assert done.returncode == 0, done.stderr
-    rows = re.findall(r"^ +20 +(\S+) +\d+\.\d{4} +-?\d+\.\d$", done.stdout, re.M)
-    assert rows == ["community", "global", "local", "gls", "per-community"], done.stdout
+def test_probe_refuses_bad_options(tmp_path):
+    for argv in (("network", "--runs", "0"), ("startup", "--d", "51")):
+        done = run_tool("probe.py", *argv)
+        assert done.returncode == 2, (argv, done.stderr)
+    done = run_tool("probe.py", "network", "--d", "51", "--root", str(tmp_path))
+    assert done.returncode != 0
+    assert f"no gnar package under {tmp_path / 'src'}" in done.stderr

@@ -1,0 +1,188 @@
+"""Time one layer of gnar, case by case, in fresh interpreters.
+
+``LAYER`` is a benchmark layer name.  ``network`` derives the distances, the
+default weights and the stage weights of stages 1 and 2 of the benchmark's
+seeded synthetic graph (``bench/workloads.py``: a spanning tree plus d extra
+edges).  ``estimate`` makes each least-squares fit of the benchmark once:
+community, global and local OLS, Kronecker GLS with an identity block and
+per-community fits; the joint designs are built and scipy imported before
+the clock starts.  ``autocorr`` evaluates a PNACF and a NACF grid of 8 lags
+x 3 stages per community.  Both run on the synthetic workloads' inputs at
+node count d, with a simulated T = 200 panel.  ``startup`` imports gnar or
+runs a command on the five-node test network (``tests/data``).
+
+Each case is an untimed set-up and a timed call, run in fresh processes one
+at a time, with the ``--root`` checkout's ``src/`` on the path and one BLAS
+thread.  A row gives the median and minimum call time, the median wall time
+of a process, the median growth of its peak resident set (``ru_maxrss``)
+across the calls, whether scipy was loaded and a short result.  Compare a
+parent commit with the working tree, from the repository root:
+
+    mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
+    python3 tools/probe.py estimate --root /tmp/parent
+    python3 tools/probe.py estimate
+
+Both runs read this checkout's ``bench/`` and ``tests/data``.
+"""
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import textwrap
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+DATA = HERE / "tests" / "data"
+
+# Runs the set-up once and the call ``calls`` times, then prints gnar's file,
+# whether scipy is loaded, the peak RSS growth in KiB, the result and the
+# call times, separated by tabs.
+CHILD = """\
+import resource, sys, time
+d, seed = int(sys.argv[1]), int(sys.argv[2])
+result = "-"
+{setup}
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+times = []
+for _ in range({calls}):
+    start = time.perf_counter()
+{call}
+    times.append(time.perf_counter() - start)
+growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+import gnar
+print(gnar.__file__, "scipy" in sys.modules, growth, result, *times, sep="\\t")
+"""
+
+GRAPH = """\
+import numpy as np
+import gnar, workloads
+edges = workloads.synthetic_graph(np.random.default_rng(seed), d, d)
+net = gnar.build_network(d, edges)
+"""
+GEOMETRY = """\
+W = gnar.default_weights(net.distances)
+Bs = gnar.stage_weights(net, W, 2)
+result = f"r_max {net.r_max}"
+"""
+INPUTS = """\
+from pathlib import Path
+import numpy as np
+import gnar, workloads
+workloads.setup("fit-forecast-d200", seed, workloads.Size(d, d, 200, 8, 3), Path("inputs"))
+net = gnar.read_edge_list("inputs/edges.csv")
+part = gnar.read_partition("inputs/partition.csv")
+coeffs, model_order = gnar.read_model("inputs/model.txt")
+W = gnar.default_weights(net.distances)
+panel = gnar.simulate(coeffs, model_order, net, W, 200, part=part, seed=seed)
+"""
+ORDER = "import scipy.linalg\n" + INPUTS + "order = gnar.parse_order(workloads.%s_ORDER)\n"
+DESIGN = ORDER + "ds = gnar.build_design(panel, order, net, W, part)\n"
+PARAMETERS = '\nresult = f"{sum(fit.theta.size for fit in fits)} parameters"'
+GRID = """\
+grid = gnar.corbit_grid(panel, net, W, 8, 3, "%s", part)
+result = f"{grid.values.size} cells, {int(grid.degenerate.sum())} degenerate"
+"""
+
+NET = ["--network", str(DATA / "fivenet_edges.csv"),
+       "--partition", str(DATA / "fivenet_partition.csv")]
+COMMANDS = {  # run in this order: simulate writes the panel the others read
+    "simulate": ["simulate", *NET, "--model", str(DATA / "table1_model.txt"),
+                 "--length", "100", "--seed", "1", "--out", "panel.csv"],
+    "nacf": ["nacf", *NET, "--panel", "panel.csv", "--max-lag", "4", "--max-stage", "2",
+             "--out", "grid.csv"],
+    "forecast": ["forecast", *NET, "--panel", "panel.csv",
+                 "--model", str(DATA / "table1_model.txt"), "--horizon", "2",
+                 "--out", "forecast.csv"],
+    "fit": ["fit", *NET, "--panel", "panel.csv", "--order", "community:[1,2];{[1],[1,1]}",
+            "--out-dir", "fit"],
+}
+
+# layer -> (default node counts, processes per row, calls per process,
+#           {case: (set-up, call)}); startup has no node count.
+LAYERS = {
+    "network": ((51, 200, 800, 2000), 3, 1, {"geometry": (GRAPH, GEOMETRY)}),
+    "estimate": ((200, 800), 3, 1, {
+        "community": (DESIGN % "COMMUNITY", "fits = [gnar.fit_ols(ds)]" + PARAMETERS),
+        "global": (DESIGN % "GLOBAL", "fits = [gnar.fit_ols(ds)]" + PARAMETERS),
+        "local": (DESIGN % "LOCAL", "fits = [gnar.fit_ols(ds)]" + PARAMETERS),
+        "gls": (DESIGN % "COMMUNITY" + "sigma = gnar.KroneckerCovariance(np.eye(d))\n",
+                "fits = [gnar.fit_gls(ds, sigma)]" + PARAMETERS),
+        "per-community": (ORDER % "COMMUNITY",
+                          "fits = gnar.fit_per_community(panel, order, net, W, part)"
+                          + PARAMETERS),
+    }),
+    "autocorr": ((200, 800), 1, 5, {kind: (INPUTS, GRID % kind) for kind in ("pnacf", "nacf")}),
+    "startup": ((None,), 7, 1, {
+        "import gnar": ("", "import gnar"),
+        "import gnar.cli": ("", "import gnar.cli"),
+        **{f"gnar {name}": ("", f"from gnar.cli import main\nif main({argv!r}):\n"
+                                f"    sys.exit('gnar {name} failed')")
+           for name, argv in COMMANDS.items()},
+    }),
+}
+
+
+def run_process(case: str, code: str, d: int | None, seed: int, src: Path, cwd: str
+                ) -> tuple[float, list[float], float, str, str]:
+    """One fresh interpreter: (wall s, call times, RSS growth MiB, scipy loaded, result)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(HERE / "bench")]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code, str(d or 0), str(seed)], env=env,
+                          cwd=cwd, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode != 0:
+        sys.exit(f"probe: {case} (d = {d or '-'}) exited {done.returncode}: {done.stderr}")
+    origin, scipy, growth, result, *times = done.stdout.splitlines()[-1].split("\t")
+    if Path(origin).resolve().parent != src / "gnar":
+        sys.exit(f"probe: imported gnar from {origin}, not from {src}")
+    return wall, [float(t) for t in times], int(growth) / 1024, scipy.lower(), result
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("layer", choices=LAYERS)
+    p.add_argument("--root", default=str(HERE), help="checkout whose src/ is run")
+    p.add_argument("--d", type=int, action="append",
+                   help="node count, repeatable (default: the layer's)")
+    p.add_argument("--seed", type=int, help="input seed (default: 1)")
+    p.add_argument("--runs", type=int, help="fresh interpreters per row (default: the layer's)")
+    args = p.parse_args(argv)
+    sizes, runs, calls, cases = LAYERS[args.layer]
+    if args.runs is not None and args.runs < 1:
+        p.error("--runs must be >= 1")
+    if args.layer == "startup" and (args.d or args.seed is not None):
+        p.error("startup takes no --d or --seed")
+    if any(d < 5 for d in args.d or ()):  # below 5 the graph cannot hold 2d - 1 edges
+        p.error("--d must be >= 5")
+    src = Path(args.root).resolve() / "src"
+    if not (src / "gnar").is_dir():
+        sys.exit(f"probe: no gnar package under {src}")
+    runs, seed = args.runs or runs, 1 if args.seed is None else args.seed
+    print(f"layer={args.layer} root={src.parent} seed={seed} runs={runs} calls={calls} "
+          f"python={sys.version.split()[0]}")
+    print(f"{'case':<16} {'d':>5} {'call_med_s':>10} {'call_min_s':>10} {'proc_med_s':>10} "
+          f"{'rss_growth_mib':>14} {'scipy':>5}  result")
+    with tempfile.TemporaryDirectory() as tmp:
+        for d in args.d or sizes:
+            for case, (setup, call) in cases.items():
+                code = CHILD.format(setup=setup, calls=calls, call=textwrap.indent(call, "    "))
+                walls, times, growths = [], [], []
+                for _ in range(runs):
+                    wall, calls_s, growth, scipy, result = run_process(case, code, d, seed,
+                                                                       src, tmp)
+                    walls.append(wall)
+                    times += calls_s
+                    growths.append(growth)
+                print(f"{case:<16} {d or '-':>5} {statistics.median(times):10.4f} "
+                      f"{min(times):10.4f} {statistics.median(walls):10.4f} "
+                      f"{statistics.median(growths):14.1f} {scipy:>5}  {result}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
