@@ -56,10 +56,6 @@ class AcfCell:
     note: str = ""
 
 
-def _centred(values: np.ndarray) -> np.ndarray:
-    return values - values.mean(axis=1, keepdims=True)
-
-
 def _subset_indices(d: int, nodes) -> list[int]:
     idx = [int(i) - 1 for i in nodes]
     if not idx:
@@ -79,7 +75,7 @@ def _inputs(panel: TimeSeriesPanel, net: Network, W: np.ndarray, max_lag: int,
     if not 1 <= max_lag < panel.T:
         raise GnarError(f"lag {max_lag} outside 1..{panel.T - 1} "
                         f"(panel has {panel.T} time steps)")
-    E = _centred(panel.values)
+    E = panel.values - panel.values.mean(axis=1, keepdims=True)
     Bs = stage_weights(net, W, r)
     if nodes is not None:
         idx = _subset_indices(panel.d, nodes)

@@ -4,17 +4,15 @@ Subcommands cover the full workflow: ``simulate`` a model file into a
 panel, ``fit`` a model order to a panel, ``nacf``/``corbit`` for
 autocorrelation grids and their radial plots, ``forecast`` and ``compare``
 for hold-out evaluation, and ``elections`` for the end-to-end US
-presidential case study.  All randomness flows through ``--seed`` and all
-files are written atomically (write then rename), so reruns with identical
-inputs produce identical bytes.
+presidential case study.  All randomness flows through ``--seed`` and every
+file goes through :func:`~gnar.textfile.write_text_atomic` (UTF-8, write then
+rename), so reruns with identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -23,31 +21,13 @@ import numpy as np
 from . import autocorr, corbit_svg, elections, estimate
 from .errors import GnarError
 from .forecast import ModelSpec, compare, forecast, load_external_forecast
-from .model import format_model, parse_order, read_model
+from .model import parse_order, read_model, write_model
 from .network import (default_weights, format_edge_list, load_weight_overrides,
                       read_edge_list)
-from .panel import TimeSeriesPanel, format_panel, read_panel
+from .panel import TimeSeriesPanel, format_panel, read_panel, write_panel
 from .partition import format_partition, read_partition
 from .simulate import simulate
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_panel_atomic(panel: TimeSeriesPanel, path: str | Path) -> None:
-    write_text_atomic(path, format_panel(panel))
+from .textfile import write_text_atomic
 
 
 def _load_network(args):
@@ -77,7 +57,7 @@ def _cmd_simulate(args) -> int:
     panel = simulate(coeffs, order, net, W, args.length, part=part,
                      burn_in=args.burn_in, seed=args.seed,
                      allow_nonstationary=args.allow_nonstationary)
-    _write_panel_atomic(panel, args.out)
+    write_panel(panel, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -95,15 +75,14 @@ def _cmd_fit(args) -> int:
             tag = f"community{fit.group}"
             write_text_atomic(out_dir / f"coefficients_{tag}.csv",
                               estimate.coefficient_table(fit))
-            _write_panel_atomic(fit.residuals, out_dir / f"residuals_{tag}.csv")
+            write_panel(fit.residuals, out_dir / f"residuals_{tag}.csv")
         print(f"wrote per-community fits for {len(fits)} communities to {out_dir}")
         return 0
     ds = estimate.build_design(panel, order, net, W, part)
     fit = estimate.fit_ols(ds)
     write_text_atomic(out_dir / "coefficients.csv", estimate.coefficient_table(fit))
-    _write_panel_atomic(fit.residuals, out_dir / "residuals.csv")
-    coeffs = fit.to_coefficients()
-    write_text_atomic(out_dir / "model.txt", format_model(coeffs, order, d=panel.d))
+    write_panel(fit.residuals, out_dir / "residuals.csv")
+    write_model(fit.to_coefficients(), order, out_dir / "model.txt", d=panel.d)
     if not fit.stationary:
         print("warning: estimates violate the stationarity condition "
               f"(largest sum {np.max(fit.stationarity_sums):.3f})", file=sys.stderr)
@@ -149,7 +128,7 @@ def _cmd_forecast(args) -> int:
     out = TimeSeriesPanel(values=preds.T, node_labels=panel.node_labels,
                           time_labels=tuple(f"+{s}" for s in range(1, args.horizon + 1)),
                           meta={"kind": "forecast", "horizon": str(args.horizon)})
-    _write_panel_atomic(out, args.out)
+    write_panel(out, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DataError, OrderError, check_size
 from .network import MAX_NODES, Network, stage_weights
 from .partition import CommunityPartition
-from .textfile import read_rows
+from .textfile import read_rows, write_text_atomic
 
 VARIANTS = ("global", "community", "local")
 
@@ -461,7 +461,7 @@ def format_model(coeffs: GnarCoefficients, order: GnarOrder,
 
 def write_model(coeffs: GnarCoefficients, order: GnarOrder, path: str | Path,
                 d: int | None = None) -> None:
-    Path(path).write_text(format_model(coeffs, order, d=d))
+    write_text_atomic(path, format_model(coeffs, order, d=d))
 
 
 _HEADER_KEYS = ("variant", "C", "p", "s", "d", "sigma")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NetworkError, OrderError, check_size
-from .textfile import fixed_rows, read_rows
+from .textfile import fixed_rows, read_rows, write_text_atomic
 
 #: Sentinel distance for unreachable pairs.
 UNREACHABLE = -1
@@ -216,7 +216,7 @@ def format_edge_list(net: Network) -> str:
 
 
 def write_edge_list(net: Network, path: str | Path) -> None:
-    Path(path).write_text(format_edge_list(net))
+    write_text_atomic(path, format_edge_list(net))
 
 
 def load_weight_overrides(path: str | Path, W: np.ndarray) -> np.ndarray:

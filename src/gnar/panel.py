@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, GnarError
-from .textfile import check_cell, read_rows
+from .textfile import check_cell, read_rows, write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,18 @@ def format_panel(panel: TimeSeriesPanel) -> str:
 
 
 def write_panel(panel: TimeSeriesPanel, path: str | Path) -> None:
-    Path(path).write_text(format_panel(panel))
+    write_text_atomic(path, format_panel(panel))
 
 
 def read_panel(path: str | Path) -> TimeSeriesPanel:
     comments, lines = read_rows(path)
-    meta = {k.strip(): v.strip() for k, v in
-            (text.split(":", 1) for _, text in comments if ":" in text)}
+    meta: dict[str, str] = {}
+    set_on: dict[str, int] = {}
+    for ln, text in (c for c in comments if ":" in c[1]):
+        key, value = map(str.strip, text.split(":", 1))
+        if key in set_on:
+            raise DataError(f"{path}:{ln}: metadata {key!r} was already set on line {set_on[key]}")
+        meta[key], set_on[key] = value, ln
     ln, cells = next(lines, (0, None))
     if cells is None:
         raise DataError(f"{path}: no panel data found")

@@ -7,7 +7,7 @@ from itertools import islice
 from pathlib import Path
 
 from .errors import DataError, GnarError
-from .textfile import check_cell, fixed_rows, read_rows
+from .textfile import check_cell, fixed_rows, read_rows, write_text_atomic
 
 #: Names of the across-community rows of a grid file, so no community may take them.
 RESERVED_LABELS = ("all", "mean")
@@ -86,6 +86,7 @@ def read_partition(path: str | Path) -> CommunityPartition:
     """
     comments, rows = read_rows(path)
     pairs: dict[int, int] = {}
+    first_on: dict[int, int] = {}
     labels: dict[int, tuple[int, str]] = {}
     for ln, text in comments:
         if text.lower().startswith("label "):
@@ -103,8 +104,9 @@ def read_partition(path: str | Path) -> CommunityPartition:
             labels[c] = ln, name
     for ln, (node, c) in fixed_rows(path, rows, "node,community", lambda n, c: (int(n), int(c))):
         if node in pairs:
-            raise DataError(f"{path}:{ln}: node {node} assigned twice")
-        pairs[node] = c
+            raise DataError(f"{path}:{ln}: node {node} assigned twice, "
+                            f"first on line {first_on[node]}")
+        pairs[node], first_on[node] = c, ln
     if not pairs:
         raise DataError(f"{path}: empty partition file")
     d = len(pairs)
@@ -141,4 +143,4 @@ def format_partition(part: CommunityPartition) -> str:
 
 
 def write_partition(part: CommunityPartition, path: str | Path) -> None:
-    Path(path).write_text(format_partition(part))
+    write_text_atomic(path, format_partition(part))

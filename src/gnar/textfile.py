@@ -1,11 +1,13 @@
-"""The line grammar every gnar input file shares.
+"""The line grammar every gnar input file shares, and the writer of every gnar file.
 
 Edge lists, weights, partitions, panels and model files are UTF-8 text.  A
 line (as :meth:`str.splitlines` splits) is stripped; blank lines are skipped,
 ``#`` starts a comment and other lines are rows.  Errors read ``path:line``.
-:func:`check_cell` is the writers' side: what a written cell may hold.
+:func:`check_cell` is the writers' side: what a written cell may hold;
+:func:`write_text_atomic` writes every gnar file.
 """
 
+import os
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
@@ -52,3 +54,18 @@ def check_cell(kind: str, text: str, forbidden: str = ",") -> None:
                      (kind == "time label" and text.startswith("#"), "starts with '#'")):
         if bad:
             raise GnarError(f"{kind} {text!r} {why}, so a gnar file cannot hold it")
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a new file beside ``path`` (mode 0o666 less the umask,
+    parents made) and rename it over ``path``; a failed write leaves ``path`` as it was."""
+    data, path = text.encode("utf-8"), Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -56,6 +56,10 @@ def test_panel_read_rejects_malformed(tmp_path):
     path.write_text("time,a\n1,notanumber\n")
     with pytest.raises(DataError):
         read_panel(path)
+    path.write_text("# seed: 1\n# rng: x\n#seed:2\ntime,a\n1,2\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: metadata 'seed' "
+                                        "was already set on line 1$"):
+        read_panel(path)
 
 
 def test_partition_round_trip(tmp_path):
@@ -228,6 +232,7 @@ def test_format_partition_refuses_labels_that_would_not_read_back(label, why):
     ("# label 2: a,b", "community 2 label 'a,b' holds a comma"),
     ("# label 2:", "community 2 label '' is empty"),
     ("# label 2:   ", "community 2 label '' is empty"),
+    ("1,2", "node 1 assigned twice, first on line 2"),
 ])
 def test_partition_read_refuses_labels_it_cannot_hold(tmp_path, line, why):
     path = tmp_path / "part.csv"

@@ -51,6 +51,8 @@ def test_probe_runs(layer):
     rows = ROW.findall(done.stdout)
     assert [(name, size) for name, size, _, _ in rows] == [(n, d) for n in names], done.stdout
     assert len(done.stdout.splitlines()) == 2 + len(names)
+    assert done.stdout.splitlines()[1].split() == [
+        "case", "d", "call_med_s", "call_min_s", "proc_med_s", "peak_mib", "scipy", "result"]
     if layer == "autocorr":
         assert all(result.startswith("72 cells, ") for *_, result in rows)
     if layer == "startup":  # only the fit reaches a least-squares solve

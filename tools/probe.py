@@ -14,9 +14,12 @@ runs a command on the five-node test network (``tests/data``).
 Each case is an untimed set-up and a timed call, run in fresh processes one
 at a time, with the ``--root`` checkout's ``src/`` on the path and one BLAS
 thread.  A row gives the median and minimum call time, the median wall time
-of a process, the median growth of its peak resident set (``ru_maxrss``)
-across the calls, whether scipy was loaded and a short result.  Compare a
-parent commit with the working tree, from the repository root:
+of a process, the median ``tracemalloc`` peak of the call, whether scipy was
+loaded and a short result.  The peak comes from one more call per process,
+after the timed ones and a fresh set-up, so no timed call runs traced and
+the process time leaves that part out.  In the ``startup`` layer the traced
+call finds gnar's modules loaded, so an import's peak is near zero.  Compare
+a parent commit with the working tree, from the repository root:
 
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python3 tools/probe.py estimate --root /tmp/parent
@@ -38,23 +41,29 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 DATA = HERE / "tests" / "data"
 
-# Runs the set-up once and the call ``calls`` times, then prints gnar's file,
-# whether scipy is loaded, the peak RSS growth in KiB, the result and the
-# call times, separated by tabs.
+# Runs the set-up once and the call ``calls`` times, then the set-up and the
+# call once more under tracemalloc, and prints gnar's file, whether scipy is
+# loaded, the traced peak in bytes, the seconds the traced part took, the
+# result and the call times, separated by tabs.
 CHILD = """\
-import resource, sys, time
+import sys, time, tracemalloc
 d, seed = int(sys.argv[1]), int(sys.argv[2])
 result = "-"
 {setup}
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 times = []
 for _ in range({calls}):
     start = time.perf_counter()
-{call}
+{timed}
     times.append(time.perf_counter() - start)
-growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+traced = time.perf_counter()
+{setup}
+tracemalloc.start()
+{call}
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+traced = time.perf_counter() - traced
 import gnar
-print(gnar.__file__, "scipy" in sys.modules, growth, result, *times, sep="\\t")
+print(gnar.__file__, "scipy" in sys.modules, peak, traced, result, *times, sep="\\t")
 """
 
 GRAPH = """\
@@ -79,7 +88,7 @@ coeffs, model_order = gnar.read_model("inputs/model.txt")
 W = gnar.default_weights(net.distances)
 panel = gnar.simulate(coeffs, model_order, net, W, 200, part=part, seed=seed)
 """
-ORDER = "import scipy.linalg\n" + INPUTS + "order = gnar.parse_order(workloads.%s_ORDER)\n"
+ORDER = INPUTS + "import scipy.linalg\norder = gnar.parse_order(workloads.%s_ORDER)\n"
 DESIGN = ORDER + "ds = gnar.build_design(panel, order, net, W, part)\n"
 PARAMETERS = '\nresult = f"{sum(fit.theta.size for fit in fits)} parameters"'
 GRID = """\
@@ -128,7 +137,8 @@ LAYERS = {
 
 def run_process(case: str, code: str, d: int | None, seed: int, src: Path, cwd: str
                 ) -> tuple[float, list[float], float, str, str]:
-    """One fresh interpreter: (wall s, call times, RSS growth MiB, scipy loaded, result)."""
+    """One fresh interpreter: (wall s less the traced call's part, call times, call peak
+    MiB, scipy loaded, result)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(HERE / "bench")]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     start = time.perf_counter()
@@ -137,10 +147,11 @@ def run_process(case: str, code: str, d: int | None, seed: int, src: Path, cwd: 
     wall = time.perf_counter() - start
     if done.returncode != 0:
         sys.exit(f"probe: {case} (d = {d or '-'}) exited {done.returncode}: {done.stderr}")
-    origin, scipy, growth, result, *times = done.stdout.splitlines()[-1].split("\t")
+    origin, scipy, peak, traced, result, *times = done.stdout.splitlines()[-1].split("\t")
     if Path(origin).resolve().parent != src / "gnar":
         sys.exit(f"probe: imported gnar from {origin}, not from {src}")
-    return wall, [float(t) for t in times], int(growth) / 1024, scipy.lower(), result
+    return (wall - float(traced), [float(t) for t in times], int(peak) / 2**20,
+            scipy.lower(), result)
 
 
 def main(argv=None) -> int:
@@ -166,21 +177,22 @@ def main(argv=None) -> int:
     print(f"layer={args.layer} root={src.parent} seed={seed} runs={runs} calls={calls} "
           f"python={sys.version.split()[0]}")
     print(f"{'case':<16} {'d':>5} {'call_med_s':>10} {'call_min_s':>10} {'proc_med_s':>10} "
-          f"{'rss_growth_mib':>14} {'scipy':>5}  result")
+          f"{'peak_mib':>8} {'scipy':>5}  result")
     with tempfile.TemporaryDirectory() as tmp:
         for d in args.d or sizes:
             for case, (setup, call) in cases.items():
-                code = CHILD.format(setup=setup, calls=calls, call=textwrap.indent(call, "    "))
-                walls, times, growths = [], [], []
+                code = CHILD.format(setup=setup, calls=calls, call=call,
+                                    timed=textwrap.indent(call, "    "))
+                walls, times, peaks = [], [], []
                 for _ in range(runs):
-                    wall, calls_s, growth, scipy, result = run_process(case, code, d, seed,
-                                                                       src, tmp)
+                    wall, calls_s, peak, scipy, result = run_process(case, code, d, seed,
+                                                                     src, tmp)
                     walls.append(wall)
                     times += calls_s
-                    growths.append(growth)
+                    peaks.append(peak)
                 print(f"{case:<16} {d or '-':>5} {statistics.median(times):10.4f} "
                       f"{min(times):10.4f} {statistics.median(walls):10.4f} "
-                      f"{statistics.median(growths):14.1f} {scipy:>5}  {result}")
+                      f"{statistics.median(peaks):8.1f} {scipy:>5}  {result}")
     return 0
 
 
