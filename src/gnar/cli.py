@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands cover the full workflow: ``simulate`` a model file into a
-panel, ``fit`` a model order to a panel, ``nacf``/``corbit`` for
-autocorrelation grids and their radial plots, ``forecast`` and ``compare``
-for hold-out evaluation, and ``elections`` for the end-to-end US
-presidential case study.  All randomness flows through ``--seed`` and every
-file goes through :func:`~gnar.textfile.write_text_atomic` (UTF-8, write then
-rename), so reruns with identical inputs produce identical bytes.
+Subcommands cover the full workflow: ``simulate`` a model file into a panel, ``fit`` a
+model order to a panel, ``nacf``/``corbit`` for autocorrelation grids and their radial
+plots, ``forecast`` and ``compare`` for hold-out evaluation, and ``elections`` for the
+end-to-end US presidential case study.  Each returns ``({path: text}, console line)``, so
+it computes all of its files before :func:`main` writes any (a bad input or argument writes
+nothing), each through :func:`~gnar.textfile.write_text_atomic` (UTF-8, write then
+rename).  All randomness flows through ``--seed``, so reruns give identical bytes.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import numpy as np
 from . import autocorr, corbit_svg, elections, estimate
 from .errors import GnarError
 from .forecast import ModelSpec, compare, forecast, load_external_forecast
-from .model import parse_order, read_model, write_model
+from .model import format_model, parse_order, read_model
 from .network import (default_weights, format_edge_list, load_weight_overrides,
                       read_edge_list)
-from .panel import TimeSeriesPanel, format_panel, read_panel, write_panel
+from .panel import TimeSeriesPanel, format_panel, read_panel
 from .partition import format_partition, read_partition
 from .simulate import simulate
 from .textfile import write_text_atomic
@@ -51,18 +51,16 @@ def _load_externals(args, d: int):
             for item in args.external or []]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     net, W, part = _load_network(args)
     coeffs, order = read_model(args.model)
     panel = simulate(coeffs, order, net, W, args.length, part=part,
                      burn_in=args.burn_in, seed=args.seed,
                      allow_nonstationary=args.allow_nonstationary)
-    write_panel(panel, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return {args.out: format_panel(panel)}, f"wrote {args.out}"
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     net, W, part = _load_network(args)
     panel = read_panel(args.panel)
     order = parse_order(args.order)
@@ -71,24 +69,19 @@ def _cmd_fit(args) -> int:
         if part is None:
             raise GnarError("--per-community needs --partition")
         fits = estimate.fit_per_community(panel, order, net, W, part)
-        for fit in fits:
-            tag = f"community{fit.group}"
-            write_text_atomic(out_dir / f"coefficients_{tag}.csv",
-                              estimate.coefficient_table(fit))
-            write_panel(fit.residuals, out_dir / f"residuals_{tag}.csv")
-        print(f"wrote per-community fits for {len(fits)} communities to {out_dir}")
-        return 0
-    ds = estimate.build_design(panel, order, net, W, part)
-    fit = estimate.fit_ols(ds)
-    write_text_atomic(out_dir / "coefficients.csv", estimate.coefficient_table(fit))
-    write_panel(fit.residuals, out_dir / "residuals.csv")
-    write_model(fit.to_coefficients(), order, out_dir / "model.txt", d=panel.d)
+        files = {out_dir / f"{kind}_community{fit.group}.csv": text for fit in fits
+                 for kind, text in (("coefficients", estimate.coefficient_table(fit)),
+                                    ("residuals", format_panel(fit.residuals)))}
+        return files, f"wrote per-community fits for {len(fits)} communities to {out_dir}"
+    fit = estimate.fit_ols(estimate.build_design(panel, order, net, W, part))
     if not fit.stationary:
         print("warning: estimates violate the stationarity condition "
               f"(largest sum {np.max(fit.stationarity_sums):.3f})", file=sys.stderr)
-    print(f"wrote {out_dir}/coefficients.csv ({len(fit.theta)} parameters), "
-          f"residuals.csv, model.txt")
-    return 0
+    return ({out_dir / "coefficients.csv": estimate.coefficient_table(fit),
+             out_dir / "residuals.csv": format_panel(fit.residuals),
+             out_dir / "model.txt": format_model(fit.to_coefficients(), order, d=panel.d)},
+            f"wrote {out_dir}/coefficients.csv ({len(fit.theta)} parameters), "
+            "residuals.csv, model.txt")
 
 
 def _grid_from_args(args):
@@ -97,30 +90,21 @@ def _grid_from_args(args):
     return autocorr.corbit_grid(panel, net, W, args.max_lag, args.max_stage, args.kind, part)
 
 
-def _cmd_nacf(args) -> int:
-    grid = _grid_from_args(args)
-    write_text_atomic(args.out, grid.to_csv_text())
-    print(f"wrote {args.out}")
-    return 0
+def _cmd_nacf(args):
+    return {args.out: _grid_from_args(args).to_csv_text()}, f"wrote {args.out}"
 
 
-def _cmd_corbit(args) -> int:
+def _cmd_corbit(args):
     grid = _grid_from_args(args)
     out_dir = Path(args.out_dir)
-    opts = corbit_svg.RenderOptions(size=args.size)
-    if grid.has_communities:
-        svg = corbit_svg.render_rcorbit(grid, opts)
-        name = "rcorbit.svg"
-    else:
-        svg = corbit_svg.render_corbit(grid, opts)
-        name = "corbit.svg"
-    write_text_atomic(out_dir / "grid.csv", grid.to_csv_text())
-    write_text_atomic(out_dir / name, svg)
-    print(f"wrote {out_dir}/{name} and grid.csv")
-    return 0
+    name, render = (("rcorbit.svg", corbit_svg.render_rcorbit) if grid.has_communities
+                    else ("corbit.svg", corbit_svg.render_corbit))
+    svg = render(grid, corbit_svg.RenderOptions(size=args.size))
+    return ({out_dir / "grid.csv": grid.to_csv_text(), out_dir / name: svg},
+            f"wrote {out_dir}/{name} and grid.csv")
 
 
-def _cmd_forecast(args) -> int:
+def _cmd_forecast(args):
     net, W, part = _load_network(args)
     panel = read_panel(args.panel)
     coeffs, order = read_model(args.model)
@@ -128,28 +112,21 @@ def _cmd_forecast(args) -> int:
     out = TimeSeriesPanel(values=preds.T, node_labels=panel.node_labels,
                           time_labels=tuple(f"+{s}" for s in range(1, args.horizon + 1)),
                           meta={"kind": "forecast", "horizon": str(args.horizon)})
-    write_panel(out, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return {args.out: format_panel(out)}, f"wrote {args.out}"
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     net, W, part = _load_network(args)
     panel = read_panel(args.panel)
-    specs = []
-    for item in args.spec or []:
-        name, text = _split_named(item, "--spec", "ORDER")
-        specs.append(ModelSpec(name=name, order=parse_order(text)))
-    externals = _load_externals(args, panel.d)
+    specs = [ModelSpec(name, parse_order(text)) for name, text in
+             (_split_named(item, "--spec", "ORDER") for item in args.spec or [])]
     report = compare(panel, net, W, specs, part, holdout=args.holdout,
-                        external=externals)
-    write_text_atomic(args.out, report.to_csv_text())
-    print(f"wrote {args.out} (hold-out step {report.holdout_label})")
-    return 0
+                     external=_load_externals(args, panel.d))
+    return ({args.out: report.to_csv_text()},
+            f"wrote {args.out} (hold-out step {report.holdout_label})")
 
 
-def _cmd_elections(args) -> int:
-    """Compute every fit, grid and comparison first, so a bad argument writes nothing."""
+def _cmd_elections(args):
     data = elections.load_returns(args.returns)
     externals = _load_externals(args, data.panel.d)
     classification = elections.classify(data)
@@ -166,13 +143,10 @@ def _cmd_elections(args) -> int:
     fit_diff = estimate.fit_ols(estimate.build_design(diff, order_diff, net, W, part))
     grid_diff = autocorr.corbit_grid(diff, net, W, min(args.max_lag, diff.T - 1),
                                      args.max_stage, "pnacf", part)
-    specs = [
-        ModelSpec("GNAR", order_std),
-        ModelSpec("GNAR*", parse_order("global:2;[1,0]")),
-        ModelSpec("GNAR+", parse_order("local:2;[1,0]")),
-    ]
+    specs = [ModelSpec("GNAR", order_std), ModelSpec("GNAR*", parse_order("global:2;[1,0]")),
+             ModelSpec("GNAR+", parse_order("local:2;[1,0]"))]
     report = compare(data.panel, net, W, specs, part, holdout=args.holdout,
-                        external=externals)
+                     external=externals)
     outputs = {
         "panel_raw.csv": format_panel(data.panel),
         "classification.csv": classification.to_csv_text(),
@@ -190,38 +164,46 @@ def _cmd_elections(args) -> int:
         "rcorbit_pnacf_differenced.svg": corbit_svg.render_rcorbit(grid_diff),
         "comparison.csv": report.to_csv_text(),
     }
-    out_dir = Path(args.out_dir)
-    for name, text in outputs.items():
-        write_text_atomic(out_dir / name, text)
     if not fit_std.stationary:
         print("note: standardised fit violates the stationarity condition "
               f"(largest sum {np.max(fit_std.stationarity_sums):.3f}); "
               "see the differenced fit", file=sys.stderr)
-    print(f"wrote election study outputs to {out_dir} "
-          f"(hold-out {report.holdout_label})")
-    return 0
+    out_dir = Path(args.out_dir)
+    return ({out_dir / name: text for name, text in outputs.items()},
+            f"wrote election study outputs to {out_dir} (hold-out {report.holdout_label})")
 
 
-def _add_network_args(p: argparse.ArgumentParser) -> None:
-    """The flags that :func:`_load_network` reads."""
-    p.add_argument("--network", required=True, help="edge-list file (from,to)")
-    p.add_argument("--d", type=int, default=None,
-                   help="node count when the edge list lacks a '# d: N' line")
-    p.add_argument("--weights", default=None,
-                   help="optional from,to,w overrides of the default weights")
-    p.add_argument("--partition", "--communities", dest="partition", default=None,
-                   help="node,community file defining the communities")
+def _grid_parent() -> argparse.ArgumentParser:
+    """The ``--kind --max-lag --max-stage`` parent, made anew for each subcommand that takes
+    it: argparse shares a parent's actions, so one ``set_defaults(kind=...)`` would set all."""
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--kind", choices=list(autocorr.KINDS))
+    grid.add_argument("--max-lag", type=int, required=True)
+    grid.add_argument("--max-stage", type=int, required=True)
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gnar",
-        description="Network autoregressive modelling: simulation, estimation, "
-                    "autocorrelation diagnostics, radial plots and forecasting.")
+    parser = argparse.ArgumentParser(prog="gnar", description=(
+        "Network autoregressive modelling: simulation, estimation, "
+        "autocorrelation diagnostics, radial plots and forecasting."))
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flag groups several subcommands share, as parents; the grid's is _grid_parent.
+    network, panel, holdout = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    network.add_argument("--network", required=True, help="edge-list file (from,to)")
+    network.add_argument("--d", type=int,
+                         help="node count when the edge list lacks a '# d: N' line")
+    network.add_argument("--weights", help="optional from,to,w overrides of the default weights")
+    network.add_argument("--partition", "--communities", dest="partition",
+                         help="node,community file defining the communities")
+    panel.add_argument("--panel", required=True)
+    holdout.add_argument("--external", action="append",
+                         help="name=FILE with an external forecast to score")
+    holdout.add_argument("--holdout", type=int, default=-1,
+                         help="panel column to hold out (default: last)")
 
-    p = sub.add_parser("simulate", help="simulate a model file into a panel")
-    _add_network_args(p)
+    p = sub.add_parser("simulate", parents=[network],
+                       help="simulate a model file into a panel")
     p.add_argument("--model", required=True, help="model file to simulate from")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=200)
@@ -230,9 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="least-squares fit of an order to a panel")
-    _add_network_args(p)
-    p.add_argument("--panel", required=True)
+    p = sub.add_parser("fit", parents=[network, panel],
+                       help="least-squares fit of an order to a panel")
     p.add_argument("--order", required=True,
                    help="e.g. community:[1,2];{[1],[1,1]} or global:2;[1,0]")
     p.add_argument("--per-community", action="store_true",
@@ -240,72 +221,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("nacf", help="autocorrelation grid as CSV")
-    _add_network_args(p)
-    p.add_argument("--panel", required=True)
-    p.add_argument("--kind", choices=list(autocorr.KINDS), default="nacf")
-    p.add_argument("--max-lag", type=int, required=True)
-    p.add_argument("--max-stage", type=int, required=True)
+    p = sub.add_parser("nacf", parents=[network, panel, _grid_parent()],
+                       help="autocorrelation grid as CSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_nacf)
+    p.set_defaults(func=_cmd_nacf, kind="nacf")
 
-    p = sub.add_parser("corbit", help="radial autocorrelation plot (SVG) + grid CSV")
-    _add_network_args(p)
-    p.add_argument("--panel", required=True)
-    p.add_argument("--kind", choices=list(autocorr.KINDS), default="pnacf")
-    p.add_argument("--max-lag", type=int, required=True)
-    p.add_argument("--max-stage", type=int, required=True)
+    p = sub.add_parser("corbit", parents=[network, panel, _grid_parent()],
+                       help="radial autocorrelation plot (SVG) + grid CSV")
     p.add_argument("--size", type=int, default=640)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_corbit)
+    p.set_defaults(func=_cmd_corbit, kind="pnacf")
 
-    p = sub.add_parser("forecast", help="iterated forecasts from a model file")
-    _add_network_args(p)
-    p.add_argument("--panel", required=True)
+    p = sub.add_parser("forecast", parents=[network, panel],
+                       help="iterated forecasts from a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_forecast)
 
-    p = sub.add_parser("compare", help="hold-out comparison of model specs")
-    _add_network_args(p)
-    p.add_argument("--panel", required=True)
+    p = sub.add_parser("compare", parents=[network, panel, holdout],
+                       help="hold-out comparison of model specs")
     p.add_argument("--spec", action="append",
                    help="name=ORDER, repeatable (e.g. GNAR=community:[1,1];{[1],[1]})")
-    p.add_argument("--external", action="append",
-                   help="name=FILE with an external forecast to score")
-    p.add_argument("--holdout", type=int, default=-1,
-                   help="panel column to hold out (default: last)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("elections",
+    p = sub.add_parser("elections", parents=[holdout],
                        help="full US presidential case study from the returns CSV")
-    p.add_argument("--returns", required=True,
-                   help="MIT Election Lab per-candidate CSV")
-    p.add_argument("--holdout", type=int, default=-1)
+    p.add_argument("--returns", required=True, help="MIT Election Lab per-candidate CSV")
     p.add_argument("--max-lag", type=int, default=8)
     p.add_argument("--max-stage", type=int, default=3)
-    p.add_argument("--external", action="append")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_elections)
     return parser
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
-            warnings.showwarning = _warning_line
-            return args.func(args)
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            files, message = args.func(args)
+        for path, text in files.items():
+            write_text_atomic(path, text)
     except (GnarError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -87,10 +87,16 @@ class ExternalForecast:
 
 
 def load_external_forecast(name: str, path: str | Path, d: int) -> ExternalForecast:
-    """Read an external forecast file (panel format, rows 'raw'/'centred')."""
+    """Read an external forecast file (panel format, rows 'raw' and optionally 'centred')."""
     panel = read_panel(path)
     check_size(f"{path}: forecast", panel.d, "panel", d)
-    rows = {label: panel.values[:, t] for t, label in enumerate(panel.time_labels)}
+    rows: dict[str, np.ndarray] = {}
+    for t, label in enumerate(panel.time_labels):
+        if label not in ("raw", "centred"):
+            raise DataError(f"{path}: row {label!r} is neither 'raw' nor 'centred'")
+        if label in rows:
+            raise DataError(f"{path}: row {label!r} appears twice")
+        rows[label] = panel.values[:, t]
     if "raw" not in rows:
         raise DataError(f"{path}: no row labelled 'raw'")
     return ExternalForecast(name=name, raw=rows["raw"], centred=rows.get("centred"))

@@ -480,12 +480,13 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
 
     A coefficient line that is malformed, names no slot of the order or
     repeats an earlier one raises :class:`DataError` with its line number,
-    and so do a repeated header line, a header line without a value or with
-    one that is not a finite number, and a community ``s`` line that names no
-    community or repeats one; a missing header line is named.  A node
-    count above :data:`~gnar.network.MAX_NODES`, or a stage order that no
-    network of that size has, is refused before anything is sized by it.
-    Slots without a line are zero.
+    and so do a repeated header line, a header line without a value, with a
+    second one where its key takes one (``variant``, ``C``, ``d``, ``sigma``
+    and a global or local ``p``) or with one that is not a finite number, and
+    a community ``s`` line that names no community or repeats one; a missing
+    header line is named.  A node count above :data:`~gnar.network.MAX_NODES`,
+    or a stage order that no network of that size has, is refused before
+    anything is sized by it.  Slots without a line are zero.
     """
     _, lines = read_rows(path, sep=None)
     if next(lines, (0, []))[1] != ["gnar-model", "v1"]:
@@ -520,15 +521,23 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
                             f"(networks have at most {MAX_NODES} nodes)")
         return values
 
-    variant = header("variant")[0]
+    def single(key: str, convert=str, limit: int | None = None):
+        """The value of a header line that holds one; a second value raises DataError."""
+        value, *extra = header(key, convert, limit=limit)
+        if extra:
+            raise DataError(f"{path}:{key_lines[key][0]}: {key!r} takes one value, "
+                            f"got {' '.join(fields[key][0])!r}")
+        return value
+
+    variant = single("variant")
     for key, at in key_lines.items():
         if len(at) > 1 and not (key == "s" and variant == "community"):
             raise DataError(f"{path}:{at[1]}: {key!r} was already set on line {at[0]}")
-    sigma = header("sigma", _finite)[0]
+    sigma = single("sigma", _finite)
     try:
         if variant == "community":
             lags = header("p", int)
-            C = header("C", int)[0]
+            C = single("C", int)
             if C != len(lags):
                 raise DataError(f"{path}:{key_lines['C'][0]}: 'C' is {C} but 'p' has {len(lags)}")
             stages: list[list[int]] = [[] for _ in range(C)]
@@ -544,10 +553,10 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
                 stages[c - 1] = row
             order = GnarOrder.community_order(lags, stages)
         elif variant in ("global", "local"):
-            order = GnarOrder(variant, (header("p", int)[0],),
+            order = GnarOrder(variant, (single("p", int),),
                               (tuple(header("s", int, limit=MAX_NODES - 1)),))
             if variant == "local":
-                d = header("d", int, limit=MAX_NODES)[0]
+                d = single("d", int, limit=MAX_NODES)
         else:
             raise DataError(f"{path}: unknown variant {variant!r}")
         coeffs = GnarCoefficients._zeros(order, sigma, d)

@@ -111,6 +111,7 @@ def read_panel(path: str | Path) -> TimeSeriesPanel:
         raise DataError(f"{path}:{ln}: node column {header.index('') + 1} has no label")
     times: list[str] = []
     rows: list[list[float]] = []
+    row_lines: list[int] = []
     for ln, cells in lines:
         if len(cells) != len(header) + 1:
             raise DataError(f"{path}:{ln}: expected {len(header) + 1} cells, got {len(cells)}")
@@ -121,8 +122,13 @@ def read_panel(path: str | Path) -> TimeSeriesPanel:
             rows.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise DataError(f"{path}:{ln}: non-numeric cell ({exc})") from None
+        row_lines.append(ln)
     if not rows:
         raise DataError(f"{path}: no panel data found")
     values = np.asarray(rows, dtype=float).T
+    if not np.isfinite(values).all():
+        t, node = np.argwhere(~np.isfinite(values.T))[0]
+        raise DataError(f"{path}:{row_lines[t]}: node {header[node]!r} is {values[node, t]}, "
+                        "not a finite number")
     return TimeSeriesPanel(values=values, node_labels=tuple(header),
                            time_labels=tuple(times), meta=meta)

@@ -106,6 +106,8 @@ def read_partition(path: str | Path) -> CommunityPartition:
         if node in pairs:
             raise DataError(f"{path}:{ln}: node {node} assigned twice, "
                             f"first on line {first_on[node]}")
+        if c < 1:
+            raise DataError(f"{path}:{ln}: node {node} assigned to community {c}, below 1")
         pairs[node], first_on[node] = c, ln
     if not pairs:
         raise DataError(f"{path}: empty partition file")
@@ -115,6 +117,8 @@ def read_partition(path: str | Path) -> CommunityPartition:
     C = max(pairs.values())
     if C > d:
         raise DataError(f"{path}: community {C} but only {d} nodes to fill it")
+    if empty := _absent(set(pairs.values()), C):
+        raise DataError(f"{path}: empty communities: {empty}")
     owner = {str(c): c for c in range(1, C + 1) if c not in labels}
     for c, (ln, name) in labels.items():
         if not 1 <= c <= C:

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnar.cli import main
+from gnar.cli import build_parser, main
 from gnar.panel import TimeSeriesPanel, default_node_labels, read_panel, write_panel
 
 from conftest import DATA_DIR
@@ -475,3 +476,42 @@ def test_compare_refuses_a_model_name_that_would_split_its_row(tmp_path, capsys)
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: model label 'a,b' holds ',', so a gnar file cannot hold it"]
     assert not out.exists()
+
+
+REQUIRED = object()
+NETWORK_FLAGS = {"--network": REQUIRED, "--d": None, "--weights": None,
+                 "--partition --communities": None}
+GRAMMAR = {  # subcommand -> {option strings: default, or REQUIRED}
+    "simulate": {**NETWORK_FLAGS, "--model": REQUIRED, "--length": REQUIRED, "--burn-in": 200,
+                 "--seed": 0, "--allow-nonstationary": False, "--out": REQUIRED},
+    "fit": {**NETWORK_FLAGS, "--panel": REQUIRED, "--order": REQUIRED,
+            "--per-community": False, "--out-dir": REQUIRED},
+    "nacf": {**NETWORK_FLAGS, "--panel": REQUIRED, "--kind": "nacf", "--max-lag": REQUIRED,
+             "--max-stage": REQUIRED, "--out": REQUIRED},
+    "corbit": {**NETWORK_FLAGS, "--panel": REQUIRED, "--kind": "pnacf",
+               "--max-lag": REQUIRED, "--max-stage": REQUIRED, "--size": 640,
+               "--out-dir": REQUIRED},
+    "forecast": {**NETWORK_FLAGS, "--panel": REQUIRED, "--model": REQUIRED, "--horizon": 1,
+                 "--out": REQUIRED},
+    "compare": {**NETWORK_FLAGS, "--panel": REQUIRED, "--spec": None, "--external": None,
+                "--holdout": -1, "--out": REQUIRED},
+    "elections": {"--returns": REQUIRED, "--holdout": -1, "--max-lag": 8, "--max-stage": 3,
+                  "--external": None, "--out-dir": REQUIRED},
+}
+
+
+def test_cli_grammar():
+    """Each subcommand's option strings, required flags and parsed defaults."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(commands.choices) == sorted(GRAMMAR)
+    for command, flags in GRAMMAR.items():
+        options = {" ".join(a.option_strings): a for a in commands.choices[command]._actions
+                   if a.option_strings and a.dest != "help"}
+        assert sorted(options) == sorted(flags), command
+        required = [k for k, v in flags.items() if v is REQUIRED]
+        assert sorted(k for k, a in options.items() if a.required) == sorted(required), command
+        args = vars(parser.parse_args([command, *(x for k in required for x in (k, "1"))]))
+        assert args["command"] == command
+        assert {k: args[options[k].dest] for k, v in flags.items() if v is not REQUIRED} \
+            == {k: v for k, v in flags.items() if v is not REQUIRED}, command

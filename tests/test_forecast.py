@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -146,6 +147,18 @@ def test_external_forecast_round_trip(tmp_path):
     assert np.array_equal(ext.centred, values[:, 1])
     with pytest.raises(DataError, match="nodes"):
         load_external_forecast("other", path, 5)
+
+
+@pytest.mark.parametrize("rows, why", [
+    (("raw", "raw", "centred"), "'raw' appears twice"),
+    (("raw", "centred", "centred"), "'centred' appears twice"),
+    (("raw", "centered"), "'centered' is neither 'raw' nor 'centred'"),
+], ids=["raw-twice", "centred-twice", "misspelt"])
+def test_external_forecast_refuses_rows_it_cannot_use(tmp_path, rows, why):
+    path = tmp_path / "ext.csv"
+    write_panel(TimeSeriesPanel(np.ones((3, len(rows))), ("a", "b", "c"), rows), path)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row {why}$"):
+        load_external_forecast("other", path, 3)
 
 
 def test_compare_scores_externals(fivenet, fivenet_weights):

@@ -62,6 +62,15 @@ def test_panel_read_rejects_malformed(tmp_path):
         read_panel(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_panel_read_names_the_line_of_a_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"# seed: 1\ntime,a,b\n1,0.5,2\n2,{cell},0.5\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: node 'a' is {cell}, "
+                                        "not a finite number$"):
+        read_panel(path)
+
+
 def test_partition_round_trip(tmp_path):
     part = CommunityPartition(assignment=(2, 1, 1, 3, 2), n_communities=3,
                               labels=("Red", "Blue", "Swing"))
@@ -88,6 +97,18 @@ def test_partition_read_rejects_gaps(tmp_path):
         read_partition(path)
     path.write_text("node,community\n1,1\n1,2\n")
     with pytest.raises(DataError, match="twice"):
+        read_partition(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("node,community\n1,0\n2,1\n", ":2: node 1 assigned to community 0, below 1"),
+    ("1,1\n2,-2\n3,1\n", ":2: node 2 assigned to community -2, below 1"),
+    ("1,1\n2,3\n3,3\n", ": empty communities: 2"),
+], ids=["zero", "negative", "empty"])
+def test_partition_read_names_the_file_of_a_community_it_cannot_form(tmp_path, text, where):
+    path = tmp_path / "part.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path) + where)}$"):
         read_partition(path)
 
 

@@ -365,8 +365,20 @@ def test_model_file_rejects_repeated_header_lines(tmp_path, text, line, key, fir
     ("gnar-model v1\nvariant global\np 1\ns 1\n", ": malformed model file (no 'sigma' line)"),
     ("gnar-model v1\nvariant local\nsigma 1.0\np 1\ns 1\n",
      ": malformed model file (no 'd' line)"),
+    ("gnar-model v1\nvariant global junk\nsigma 1.0\np 1\ns 1\n",
+     ":2: 'variant' takes one value, got 'global junk'"),
+    (GLOBAL_HEADER + "p 1 7\ns 1\n", ":4: 'p' takes one value, got '1 7'"),
+    ("gnar-model v1\nvariant local\nsigma 1.0\nd 3\np 1 7\ns 1\n",
+     ":5: 'p' takes one value, got '1 7'"),
+    ("gnar-model v1\nvariant community\nC 2 5\np 1 1\nsigma 1.0\ns 1 1\ns 2 0\n",
+     ":3: 'C' takes one value, got '2 5'"),
+    ("gnar-model v1\nvariant local\nsigma 1.0\nd 3 9\np 1\ns 1\n",
+     ":4: 'd' takes one value, got '3 9'"),
+    ("gnar-model v1\nvariant global\nsigma 1.0 2.0\np 1\ns 1\n",
+     ":3: 'sigma' takes one value, got '1.0 2.0'"),
 ], ids=["sigma-empty", "sigma-word", "p-word", "s-word", "C-fraction", "variant-empty",
-        "no-sigma", "no-d"])
+        "no-sigma", "no-d", "variant-extra", "global-p-extra", "local-p-extra", "C-extra",
+        "d-extra", "sigma-extra"])
 def test_model_file_rejects_bad_header_values(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)

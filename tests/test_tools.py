@@ -6,6 +6,7 @@ here rather than when the tool is next needed.
 """
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -39,28 +40,38 @@ PROBES = {
     "startup": (("--runs", "1"), ["import gnar", "import gnar.cli", "gnar simulate",
                                   "gnar nacf", "gnar forecast", "gnar fit"], "-"),
 }
-ROW = re.compile(r"^(\S+(?: \S+)?) +(\d+|-)" + r" +\d+\.\d{4}" * 3
+ROW = re.compile(r"^(\S+(?: \S+)?) +(\d+|-) +([12])" + r" +\d+\.\d{4}" * 3
                  + r" +-?\d+\.\d +(true|false)  (.+)$", re.M)
 
 
 @pytest.mark.parametrize("layer", PROBES)
-def test_probe_runs(layer):
+def test_probe_runs(tmp_path, layer):
+    """This checkout alone, then against a copy of its ``src/``: a row per case and root."""
     argv, names, d = PROBES[layer]
-    done = run_tool("probe.py", layer, *argv)
-    assert done.returncode == 0, done.stderr
-    rows = ROW.findall(done.stdout)
-    assert [(name, size) for name, size, _, _ in rows] == [(n, d) for n in names], done.stdout
-    assert len(done.stdout.splitlines()) == 2 + len(names)
-    assert done.stdout.splitlines()[1].split() == [
-        "case", "d", "call_med_s", "call_min_s", "proc_med_s", "peak_mib", "scipy", "result"]
-    if layer == "autocorr":
-        assert all(result.startswith("72 cells, ") for *_, result in rows)
-    if layer == "startup":  # only the fit reaches a least-squares solve
-        assert [name for name, _, scipy, _ in rows if scipy == "true"] == ["gnar fit"]
+    shutil.copytree(TOOLS.parent / "src" / "gnar", tmp_path / "src" / "gnar",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for roots in ([TOOLS.parent], [TOOLS.parent, tmp_path]):
+        done = run_tool("probe.py", layer, *argv,
+                        *(x for root in roots for x in ("--root", str(root))))
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].split()[1:1 + len(roots)] == [f"root{i}={root}"
+                                                      for i, root in enumerate(roots, start=1)]
+        rows = ROW.findall(done.stdout)
+        assert [row[:3] for row in rows] == [(n, d, str(i)) for n in names
+                                             for i in range(1, len(roots) + 1)], done.stdout
+        assert len(lines) == 2 + len(roots) * len(names)
+        assert lines[1].split() == ["case", "d", "root", "call_med_s", "call_min_s",
+                                    "proc_med_s", "peak_mib", "scipy", "result"]
+        if layer == "autocorr":
+            assert all(result.startswith("72 cells, ") for *_, result in rows)
+        if layer == "startup":  # only the fit reaches a least-squares solve
+            assert [row[0] for row in rows if row[3] == "true"] == ["gnar fit"] * len(roots)
 
 
 def test_probe_refuses_bad_options(tmp_path):
-    for argv in (("network", "--runs", "0"), ("startup", "--d", "51")):
+    for argv in (("network", "--runs", "0"), ("startup", "--d", "51"),
+                 ("network", *["--root", str(TOOLS.parent)] * 3)):
         done = run_tool("probe.py", *argv)
         assert done.returncode == 2, (argv, done.stderr)
     done = run_tool("probe.py", "network", "--d", "51", "--root", str(tmp_path))

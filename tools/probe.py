@@ -13,19 +13,22 @@ runs a command on the five-node test network (``tests/data``).
 
 Each case is an untimed set-up and a timed call, run in fresh processes one
 at a time, with the ``--root`` checkout's ``src/`` on the path and one BLAS
-thread.  A row gives the median and minimum call time, the median wall time
-of a process, the median ``tracemalloc`` peak of the call, whether scipy was
-loaded and a short result.  The peak comes from one more call per process,
-after the timed ones and a fresh set-up, so no timed call runs traced and
-the process time leaves that part out.  In the ``startup`` layer the traced
-call finds gnar's modules loaded, so an import's peak is near zero.  Compare
-a parent commit with the working tree, from the repository root:
+thread.  Given twice, ``--root`` compares two checkouts: their processes
+alternate within each case, so drift of the machine reaches both alike, and
+each case prints one row per root.  A row gives the root (1 or 2, as the
+first line lists them), the median and minimum call time, the median wall
+time of a process, the median ``tracemalloc`` peak of the call, whether
+scipy was loaded and a short result.  The peak comes from one more call per
+process, after the timed ones and a fresh set-up, so no timed call runs
+traced and the process time leaves that part out.  In the ``startup`` layer
+the traced call finds gnar's modules loaded, so an import's peak is near
+zero.  Compare a parent commit (root 1) with the working tree (root 2), from
+the repository root:
 
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
-    python3 tools/probe.py estimate --root /tmp/parent
-    python3 tools/probe.py estimate
+    python3 tools/probe.py estimate --root /tmp/parent --root .
 
-Both runs read this checkout's ``bench/`` and ``tests/data``.
+Both roots run this checkout's ``bench/`` and ``tests/data``.
 """
 
 import argparse
@@ -157,7 +160,8 @@ def run_process(case: str, code: str, d: int | None, seed: int, src: Path, cwd: 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("layer", choices=LAYERS)
-    p.add_argument("--root", default=str(HERE), help="checkout whose src/ is run")
+    p.add_argument("--root", action="append",
+                   help="checkout whose src/ is run; twice to compare two (default: this one)")
     p.add_argument("--d", type=int, action="append",
                    help="node count, repeatable (default: the layer's)")
     p.add_argument("--seed", type=int, help="input seed (default: 1)")
@@ -170,29 +174,33 @@ def main(argv=None) -> int:
         p.error("startup takes no --d or --seed")
     if any(d < 5 for d in args.d or ()):  # below 5 the graph cannot hold 2d - 1 edges
         p.error("--d must be >= 5")
-    src = Path(args.root).resolve() / "src"
-    if not (src / "gnar").is_dir():
-        sys.exit(f"probe: no gnar package under {src}")
+    if len(args.root or ()) > 2:
+        p.error("--root may be given at most twice")
+    srcs = [Path(root).resolve() / "src" for root in args.root or [HERE]]
+    for src in srcs:
+        if not (src / "gnar").is_dir():
+            sys.exit(f"probe: no gnar package under {src}")
     runs, seed = args.runs or runs, 1 if args.seed is None else args.seed
-    print(f"layer={args.layer} root={src.parent} seed={seed} runs={runs} calls={calls} "
+    roots = " ".join(f"root{i}={src.parent}" for i, src in enumerate(srcs, start=1))
+    print(f"layer={args.layer} {roots} seed={seed} runs={runs} calls={calls} "
           f"python={sys.version.split()[0]}")
-    print(f"{'case':<16} {'d':>5} {'call_med_s':>10} {'call_min_s':>10} {'proc_med_s':>10} "
-          f"{'peak_mib':>8} {'scipy':>5}  result")
+    print(f"{'case':<16} {'d':>5} {'root':>4} {'call_med_s':>10} {'call_min_s':>10} "
+          f"{'proc_med_s':>10} {'peak_mib':>8} {'scipy':>5}  result")
     with tempfile.TemporaryDirectory() as tmp:
         for d in args.d or sizes:
             for case, (setup, call) in cases.items():
                 code = CHILD.format(setup=setup, calls=calls, call=call,
                                     timed=textwrap.indent(call, "    "))
-                walls, times, peaks = [], [], []
+                procs = [[] for _ in srcs]
                 for _ in range(runs):
-                    wall, calls_s, peak, scipy, result = run_process(case, code, d, seed,
-                                                                     src, tmp)
-                    walls.append(wall)
-                    times += calls_s
-                    peaks.append(peak)
-                print(f"{case:<16} {d or '-':>5} {statistics.median(times):10.4f} "
-                      f"{min(times):10.4f} {statistics.median(walls):10.4f} "
-                      f"{statistics.median(peaks):8.1f} {scipy:>5}  {result}")
+                    for i, src in enumerate(srcs):  # the roots alternate, process by process
+                        procs[i].append(run_process(case, code, d, seed, src, tmp))
+                for i, done in enumerate(procs, start=1):
+                    walls, times, peaks, scipy, result = zip(*done)
+                    times = [t for calls_s in times for t in calls_s]
+                    print(f"{case:<16} {d or '-':>5} {i:>4} {statistics.median(times):10.4f} "
+                          f"{min(times):10.4f} {statistics.median(walls):10.4f} "
+                          f"{statistics.median(peaks):8.1f} {scipy[-1]:>5}  {result[-1]}")
     return 0
 
 
