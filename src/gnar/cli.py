@@ -4,9 +4,10 @@ Subcommands cover the full workflow: ``simulate`` a model file into a panel, ``f
 model order to a panel, ``nacf``/``corbit`` for autocorrelation grids and their radial
 plots, ``forecast`` and ``compare`` for hold-out evaluation, and ``elections`` for the
 end-to-end US presidential case study.  Each returns ``({path: text}, console line)``, so
-it computes all of its files before :func:`main` writes any (a bad input or argument writes
-nothing), each through :func:`~gnar.textfile.write_text_atomic` (UTF-8, write then
-rename).  All randomness flows through ``--seed``, so reruns give identical bytes.
+it computes all of its files before :func:`main` writes any (a bad input or argument, or a
+target that is a directory, writes nothing), each through
+:func:`~gnar.textfile.write_text_atomic` (UTF-8, write then rename).  All randomness flows
+through ``--seed``, so reruns give identical bytes.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def _cmd_fit(args):
         return files, f"wrote per-community fits for {len(fits)} communities to {out_dir}"
     fit = estimate.fit_ols(estimate.build_design(panel, order, net, W, part))
     if not fit.stationary:
-        print("warning: estimates violate the stationarity condition "
-              f"(largest sum {np.max(fit.stationarity_sums):.3f})", file=sys.stderr)
+        print("warning: estimates do not meet the sufficient stationarity condition "
+              "(every group's absolute sum below 1; "
+              f"largest sum {np.max(fit.stationarity_sums):.3f})", file=sys.stderr)
     return ({out_dir / "coefficients.csv": estimate.coefficient_table(fit),
              out_dir / "residuals.csv": format_panel(fit.residuals),
              out_dir / "model.txt": format_model(fit.to_coefficients(), order, d=panel.d)},
@@ -165,8 +167,9 @@ def _cmd_elections(args):
         "comparison.csv": report.to_csv_text(),
     }
     if not fit_std.stationary:
-        print("note: standardised fit violates the stationarity condition "
-              f"(largest sum {np.max(fit_std.stationarity_sums):.3f}); "
+        print("note: standardised fit does not meet the sufficient stationarity condition "
+              "(every group's absolute sum below 1; "
+              f"largest sum {np.max(fit_std.stationarity_sums):.3f}); "
               "see the differenced fit", file=sys.stderr)
     out_dir = Path(args.out_dir)
     return ({out_dir / name: text for name, text in outputs.items()},
@@ -262,6 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             files, message = args.func(args)
+        for path in filter(Path.is_dir, map(Path, files)):
+            raise GnarError(f"{path} is a directory, so no file was written")
         for path, text in files.items():
             write_text_atomic(path, text)
     except (GnarError, OSError, MemoryError) as exc:

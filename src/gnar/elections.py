@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import DataError, GnarError
 from .network import Network, build_network
 from .panel import TimeSeriesPanel
 from .partition import CommunityPartition
+from .textfile import read_text
 
 ELECTION_YEARS = tuple(range(1976, 2024, 4))
 
@@ -172,55 +174,52 @@ def load_returns(path: str | Path) -> ElectionPanel:
     state_idx = {name: i for i, name in enumerate(STATE_NAMES)}
     year_idx = {y: j for j, y in enumerate(ELECTION_YEARS)}
     sums: dict[tuple[int, int], list[float]] = {}  # (i, j) -> [rep, dem, total]
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            col = {name: k for k, name in enumerate(header)}  # the last duplicate wins
-            party = next((c for c in _PARTY_COLUMNS if c in col), " or ".join(_PARTY_COLUMNS))
-            names = ("year", "state", "candidatevotes", "totalvotes", party)
-            for name in names:
-                if name not in col:
-                    raise DataError(f"{path}:1: no {name} column")
-            iy, ist, iv, it, ip = map(col.get, names)
-            io, ncols = col.get("office"), len(header)
-            for cells in reader:
-                if len(cells) != ncols:
-                    if not cells:
-                        continue
-                    raise DataError(f"{path}:{reader.line_num}: expected {ncols} "
-                                    f"cells, got {len(cells)}")
-                office = cells[io].strip().upper() if io is not None else ""
-                if office and office != "US PRESIDENT":
+    reader = csv.reader(StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        col = {name: k for k, name in enumerate(header)}  # the last duplicate wins
+        party = next((c for c in _PARTY_COLUMNS if c in col), " or ".join(_PARTY_COLUMNS))
+        names = ("year", "state", "candidatevotes", "totalvotes", party)
+        for name in names:
+            if name not in col:
+                raise DataError(f"{path}:1: no {name} column")
+        iy, ist, iv, it, ip = map(col.get, names)
+        io, ncols = col.get("office"), len(header)
+        for cells in reader:
+            if len(cells) != ncols:
+                if not cells:
                     continue
-                try:
-                    j = year_idx.get(int(cells[iy]))
-                    if j is None:
-                        continue
-                    votes, tv = _votes(cells[iv]), _votes(cells[it])
-                except (ValueError, OverflowError) as exc:
-                    raise DataError(f"{path}:{reader.line_num}: non-numeric cell "
-                                    f"({exc})") from None
-                state = cells[ist].strip().upper()
-                i = state_idx.get(state)
-                if i is None:
-                    raise DataError(f"{path}:{reader.line_num}: unknown state name {state!r}")
-                acc = sums.get((i, j))
-                if acc is None:
-                    acc = sums[i, j] = [0.0, 0.0, tv]
-                elif tv > acc[2]:
-                    acc[2] = tv
-                label = cells[ip].strip().upper()
-                if label == "REPUBLICAN":
-                    acc[0] += votes
-                elif label == "DEMOCRAT":
-                    acc[1] += votes
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not UTF-8 text") from None
+                raise DataError(f"{path}:{reader.line_num}: expected {ncols} "
+                                f"cells, got {len(cells)}")
+            office = cells[io].strip().upper() if io is not None else ""
+            if office and office != "US PRESIDENT":
+                continue
+            try:
+                j = year_idx.get(int(cells[iy]))
+                if j is None:
+                    continue
+                votes, tv = _votes(cells[iv]), _votes(cells[it])
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}:{reader.line_num}: non-numeric cell "
+                                f"({exc})") from None
+            state = cells[ist].strip().upper()
+            i = state_idx.get(state)
+            if i is None:
+                raise DataError(f"{path}:{reader.line_num}: unknown state name {state!r}")
+            acc = sums.get((i, j))
+            if acc is None:
+                acc = sums[i, j] = [0.0, 0.0, tv]
+            elif tv > acc[2]:
+                acc[2] = tv
+            label = cells[ip].strip().upper()
+            if label == "REPUBLICAN":
+                acc[0] += votes
+            elif label == "DEMOCRAT":
+                acc[1] += votes
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     rep, dem, total = np.full((3, len(STATE_NAMES), len(ELECTION_YEARS)), np.nan)
     for (i, j), acc in sums.items():
         rep[i, j], dem[i, j], total[i, j] = acc
@@ -248,14 +247,7 @@ def classify(data: ElectionPanel) -> StateClassification:
     dem_wins = np.sum(data.dem_votes > data.rep_votes, axis=1).astype(int)
     T = data.panel.T
     threshold = int(np.ceil(0.75 * T))
-    assignment = []
-    for i in range(len(STATE_NAMES)):
-        if rep_wins[i] >= threshold:
-            assignment.append(1)
-        elif dem_wins[i] >= threshold:
-            assignment.append(2)
-        else:
-            assignment.append(3)
+    assignment = np.select([rep_wins >= threshold, dem_wins >= threshold], [1, 2], 3).tolist()
     present = sorted(set(assignment))
     if present != [1, 2, 3]:
         missing = [COMMUNITY_LABELS[c - 1] for c in (1, 2, 3) if c not in present]
@@ -283,9 +275,6 @@ def difference(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """One-lag differences; drops the first time step."""
     if panel.T < 2:
         raise GnarError("differencing needs at least two time steps")
-    out = TimeSeriesPanel(values=panel.values[:, 1:] - panel.values[:, :-1],
-                          node_labels=panel.node_labels,
-                          time_labels=panel.time_labels[1:],
-                          meta=dict(panel.meta))
+    out = panel.with_values(panel.values[:, 1:] - panel.values[:, :-1], panel.time_labels[1:])
     out.meta["transform"] = "one-lag differenced"
     return out

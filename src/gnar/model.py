@@ -464,119 +464,109 @@ def write_model(coeffs: GnarCoefficients, order: GnarOrder, path: str | Path,
     write_text_atomic(path, format_model(coeffs, order, d=d))
 
 
-_HEADER_KEYS = ("variant", "C", "p", "s", "d", "sigma")
-
-
 def _finite(text: str) -> float:
     """``float(text)``; inf and nan raise ValueError too."""
-    value = float(text)
-    if not np.isfinite(value):
+    if not np.isfinite(value := float(text)):
         raise ValueError(text)
     return value
+
+
+#: Each header key's value type, least value and greatest (None: unbounded).  An
+#: integer may equal its least; a number (``sigma``) must lie above it.
+_HEADER = {"variant": (str, None, None), "C": (int, 1, None), "p": (int, 1, None),
+           "s": (int, 0, MAX_NODES - 1), "d": (int, 1, MAX_NODES), "sigma": (_finite, 0, None)}
+
+
+def _values(path, ln: int, key: str, row: list[str]) -> list:
+    """The values ``row`` of ``key`` on line ``ln``, converted and checked against ``_HEADER``."""
+    convert, least, most = _HEADER[key]
+    if not row:
+        raise DataError(f"{path}:{ln}: {key!r} needs a value")
+    try:
+        values = [convert(x) for x in row]
+    except ValueError:
+        kind = {int: "an integer", _finite: "a number"}[convert]
+        raise DataError(f"{path}:{ln}: {key!r} needs {kind}, got {' '.join(row)!r}") from None
+    if most is not None and max(values) > most:
+        raise DataError(f"{path}:{ln}: {key!r} value {max(values)} exceeds {most} "
+                        f"(networks have at most {MAX_NODES} nodes)")
+    strict = convert is _finite
+    if least is not None and (min(values) < least or strict and min(values) == least):
+        raise DataError(f"{path}:{ln}: {key!r} value {min(values)} is "
+                        f"{'not above' if strict else 'below'} {least}")
+    return values
+
+
+def _header(path, rows: dict, key: str | int, one: bool = True):
+    """The checked values on ``key``'s line (a community's ``s`` line if ``key`` is its
+    id); with ``one``, the one value that line must hold."""
+    if key not in rows:
+        raise DataError(f"{path}: no 's' line for community {key}" if isinstance(key, int)
+                        else f"{path}: malformed model file (no {key!r} line)")
+    ln, (name, *row) = rows[key]
+    values = _values(path, ln, name, row)
+    if one and len(values) > 1:
+        raise DataError(f"{path}:{ln}: {name!r} takes one value, got {' '.join(row)!r}")
+    return values[0] if one else values
 
 
 def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     """Read a model file; every other line than the header keys sets one coefficient.
 
-    A coefficient line that is malformed, names no slot of the order or
-    repeats an earlier one raises :class:`DataError` with its line number,
-    and so do a repeated header line, a header line without a value, with a
-    second one where its key takes one (``variant``, ``C``, ``d``, ``sigma``
-    and a global or local ``p``) or with one that is not a finite number, and
-    a community ``s`` line that names no community or repeats one; a missing
-    header line is named.  A node count above :data:`~gnar.network.MAX_NODES`,
-    or a stage order that no network of that size has, is refused before
-    anything is sized by it.  Slots without a line are zero.
+    Each line is keyed by its header key, its community id (a community ``s``
+    line, whose id is checked first) or its coefficient name.  The earliest
+    line that repeats a key raises :class:`DataError`; then, in this order, so
+    does a header line that ``_HEADER`` refuses (no value, one that does not
+    convert or is out of range, or a second where the key takes one), an
+    unknown variant, a community id outside 1..C, an ``s`` line without one
+    stage order per lag and a coefficient line that names no slot of the order
+    or holds no finite value, each with its line number.  A missing header
+    line, or community ``s`` line, is named.  Slots without a line are zero.
     """
-    _, lines = read_rows(path, sep=None)
-    if next(lines, (0, []))[1] != ["gnar-model", "v1"]:
+    lines = list(read_rows(path, sep=None)[1])
+    if not lines or lines[0][1] != ["gnar-model", "v1"]:
         raise DataError(f"{path}: not a model file (missing 'gnar-model v1' header)")
-    fields: dict[str, list[list[str]]] = {}
-    key_lines: dict[str, list[int]] = {}
-    coef_lines: list[tuple[int, list[str]]] = []
-    for ln, parts in lines:
-        if parts[0] in _HEADER_KEYS:
-            fields.setdefault(parts[0], []).append(parts[1:])
-            key_lines.setdefault(parts[0], []).append(ln)
-        else:
-            coef_lines.append((ln, parts))
-    d = None
-
-    def header(key: str, convert=str, k: int = 0, limit: int | None = None) -> list:
-        """The values on the k-th ``key`` line, each converted; a missing key,
-        an empty line, a value that does not convert or one above ``limit``
-        raises DataError."""
-        if key not in fields:
-            raise DataError(f"{path}: malformed model file (no {key!r} line)")
-        ln, row = key_lines[key][k], fields[key][k]
-        if not row:
-            raise DataError(f"{path}:{ln}: {key!r} needs a value")
-        try:
-            values = [convert(x) for x in row]
-        except ValueError:
-            kind = {int: "an integer", _finite: "a number"}[convert]
-            raise DataError(f"{path}:{ln}: {key!r} needs {kind}, got {' '.join(row)!r}") from None
-        if limit is not None and max(values) > limit:
-            raise DataError(f"{path}:{ln}: {key!r} value {max(values)} exceeds {limit} "
-                            f"(networks have at most {MAX_NODES} nodes)")
-        return values
-
-    def single(key: str, convert=str, limit: int | None = None):
-        """The value of a header line that holds one; a second value raises DataError."""
-        value, *extra = header(key, convert, limit=limit)
-        if extra:
-            raise DataError(f"{path}:{key_lines[key][0]}: {key!r} takes one value, "
-                            f"got {' '.join(fields[key][0])!r}")
-        return value
-
-    variant = single("variant")
-    for key, at in key_lines.items():
-        if len(at) > 1 and not (key == "s" and variant == "community"):
-            raise DataError(f"{path}:{at[1]}: {key!r} was already set on line {at[0]}")
-    sigma = single("sigma", _finite)
-    try:
-        if variant == "community":
-            lags = header("p", int)
-            C = single("C", int)
-            if C != len(lags):
-                raise DataError(f"{path}:{key_lines['C'][0]}: 'C' is {C} but 'p' has {len(lags)}")
-            stages: list[list[int]] = [[] for _ in range(C)]
-            set_on: dict[int, int] = {}
-            for k, ln in enumerate(key_lines["s"]):
-                c, *row = header("s", int, k, limit=MAX_NODES - 1)
-                if not 1 <= c <= C:
-                    raise DataError(f"{path}:{ln}: community {c} outside 1..{C}")
-                if c in set_on:
-                    raise DataError(f"{path}:{ln}: stages of community {c} were "
-                                    f"already set on line {set_on[c]}")
-                set_on[c] = ln
-                stages[c - 1] = row
-            order = GnarOrder.community_order(lags, stages)
-        elif variant in ("global", "local"):
-            order = GnarOrder(variant, (single("p", int),),
-                              (tuple(header("s", int, limit=MAX_NODES - 1)),))
-            if variant == "local":
-                d = single("d", int, limit=MAX_NODES)
-        else:
-            raise DataError(f"{path}: unknown variant {variant!r}")
-        coeffs = GnarCoefficients._zeros(order, sigma, d)
-    except DataError:
-        raise
-    except (KeyError, IndexError, ValueError) as exc:
-        raise DataError(f"{path}: malformed model file ({exc})") from None
+    community = ["variant", "community"] in (parts for _, parts in lines)
+    rows: dict[str | int, tuple[int, list[str]]] = {}
+    for ln, parts in lines[1:]:
+        key = parts[0] if parts[0] in _HEADER else " ".join(parts[:-1]) or parts[0]
+        if key == "s" and community:
+            key, parts = _values(path, ln, "s", parts[1:2])[0], ["s", *parts[2:]]
+        if key in rows:
+            what = f"stages of community {key} were" if isinstance(key, int) else f"{key!r} was"
+            raise DataError(f"{path}:{ln}: {what} already set on line {rows[key][0]}")
+        rows[key] = ln, parts
+    variant = _header(path, rows, "variant")
+    if variant not in VARIANTS:
+        raise DataError(f"{path}:{rows['variant'][0]}: unknown variant {variant!r}")
+    sigma = _header(path, rows, "sigma")
+    if community:
+        lags, C = _header(path, rows, "p", one=False), _header(path, rows, "C")
+        if C != len(lags):
+            raise DataError(f"{path}:{rows['C'][0]}: 'C' is {C} but 'p' has {len(lags)}")
+        for key, (ln, _) in rows.items():
+            if isinstance(key, int) and not 1 <= key <= C:
+                raise DataError(f"{path}:{ln}: community {key} outside 1..{C}")
+        keys = list(range(1, C + 1))
+    else:
+        lags, keys = [_header(path, rows, "p")], ["s"]
+    stages = [tuple(_header(path, rows, key, one=False)) for key in keys]
+    for key, p, s in zip(keys, lags, stages):
+        if len(s) != p:
+            raise DataError(f"{path}:{rows[key][0]}: {len(s)} stage orders for {p} lags")
+    order = GnarOrder(variant, tuple(lags), tuple(stages))
+    d = _header(path, rows, "d") if variant == "local" else None
+    coeffs = GnarCoefficients._zeros(order, sigma, d)
     slots = {_line_key(variant, e): e for e in theta_index(order, d)}
-    seen: dict[str, int] = {}
-    for ln, parts in coef_lines:
-        key = " ".join(parts[:-1])
+    for key, (ln, parts) in rows.items():
+        if isinstance(key, int) or key in _HEADER:
+            continue
         if key not in slots:
             raise DataError(f"{path}:{ln}: {' '.join(parts)!r} sets no coefficient of "
                             f"the order {format_order(order)}")
-        if key in seen:
-            raise DataError(f"{path}:{ln}: {key!r} was already set on line {seen[key]}")
         try:
             _coef(coeffs, slots[key], _finite(parts[-1]))
         except ValueError:
             raise DataError(f"{path}:{ln}: coefficient value must be a finite number, "
                             f"got {parts[-1]!r}") from None
-        seen[key] = ln
     return coeffs, order

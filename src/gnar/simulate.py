@@ -41,7 +41,8 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
              allow_nonstationary: bool = False) -> TimeSeriesPanel:
     """Generate one realisation of length T.
 
-    Non-stationary coefficient sets are rejected unless
+    Coefficient sets that do not meet the sufficient stationarity condition
+    (every group's absolute sum below 1) are rejected unless
     ``allow_nonstationary`` is set, in which case a warning is issued and
     the run proceeds (trajectories may diverge).
     """
@@ -57,11 +58,13 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     report = stationarity_margin(coeffs, order)
     if not report.stationary:
         if not allow_nonstationary:
-            raise GnarError("coefficients violate the stationarity condition "
-                            f"(largest group sum {np.max(report.sums):.4f} >= 1); "
+            raise GnarError("coefficients do not meet the sufficient stationarity condition, "
+                            "every group's absolute sum below 1 (largest group sum "
+                            f"{np.max(report.sums):.4f}); "
                             "pass allow_nonstationary=True to simulate anyway")
-        warnings.warn("simulating a model whose coefficients violate the "
-                      "stationarity condition", stacklevel=2)
+        warnings.warn("simulating a model whose coefficients do not meet the sufficient "
+                      "stationarity condition (every group's absolute sum below 1)",
+                      stacklevel=2)
     phi = to_var(coeffs, order, net, W, part)
     p, d = phi.shape[0], net.d
     rng = np.random.default_rng(seed)

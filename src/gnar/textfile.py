@@ -1,8 +1,9 @@
 """The line grammar every gnar input file shares, and the writer of every gnar file.
 
-Edge lists, weights, partitions, panels and model files are UTF-8 text.  A
-line (as :meth:`str.splitlines` splits) is stripped; blank lines are skipped,
-``#`` starts a comment and other lines are rows.  Errors read ``path:line``.
+Every gnar input file is UTF-8 text, read by :func:`read_text`.  In edge lists,
+weights, partitions, panels and model files, a line (as :meth:`str.splitlines` splits)
+is stripped; blank lines are skipped, ``#`` starts a comment and other lines are rows.
+Errors read ``path:line``.
 :func:`check_cell` is the writers' side: what a written cell may hold;
 :func:`write_text_atomic` writes every gnar file.
 """
@@ -14,16 +15,21 @@ from pathlib import Path
 from .errors import DataError, GnarError
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; a byte that is not UTF-8 raises DataError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise DataError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def read_rows(path: str | Path, sep: str | None = ","
               ) -> tuple[list[tuple[int, str]], Iterator[tuple[int, list[str]]]]:
     """Every ``(line, text after '#')`` comment, and an iterator of ``(line, cells)``
     that splits each row on ``sep`` (``None``: whitespace) only when it is reached."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
-        raise DataError(f"{path}:{line}: not UTF-8 text") from None
+    text = read_text(path)
     lines = [(ln, s) for ln, s in enumerate(map(str.strip, text.splitlines()), start=1) if s]
     comments = [(ln, s[1:].strip()) for ln, s in lines if s[0] == "#"]
     return comments, ((ln, s.split(sep)) for ln, s in lines if s[0] != "#")

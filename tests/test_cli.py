@@ -232,7 +232,7 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
         bad.write_bytes(b"year,state,office,candidate,candidatevotes,totalvotes,"
                         b"party_simplified\n1976,ALABAMA,US PRESIDENT,R,600,1000,\xff\n")
         argv, where = ("elections", "--returns", str(bad),
-                       "--out-dir", str(tmp_path / "out")), ""
+                       "--out-dir", str(tmp_path / "out")), ":2"
     assert run(*argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {bad}{where}: not UTF-8 text"]
@@ -292,7 +292,8 @@ def test_simulate_nonstationary_warns_in_one_line(tmp_path, capsys):
     capsys.readouterr()
     assert run(*args, "--allow-nonstationary") == 0
     assert capsys.readouterr().err.splitlines() == [
-        "warning: simulating a model whose coefficients violate the stationarity condition"]
+        "warning: simulating a model whose coefficients do not meet the sufficient "
+        "stationarity condition (every group's absolute sum below 1)"]
     assert read_panel(out).values.shape == (5, 20)
 
 
@@ -399,6 +400,21 @@ def test_failed_corbit_render_leaves_no_grid(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert not (out_dir / "grid.csv").exists()
+
+
+def test_corbit_target_that_is_a_directory_writes_nothing(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    assert run("simulate", "--network", EDGES, "--partition", PART, "--model", MODEL,
+               "--length", "40", "--seed", "5", "--out", str(panel_path)) == 0
+    out_dir = tmp_path / "plots"
+    (out_dir / "rcorbit.svg").mkdir(parents=True)
+    capsys.readouterr()
+    assert run("corbit", "--network", EDGES, "--partition", PART, "--panel", str(panel_path),
+               "--max-lag", "3", "--max-stage", "2", "--out-dir", str(out_dir)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {out_dir / 'rcorbit.svg'} is a directory, so no file was written"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["rcorbit.svg"]
+    assert not any((out_dir / "rcorbit.svg").iterdir())
 
 
 def test_per_community_fit_refuses_a_panel_larger_than_the_network(tmp_path, capsys):

@@ -133,7 +133,7 @@ RETURNS_HEADER = b"year,state,office,candidate,candidatevotes,totalvotes,party_s
     (read_panel, b"# seed: 1\ntime,a\n1,0.5\n2,\xff\n", 4),
     (read_model, b"gnar-model v1\nvariant global\nsigma 1.0\np 1\ns 0\nalpha 1 0.\xff1\n", 6),
     (load_returns, RETURNS_HEADER + b"1976,ALABAMA,US PRESIDENT,R,600,1000,REPUBLIC\xffAN\n",
-     None),
+     2),
 ], ids=["edges", "weights", "partition", "panel", "model", "returns"])
 def test_readers_reject_bytes_that_are_not_utf8(tmp_path, read, data, line):
     path = tmp_path / "input.txt"

@@ -344,7 +344,8 @@ def test_model_file_rejects_bad_stage_lines(tmp_path, body, line, what):
     (GLOBAL_HEADER + "p 1\ns 1\ns 0\n", 6, "s", 5),
     ("gnar-model v1\nvariant local\nsigma 1.0\np 1\ns 1\nd 3\nd 4\n", 7, "d", 6),
     (COMMUNITY_HEADER + "C 3\ns 1 1\ns 2 0\n", 6, "C", 3),
-], ids=["variant", "sigma", "p", "global-s", "d", "C"])
+    ("gnar-model v1\nvariant\nsigma x\np 1\ns 1\nalpha 1 0.1\nalpha 1 0.2\n", 7, "alpha 1", 6),
+], ids=["variant", "sigma", "p", "global-s", "d", "C", "before-header-values"])
 def test_model_file_rejects_repeated_header_lines(tmp_path, text, line, key, first):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -376,9 +377,19 @@ def test_model_file_rejects_repeated_header_lines(tmp_path, text, line, key, fir
      ":4: 'd' takes one value, got '3 9'"),
     ("gnar-model v1\nvariant global\nsigma 1.0 2.0\np 1\ns 1\n",
      ":3: 'sigma' takes one value, got '1.0 2.0'"),
+    (COMMUNITY_HEADER, ": no 's' line for community 1"),
+    (COMMUNITY_HEADER + "s 1 1\n", ": no 's' line for community 2"),
+    ("gnar-model v1\nvariant local\nsigma 1.0\nd -1\np 1\ns 1\n", ":4: 'd' value -1 is below 1"),
+    ("gnar-model v1\nvariant local\nsigma 1.0\nd 0\np 1\ns 1\n", ":4: 'd' value 0 is below 1"),
+    (GLOBAL_HEADER + "p 2\ns 1\n", ":5: 1 stage orders for 2 lags"),
+    (GLOBAL_HEADER + "p 1\ns -1\n", ":5: 's' value -1 is below 0"),
+    ("gnar-model v1\nvariant global\nsigma -1\np 1\ns 1\n",
+     ":3: 'sigma' value -1.0 is not above 0"),
+    ("gnar-model v1\nvariant foo\nsigma 1.0\np 1\ns 1\n", ":2: unknown variant 'foo'"),
 ], ids=["sigma-empty", "sigma-word", "p-word", "s-word", "C-fraction", "variant-empty",
         "no-sigma", "no-d", "variant-extra", "global-p-extra", "local-p-extra", "C-extra",
-        "d-extra", "sigma-extra"])
+        "d-extra", "sigma-extra", "community-no-s", "community-one-s-of-two", "d-negative",
+        "d-zero", "s-shorter-than-p", "s-negative", "sigma-negative", "variant-unknown"])
 def test_model_file_rejects_bad_header_values(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -39,7 +39,7 @@ from gnar.autocorr import KINDS, CorbitGrid, corbit_grid, nacf, pnacf
 from gnar.cli import build_parser, main
 from gnar.corbit_svg import RenderOptions, render_corbit, render_rcorbit
 from gnar.elections import ELECTION_YEARS, STATE_NAMES, load_returns
-from gnar.errors import GnarError, SizeError
+from gnar.errors import DataError, GnarError, SizeError
 from gnar.estimate import build_community_design, build_design, fit_ols, fit_per_community
 from gnar.forecast import ModelSpec, compare, forecast
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
@@ -477,6 +477,35 @@ def test_file_readers_raise_only_gnar_errors(name, text_edits):
             read(path)
         except GnarError:
             pass
+
+
+MODEL_TOKENS = (b"\n", b" ", b"variant ", b"community", b"global", b"local", b"C ", b"p ",
+                b"s ", b"d ", b"sigma ", b"0", b"1", b"2", b"-1", b"0.5", b"nan", b"x",
+                b"99999999999", b"alpha 1 1 ", b"beta 1 1 1 ")
+LOCATED = re.compile(r":(\d+: | malformed model file \(no '\w+' line\)$"
+                     r"| no 's' line for community \d+$)")
+
+
+@settings(PROPERTY, max_examples=200)
+@given(edits(MODEL_TOKENS, 8))
+def test_model_read_errors_name_their_line_key_or_community(text_edits):
+    """Header tokens spliced into a valid model file after its first line: a refusal
+    names the file and the line to blame, or the key or community without a line."""
+    head, body = (DATA_DIR / "table1_model.txt").read_bytes().split(b"\n", 1)
+    for where, cut, token in text_edits:
+        at = int(where * len(body))
+        body = body[:at] + token + body[at + cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_bytes(head + b"\n" + body)
+        try:
+            read_model(path)
+        except DataError as exc:
+            message = str(exc)
+            assert message.startswith(str(path)), message
+            assert LOCATED.match(message, len(str(path))), message
+            assert all(re.fullmatch(r"no '\w+' line\)", rest)
+                       for rest in re.findall(r"malformed model file \((.*)", message)), message
 
 
 SUBCOMMANDS = next(a for a in build_parser()._actions
