@@ -242,8 +242,6 @@ def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (R'R)^-1 and the residual y_i - A_i alpha_i - B_i beta in row order.
     """
     n, q = ds.n, ds.q
-    if n < q:
-        raise DesignError(f"system has {n} rows for {q} parameters")
     A, B, a_idx, b_idx = ds.local
     m, p = a_idx.shape
     A, B = A.transpose(1, 0, 2), B.transpose(1, 0, 2)
@@ -300,13 +298,13 @@ def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
 
 def fit_ols(ds: DesignSystem) -> FitResult:
     """Ordinary least squares with unbiased residual variance (n - q)."""
+    if ds.n <= ds.q:
+        raise DesignError(f"no residual degrees of freedom (n={ds.n}, q={ds.q})")
     if ds.local is not None:
         theta, gram_inv, resid = _solve_local(ds)
     else:
         theta, gram_inv = solve_least_squares(ds.R, ds.y, ds.column_names())
         resid = ds.y - ds.R @ theta
-    if ds.n <= ds.q:
-        raise DesignError(f"no residual degrees of freedom (n={ds.n}, q={ds.q})")
     sigma2 = float(resid @ resid) / (ds.n - ds.q)
     return _finish_fit(ds, theta, sigma2 * gram_inv, sigma2, resid)
 
@@ -324,51 +322,40 @@ class KroneckerCovariance:
             raise CovarianceError("per-step covariance block must be square")
 
 
-def _cholesky_or_reject(S: np.ndarray, what: str) -> np.ndarray:
-    if not np.allclose(S, S.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(S).max())):
-        raise CovarianceError(f"{what} is not symmetric")
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise CovarianceError(f"{what} is not positive definite") from None
-
-
 def fit_gls(ds: DesignSystem, sigma) -> FitResult:
     """Generalised least squares under a full or Kronecker error covariance.
 
-    The system is whitened with the Cholesky factor of the covariance and
-    solved by the same pivoted QR path as OLS.  The reported coefficient
+    The system is whitened block by block with the Cholesky factor of the
+    covariance block: one time step's m node rows for a Kronecker
+    covariance, all n rows as one block for a full one.  It is then solved
+    by the same pivoted QR path as OLS.  The reported coefficient
     covariance is (R' Sigma^-1 R)^-1; residuals stay on the raw scale.
     """
     import scipy.linalg
-    if isinstance(sigma, KroneckerCovariance):
-        m = len(ds.node_ids)
-        if sigma.sigma_u.shape[0] != m:
-            raise CovarianceError(f"per-step block is {sigma.sigma_u.shape[0]} x "
-                                  f"{sigma.sigma_u.shape[0]}, rows cycle over {m} nodes")
-        L = _cholesky_or_reject(sigma.sigma_u, "per-step covariance block")
-        # The LAPACK call solve_triangular makes for a C-ordered L, without its checks.
-        trtrs = scipy.linalg.lapack.dtrtrs
-        blocks_R = ds.R.reshape(-1, m, ds.q)
-        blocks_y = ds.y.reshape(-1, m)
-        Rw = np.empty_like(blocks_R)
-        yw = np.empty_like(blocks_y)
-        for b in range(blocks_R.shape[0]):
-            Rw[b], info_R = trtrs(L.T, blocks_R[b], lower=0, trans=1)
-            yw[b], info_y = trtrs(L.T, blocks_y[b], lower=0, trans=1)
-            if info_R or info_y:
-                raise CovarianceError(f"per-step covariance block: triangular solve failed "
-                                      f"(LAPACK info {info_R or info_y})")
-        Rw = Rw.reshape(ds.n, ds.q)
-        yw = yw.ravel()
-    else:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (ds.n, ds.n):
-            raise CovarianceError(f"covariance must be {ds.n} x {ds.n}, "
-                                  f"got {sigma.shape}")
-        L = _cholesky_or_reject(sigma, "error covariance")
-        Rw = scipy.linalg.solve_triangular(L, ds.R, lower=True)
-        yw = scipy.linalg.solve_triangular(L, ds.y, lower=True)
+    kron = isinstance(sigma, KroneckerCovariance)
+    S = sigma.sigma_u if kron else np.asarray(sigma, dtype=float)
+    m = len(ds.node_ids) if kron else ds.n
+    if S.shape != (m, m):
+        raise CovarianceError(f"covariance block must be {m} x {m} ({ds.n} design rows "
+                              f"in blocks of {m}), got {S.shape}")
+    if not np.allclose(S, S.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(S).max())):
+        raise CovarianceError("covariance block is not symmetric")
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise CovarianceError("covariance block is not positive definite") from None
+    # The LAPACK call solve_triangular makes for a C-ordered L, without its checks.
+    trtrs = scipy.linalg.lapack.dtrtrs
+    # Each form keeps its whitened layout, row-major blocks or dtrtrs's column-major
+    # result: the layout sets the summation order of Rw @ theta, hence sigma2's bits.
+    Rw = np.empty((ds.n, ds.q), order="C" if kron else "F")
+    yw = np.empty(ds.n)
+    for i in range(0, ds.n, m):
+        Rw[i:i + m], info_R = trtrs(L.T, ds.R[i:i + m], lower=0, trans=1)
+        yw[i:i + m], info_y = trtrs(L.T, ds.y[i:i + m], lower=0, trans=1)
+        if info_R or info_y:
+            raise CovarianceError(f"covariance block: triangular solve failed "
+                                  f"(LAPACK info {info_R or info_y})")
     theta, gram_inv = solve_least_squares(Rw, yw, ds.column_names())
     resid_w = yw - Rw @ theta
     sigma2 = float(resid_w @ resid_w) / (ds.n - ds.q) if ds.n > ds.q else float("nan")

@@ -381,43 +381,30 @@ def to_local_alpha(coeffs: GnarCoefficients, order: GnarOrder,
 # order grammar:  global:p;[s...]   community:[p...];{[s...],...}   local:p;[s...]
 # ---------------------------------------------------------------------------
 
-_INT_LIST = re.compile(r"^\[\s*(-?\d+(\s*,\s*-?\d+)*)?\s*\]$")
-
-
-def _parse_int_list(text: str, where: str) -> list[int]:
-    text = text.strip()
-    if not _INT_LIST.match(text):
-        raise OrderError(f"{where}: expected an integer list like [1,2], got {text!r}")
-    inner = text[1:-1].strip()
-    return [int(x) for x in inner.split(",")] if inner else []
+_INT = r"-?\d+"
+_LIST = rf"\[\s*(?:{_INT}(?:\s*,\s*{_INT})*)?\s*\]"
+_ORDER = re.compile(rf"\s*(?:(global|local)\s*:\s*({_INT})\s*;\s*({_LIST})|community\s*:"
+                    rf"\s*({_LIST})\s*;\s*\{{\s*({_LIST}(?:\s*,\s*{_LIST})*)?\s*\}})\s*")
 
 
 def parse_order(text: str) -> GnarOrder:
-    """Parse the single-line order grammar used by model files and the CLI."""
-    text = text.strip()
-    if ":" not in text:
-        raise OrderError(f"order string needs a variant prefix, got {text!r}")
-    variant, rest = text.split(":", 1)
-    variant = variant.strip()
-    if variant not in VARIANTS:
-        raise OrderError(f"unknown variant {variant!r}")
-    try:
-        p_text, s_text = rest.split(";", 1)
-        p = None if variant == "community" else int(p_text)
-    except ValueError:
-        raise OrderError(f"malformed {variant} order {text!r}") from None
-    if p is not None:
-        return GnarOrder(variant, (p,), (tuple(_parse_int_list(s_text, "stage list")),))
-    lags = _parse_int_list(p_text, "lag list")
-    s_text = s_text.strip()
-    if not (s_text.startswith("{") and s_text.endswith("}")):
-        raise OrderError(f"community stage lists must sit in braces, got {s_text!r}")
-    body = s_text[1:-1].strip()
-    lists = re.findall(r"\[[^\[\]]*\]", body)
-    if len(lists) != len(lags):
-        raise OrderError(f"{len(lists)} stage lists for {len(lags)} communities")
-    stages = [_parse_int_list(x, "stage list") for x in lists]
-    return GnarOrder.community_order(lags, stages)
+    """Parse the single-line order grammar used by model files and the CLI.
+
+    The whole string must match the grammar; whitespace may sit between tokens.
+    """
+    if not (match := _ORDER.fullmatch(text)):
+        raise OrderError(f"malformed order {text!r}; expected global:p;[s,...], "
+                         "local:p;[s,...] or community:[p,...];{[s,...],...}")
+    variant, p, stages, lags, lists = match.groups()
+
+    def ints(part: str) -> list[int]:
+        return [int(x) for x in re.findall(_INT, part)]
+
+    if variant:
+        return GnarOrder(variant, (int(p),), (tuple(ints(stages)),))
+    # Each "]" closes one stage list, so the pieces before them hold one list each.
+    return GnarOrder.community_order(ints(lags),
+                                     [ints(x) for x in (lists or "").split("]")[:-1]])
 
 
 def format_order(order: GnarOrder) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -90,12 +91,9 @@ def read_partition(path: str | Path) -> CommunityPartition:
     labels: dict[int, tuple[int, str]] = {}
     for ln, text in comments:
         if text.lower().startswith("label "):
-            try:
-                head, name = text.split(":", 1)
-                c, name = int(head.split()[1]), name.strip()
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{ln}: expected '# label C: name', "
-                                f"got {text!r}") from None
+            if not (match := re.fullmatch(r"label\s+(-?\d+)\s*:(.*)", text, re.I)):
+                raise DataError(f"{path}:{ln}: expected '# label C: name', got {text!r}")
+            c, name = int(match[1]), match[2].strip()
             why = ("is empty" if not name else "holds a comma" if "," in name
                    else "is reserved for grid rows" if name in RESERVED_LABELS
                    else f"repeats line {labels[c][0]}'s label" if c in labels else "")

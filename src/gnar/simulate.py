@@ -37,7 +37,7 @@ def var_recursion(phi: np.ndarray, X: np.ndarray, start: int) -> np.ndarray:
 
 def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
              W: np.ndarray, T: int, *, part: CommunityPartition | None = None,
-             burn_in: int = 200, seed: int = 0, noise_sd: float | None = None,
+             burn_in: int = 200, seed: int = 0,
              allow_nonstationary: bool = False) -> TimeSeriesPanel:
     """Generate one realisation of length T.
 
@@ -52,9 +52,6 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
         raise GnarError(f"burn-in must be >= 0, got {burn_in}")
     if seed < 0:
         raise GnarError(f"seed must be >= 0, got {seed}")
-    sd = coeffs.noise_sd if noise_sd is None else noise_sd
-    if sd <= 0:
-        raise GnarError(f"noise sd must be positive, got {sd}")
     report = stationarity_margin(coeffs, order)
     if not report.stationary:
         if not allow_nonstationary:
@@ -70,13 +67,13 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     rng = np.random.default_rng(seed)
     steps = burn_in + T
     X = np.zeros((d, p + steps))
-    X[:, p:] = rng.normal(0.0, sd, size=(steps, d)).T
+    X[:, p:] = rng.normal(0.0, coeffs.noise_sd, size=(steps, d)).T
     values = var_recursion(phi, X, p)[:, p + burn_in:]
     meta = {
         "rng": RNG_NAME,
         "seed": str(seed),
         "burn_in": str(burn_in),
-        "noise_sd": repr(float(sd)),
+        "noise_sd": repr(float(coeffs.noise_sd)),
     }
     return TimeSeriesPanel(values=values,
                            node_labels=default_node_labels(d),

@@ -5,8 +5,8 @@ dense all-pairs relaxation, least squares from the explicit normal
 equations, and one-step predictions from a literal term-by-term evaluation
 of the structural model equation.  The exceptions call the library's
 general QR solve: :func:`pivoted_qr_fit` on the whole design, the oracle for
-the local variant's structured solve, and :func:`blockwise_kronecker_gls` on
-a design whitened one time block at a time.  :func:`scipy_qr_solve` is the
+the local variant's structured solve, and :func:`blockwise_gls` on a design
+whitened one block at a time.  :func:`scipy_qr_solve` is the
 general QR solve as first written, on ``scipy.linalg.qr``.
 :func:`lstsq_pnacf` solves each auxiliary regression of the partial NACF
 by ``np.linalg.lstsq`` on its dense design.  :func:`loop_default_weights`
@@ -166,21 +166,27 @@ def gls_dense_solve(R: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> np.ndarr
     return np.linalg.inv(R.T @ si @ R) @ (R.T @ si @ y)
 
 
-def blockwise_kronecker_gls(ds, sigma_u: np.ndarray):
-    """(theta, coefficient covariance, sigma^2) of GLS under I kron sigma_u, whitening
-    the design and y one time block at a time with ``scipy.linalg.solve_triangular``,
-    then solving by the library's pivoted QR, as the library first did."""
+def blockwise_gls(ds, block: np.ndarray):
+    """(theta, coefficient covariance, sigma^2) of GLS under I kron block, whitening
+    the design and y one block of ``block``'s size at a time with
+    ``scipy.linalg.solve_triangular``, then solving by the library's pivoted QR,
+    as the library first did.  A block of all n rows is a full covariance, which
+    the library first whitened by one call on the whole system."""
     import scipy.linalg
 
     from gnar.estimate import solve_least_squares
 
-    m = len(ds.node_ids)
-    L = np.linalg.cholesky(sigma_u)
-    Rw, yw = np.empty((ds.n // m, m, ds.q)), np.empty((ds.n // m, m))
-    for b in range(ds.n // m):
-        Rw[b] = scipy.linalg.solve_triangular(L, ds.R[b * m:(b + 1) * m], lower=True)
-        yw[b] = scipy.linalg.solve_triangular(L, ds.y[b * m:(b + 1) * m], lower=True)
-    Rw, yw = Rw.reshape(ds.n, ds.q), yw.ravel()
+    m = block.shape[0]
+    L = np.linalg.cholesky(block)
+    if m == ds.n:
+        Rw = scipy.linalg.solve_triangular(L, ds.R, lower=True)
+        yw = scipy.linalg.solve_triangular(L, ds.y, lower=True)
+    else:
+        Rw, yw = np.empty((ds.n // m, m, ds.q)), np.empty((ds.n // m, m))
+        for b in range(ds.n // m):
+            Rw[b] = scipy.linalg.solve_triangular(L, ds.R[b * m:(b + 1) * m], lower=True)
+            yw[b] = scipy.linalg.solve_triangular(L, ds.y[b * m:(b + 1) * m], lower=True)
+        Rw, yw = Rw.reshape(ds.n, ds.q), yw.ravel()
     theta, gram_inv = solve_least_squares(Rw, yw, ds.column_names())
     resid = yw - Rw @ theta
     return theta, gram_inv, float(resid @ resid) / (ds.n - ds.q)

@@ -175,6 +175,18 @@ def test_community_subset_no_stage_pairs_degenerate(fivenet, fivenet_weights,
         assert cell.degenerate
 
 
+@pytest.mark.parametrize("fn", (nacf, pnacf))
+@pytest.mark.parametrize("nodes, why", [
+    ([], "node subset is empty"), ([2, 2], "node subset contains duplicates"),
+    ([0, 1], "node 0 outside 1..5"), ([1, 6], "node 6 outside 1..5"),
+], ids=["empty", "repeated", "zero", "beyond"])
+def test_node_subset_must_name_distinct_nodes_of_the_panel(fivenet, fivenet_weights, fn,
+                                                           nodes, why):
+    panel = noise_panel(np.random.default_rng(8), T=10)
+    with pytest.raises(GnarError, match=f"^{why}$"):
+        fn(panel, fivenet, fivenet_weights, 1, 1, nodes=nodes)
+
+
 def test_lag_and_stage_validation(fivenet, fivenet_weights):
     rng = np.random.default_rng(6)
     panel = noise_panel(rng, T=10)

@@ -149,6 +149,12 @@ def test_every_point_inside_canvas():
             assert r <= y <= opts.size - r
 
 
+@pytest.mark.parametrize("size", (0, -1))
+def test_render_size_must_be_positive(size):
+    with pytest.raises(GnarError, match="^render dimensions must be positive$"):
+        RenderOptions(size=size)
+
+
 def test_layout_overflow_rejected():
     grid = plain_grid(np.zeros((4, 3)))
     with pytest.raises(GnarError, match="overflow"):

@@ -11,7 +11,7 @@ from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition, single_community
 from gnar.simulate import simulate
 
-from oracles import (blockwise_kronecker_gls, gls_dense_solve, local_design,
+from oracles import (blockwise_gls, gls_dense_solve, local_design,
                      normal_equations_solve, random_connected_graph)
 
 
@@ -222,6 +222,23 @@ def test_gls_rejects_singular_covariance(table1_model, fivenet, fivenet_weights,
         fit_gls(ds, asym)
 
 
+@pytest.mark.parametrize("dense", (False, True), ids=("kronecker", "dense"))
+def test_gls_refuses_a_covariance_of_the_wrong_size(fivenet, fivenet_weights, dense):
+    ds = build_design(make_panel(np.random.default_rng(4).normal(size=(5, 12))),
+                      GnarOrder.global_order(1, [1]), fivenet, fivenet_weights)
+    m = ds.n if dense else 5
+    sigma = np.eye(m + 1) if dense else KroneckerCovariance(np.eye(m + 1))
+    with pytest.raises(CovarianceError, match=rf"^covariance block must be {m} x {m} "
+                                              rf"\(55 design rows in blocks of {m}\)"):
+        fit_gls(ds, sigma)
+
+
+def test_kronecker_covariance_block_must_be_square():
+    for block in (np.ones((2, 3)), np.ones(3)):
+        with pytest.raises(CovarianceError, match="^per-step covariance block must be square$"):
+            KroneckerCovariance(block)
+
+
 def test_gls_covariance_is_whitened_gram_inverse():
     rng = np.random.default_rng(3)
     d, T = 3, 12
@@ -233,6 +250,19 @@ def test_gls_covariance_is_whitened_gram_inverse():
     gls = fit_gls(ds, sigma)
     expected = np.linalg.inv(ds.R.T @ np.linalg.inv(sigma) @ ds.R)
     assert np.allclose(gls.cov, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("text, T, n, q", [
+    ("global:3;[1,1,1]", 6, 6, 6), ("global:3;[1,1,1]", 5, 4, 6),
+    ("local:2;[1,1]", 5, 6, 6), ("local:2;[1,1]", 4, 4, 6),
+], ids=["dense-n=q", "dense-n<q", "local-n=q", "local-n<q"])
+def test_ols_refuses_a_system_without_residual_degrees_of_freedom(text, T, n, q):
+    net = build_network(2, [(1, 2)])
+    ds = build_design(make_panel(np.random.default_rng(T).normal(size=(2, T))),
+                      parse_order(text), net, default_weights(bfs_distances(net)))
+    assert (ds.n, ds.q, ds.local is not None) == (n, q, text.startswith("local"))
+    with pytest.raises(DesignError, match=rf"^no residual degrees of freedom \(n={n}, q={q}\)$"):
+        fit_ols(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +422,24 @@ def test_gls_on_local_design_matches_dense_oracle(fivenet, fivenet_weights):
 @pytest.mark.parametrize("d", (5, 17, 51))
 @pytest.mark.parametrize("text", ("global:2;[1,1]", "local:1;[1]"))
 def test_kronecker_gls_equals_blockwise_whitening_bit_for_bit(d, text):
-    # fit_gls whitens each time block by a direct LAPACK call; the fit must equal
-    # one whitened block by block with scipy's solve_triangular, to the bit.
+    # fit_gls whitens each block by a direct LAPACK call; the fit must equal one
+    # whitened with scipy's solve_triangular, to the bit: a Kronecker covariance
+    # time block by time block, a dense one in one call.
     rng = np.random.default_rng(d)
     net = build_network(d, random_connected_graph(rng, d))
     ds = build_design(make_panel(rng.normal(size=(d, 25))), parse_order(text), net,
                       default_weights(bfs_distances(net)))
     A = rng.normal(size=(d, d))
     sigma_u = A @ A.T + d * np.eye(d)
-    fit = fit_gls(ds, KroneckerCovariance(sigma_u))
-    theta, cov, sigma2 = blockwise_kronecker_gls(ds, sigma_u)
-    assert fit.theta.tobytes() == theta.tobytes()
-    assert fit.cov.tobytes() == cov.tobytes()
-    assert fit.sigma2 == sigma2
-    assert fit.residuals.values.T.ravel().tobytes() == (ds.y - ds.R @ theta).tobytes()
+    B = rng.normal(size=(ds.n, ds.n))
+    dense = B @ B.T + ds.n * np.eye(ds.n)
+    for sigma, block in ((KroneckerCovariance(sigma_u), sigma_u), (dense, dense)):
+        fit = fit_gls(ds, sigma)
+        theta, cov, sigma2 = blockwise_gls(ds, block)
+        assert fit.theta.tobytes() == theta.tobytes()
+        assert fit.cov.tobytes() == cov.tobytes()
+        assert fit.sigma2 == sigma2
+        assert fit.residuals.values.T.ravel().tobytes() == (ds.y - ds.R @ theta).tobytes()
 
 
 @pytest.mark.parametrize("text", ["community:[1,1];{[1],[1]}", "community:[1,1];{[0],[0]}"])

@@ -70,6 +70,11 @@ def test_naive_baseline():
     assert np.array_equal(pred[1], panel.values[:, -1])
 
 
+def test_naive_baseline_refuses_a_horizon_below_one():
+    with pytest.raises(GnarError, match="^horizon must be >= 1, got 0$"):
+        naive_forecast(make_panel(np.ones((2, 3))), horizon=0)
+
+
 def test_rmspe_values():
     assert rmspe(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
     assert rmspe(np.array([1.0, 2.0]), np.zeros(2)) == pytest.approx(np.sqrt(2.5))
@@ -158,6 +163,13 @@ def test_external_forecast_refuses_rows_it_cannot_use(tmp_path, rows, why):
     path = tmp_path / "ext.csv"
     write_panel(TimeSeriesPanel(np.ones((3, len(rows))), ("a", "b", "c"), rows), path)
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row {why}$"):
+        load_external_forecast("other", path, 3)
+
+
+def test_external_forecast_needs_a_raw_row(tmp_path):
+    path = tmp_path / "ext.csv"
+    write_panel(TimeSeriesPanel(np.ones((3, 1)), ("a", "b", "c"), ("centred",)), path)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no row labelled 'raw'$"):
         load_external_forecast("other", path, 3)
 
 

@@ -116,7 +116,8 @@ def test_partition_read_rejects_non_numeric(tmp_path):
     path = tmp_path / "part.csv"
     for body, ln in [("node,community\n1,x\n", 2), ("node,community\nx,1\n", 2),
                      ("# label x: Red\nnode,community\n1,1\n", 1),
-                     ("# label 1 Red\nnode,community\n1,1\n", 1)]:
+                     ("# label 1 Red\nnode,community\n1,1\n", 1),
+                     ("# label 1 junk: Red\nnode,community\n1,1\n", 1)]:
         path.write_text(body)
         with pytest.raises(DataError, match=f"part.csv:{ln}: "):
             read_partition(path)

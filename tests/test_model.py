@@ -61,9 +61,18 @@ def test_order_grammar_round_trip(text):
     assert format_order(parse_order(text)) == text
 
 
+def test_order_grammar_allows_whitespace_between_tokens():
+    assert parse_order(" community : [ 1 , 2 ] ;\t{ [1] , [ 1,1 ] } ") == \
+        parse_order("community:[1,2];{[1],[1,1]}")
+    assert parse_order(" local : 2 ; [ 1 , 0 ]\n") == parse_order("local:2;[1,0]")
+
+
 @pytest.mark.parametrize("text", [
     "nonsense:1;[1]", "global:2", "community:[1,2];{[1]}", "global:x;[1]",
     "community:[1];[1]", "",
+    "community:[1,2];{[1]x[1,1]}", "community:[1,2];{[1] [1,1]}",
+    "community:[1,2];{[1],[1,1],}", "community:[1,2];{,,[1]junk,[1,1]}",
+    "community:[1,2];{[1],[1,1]}}",
 ])
 def test_order_grammar_rejects(text):
     with pytest.raises(OrderError):

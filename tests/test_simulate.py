@@ -61,9 +61,6 @@ def test_rejects_bad_arguments(fivenet, fivenet_weights):
     coeffs, order = zero_model()
     with pytest.raises(GnarError):
         simulate(coeffs, order, fivenet, fivenet_weights, 0, seed=0)
-    with pytest.raises(GnarError, match="noise sd"):
-        simulate(coeffs, order, fivenet, fivenet_weights, 10, seed=0,
-                 noise_sd=-1.0)
 
 
 def test_nonstationary_needs_flag(fivenet, fivenet_weights):
