@@ -282,6 +282,13 @@ def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, gram_inv, resid[:, :, 0].T.ravel()
 
 
+def _df_resid(ds: DesignSystem) -> int:
+    """The residual degrees of freedom n - q, which every fit needs to be positive."""
+    if ds.n <= ds.q:
+        raise DesignError(f"no residual degrees of freedom (n={ds.n}, q={ds.q})")
+    return ds.n - ds.q
+
+
 def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
                 sigma2: float, resid: np.ndarray) -> FitResult:
     m = len(ds.node_ids)
@@ -298,14 +305,13 @@ def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
 
 def fit_ols(ds: DesignSystem) -> FitResult:
     """Ordinary least squares with unbiased residual variance (n - q)."""
-    if ds.n <= ds.q:
-        raise DesignError(f"no residual degrees of freedom (n={ds.n}, q={ds.q})")
+    df = _df_resid(ds)
     if ds.local is not None:
         theta, gram_inv, resid = _solve_local(ds)
     else:
         theta, gram_inv = solve_least_squares(ds.R, ds.y, ds.column_names())
         resid = ds.y - ds.R @ theta
-    sigma2 = float(resid @ resid) / (ds.n - ds.q)
+    sigma2 = float(resid @ resid) / df
     return _finish_fit(ds, theta, sigma2 * gram_inv, sigma2, resid)
 
 
@@ -332,6 +338,7 @@ def fit_gls(ds: DesignSystem, sigma) -> FitResult:
     covariance is (R' Sigma^-1 R)^-1; residuals stay on the raw scale.
     """
     import scipy.linalg
+    df = _df_resid(ds)
     kron = isinstance(sigma, KroneckerCovariance)
     S = sigma.sigma_u if kron else np.asarray(sigma, dtype=float)
     m = len(ds.node_ids) if kron else ds.n
@@ -358,7 +365,7 @@ def fit_gls(ds: DesignSystem, sigma) -> FitResult:
                                   f"(LAPACK info {info_R or info_y})")
     theta, gram_inv = solve_least_squares(Rw, yw, ds.column_names())
     resid_w = yw - Rw @ theta
-    sigma2 = float(resid_w @ resid_w) / (ds.n - ds.q) if ds.n > ds.q else float("nan")
+    sigma2 = float(resid_w @ resid_w) / df
     return _finish_fit(ds, theta, gram_inv, sigma2, ds.y - ds.R @ theta)
 
 

@@ -13,14 +13,12 @@ betas (its own alphas for the local variant), and its betas act only on
 neighbours in its own group.  So the VAR matrices are
 Phi_k = diag(alpha_k) + sum_r diag(beta_k,r) (W_c o S_r), where W_c keeps
 the within-community weights (all weights for global and local orders).
-:func:`theta_index` lists the coefficient slots once; the parameter
-vector, the node-wise coefficients (and through them the VAR matrices),
-the design columns and the model-file lines are all loops over that one
-list, and the parameter count is its length.  :func:`_group_bases` gives
-each node's group and the masked stage weights; the VAR form, the design
-and the node-wise expansion read a partition only through it.
-:func:`_layout` gives the matching array shapes, which build and check
-every coefficient container.
+The coefficients are one parameter vector theta, a block per group and lag
+(:func:`_blocks`) whose slots :func:`theta_index` lists; the containers, the
+node-wise coefficients, the design columns and model files all follow it.
+:func:`_group_bases` gives each node's group and the masked stage weights;
+the VAR form, the design and the node-wise expansion read a partition only
+through it.
 
 The module also checks the sufficient stationarity condition (every
 group's sum of absolute coefficients below one): :func:`abs_sums` adds
@@ -33,6 +31,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,7 +106,13 @@ class GnarOrder:
 
     def param_count(self, d: int | None = None) -> int:
         """Total parameter count; the local variant needs the node count d."""
-        return len(theta_index(self, d))
+        return sum(a + s for group in _blocks(self, d) for _, a, s in group)
+
+
+#: The names of an alpha and of a beta slot, by variant: k is the slot's lag, r its stage,
+#: g its group and i its node.  Model-file keys are the same names (see ``_line_key``).
+_NAMES = {"global": ("alpha.{k}", "beta.{k}.{r}"), "local": ("alpha.node{i}.{k}", "beta.{k}.{r}"),
+          "community": ("alpha.{k}.{g}", "beta.{k}.{r}.{g}")}
 
 
 class ThetaEntry(NamedTuple):
@@ -119,133 +124,111 @@ class ThetaEntry(NamedTuple):
     node: int | None
 
     def name(self, variant: str) -> str:
-        if self.stage is None:
-            if variant == "community":
-                return f"alpha.{self.lag}.{self.group}"
-            if variant == "local":
-                return f"alpha.node{self.node}.{self.lag}"
-            return f"alpha.{self.lag}"
-        if variant == "community":
-            return f"beta.{self.lag}.{self.stage}.{self.group}"
-        return f"beta.{self.lag}.{self.stage}"
+        template = _NAMES[variant][self.stage is not None]
+        return template.format(k=self.lag, r=self.stage, g=self.group, i=self.node)
+
+
+def _blocks(order: GnarOrder, d: int | None = None) -> list[list[tuple[int, int, int]]]:
+    """``[g-1][k-1]``: (first slot, alpha count, stage count) of group g's lag-k block of
+    theta, which holds its alphas (one, or a local order's d) and then its betas."""
+    if order.variant == "local" and d is None:
+        raise OrderError("local orders need the node count to lay out parameters")
+    n_alpha = d if order.variant == "local" else 1
+    starts = accumulate((n_alpha + sk for s in order.stages for sk in s), initial=0)
+    return [[(next(starts), n_alpha, sk) for sk in s] for s in order.stages]
 
 
 def theta_index(order: GnarOrder, d: int | None = None) -> list[ThetaEntry]:
     """Slots of the parameter vector, groups ascending, lag-major inside."""
     entries: list[ThetaEntry] = []
-    if order.variant == "local":
-        if d is None:
-            raise OrderError("local orders need the node count to lay out parameters")
-        p, s = order.lags[0], order.stages[0]
-        for k in range(1, p + 1):
-            for i in range(1, d + 1):
-                entries.append(ThetaEntry(group=1, lag=k, stage=None, node=i))
-            for r in range(1, s[k - 1] + 1):
-                entries.append(ThetaEntry(group=1, lag=k, stage=r, node=None))
-        return entries
-    for g in range(1, order.n_groups + 1):
-        p, s = order.lags[g - 1], order.stages[g - 1]
-        for k in range(1, p + 1):
-            entries.append(ThetaEntry(group=g, lag=k, stage=None, node=None))
-            for r in range(1, s[k - 1] + 1):
-                entries.append(ThetaEntry(group=g, lag=k, stage=r, node=None))
+    for g, group in enumerate(_blocks(order, d), start=1):
+        nodes = range(1, d + 1) if order.variant == "local" else [None]  # one alpha per node
+        for k, (_, _, n_stage) in enumerate(group, start=1):
+            entries += [ThetaEntry(g, k, None, i) for i in nodes]
+            entries += [ThetaEntry(g, k, r, None) for r in range(1, n_stage + 1)]
     return entries
 
 
-def _layout(order: GnarOrder, d: int | None = None) -> tuple:
-    """Array shapes of the order's alphas, betas and node-wise alphas (None if not local)."""
-    local = order.variant == "local"
-    return (() if local else tuple((p,) for p in order.lags),
-            tuple(tuple((sk,) for sk in s) for s in order.stages),
-            (d, order.lags[0]) if local else None)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GnarCoefficients:
-    """Coefficient values matching a :class:`GnarOrder`.
-
-    * global/community: ``alpha[g][k-1]`` and ``beta[g][k-1][r-1]`` hold the
-      group-g coefficients at lag k (stage r).
-    * local: ``alpha_nodes[i-1, k-1]`` is node i's lag-k coefficient and
-      ``beta[0][k-1][r-1]`` the stage coefficients shared by all nodes.
+    """Coefficients of an order: read-only ``theta`` in :func:`theta_index` order, the
+    node count ``d`` of a local order (None otherwise) and the noise sd.  The keyword
+    constructor reads the order from nested arrays' shapes; the same names read copies
+    back: ``alpha[g][k-1]`` and ``beta[g][k-1][r-1]`` are group g's coefficients at lag
+    k (stage r), and a local order's ``alpha_nodes[i-1, k-1]`` node i's lag-k alpha.
     """
 
-    variant: str
-    alpha: tuple[np.ndarray, ...]
-    beta: tuple[tuple[np.ndarray, ...], ...]
+    order: GnarOrder
+    theta: np.ndarray
+    d: int | None
     noise_sd: float
-    alpha_nodes: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise OrderError(f"unknown variant {self.variant!r}")
-        if not self.noise_sd > 0:
-            raise OrderError(f"noise sd must be positive, got {self.noise_sd}")
-        object.__setattr__(self, "alpha",
-                           tuple(np.asarray(a, dtype=float) for a in self.alpha))
-        object.__setattr__(self, "beta",
-                           tuple(tuple(np.asarray(b, dtype=float) for b in group)
-                                 for group in self.beta))
-        if self.alpha_nodes is not None:
-            object.__setattr__(self, "alpha_nodes",
-                               np.asarray(self.alpha_nodes, dtype=float))
+    def __init__(self, variant: str, alpha, beta, noise_sd: float, alpha_nodes=None):
+        local = variant == "local"
+        # Each group's alphas as (lag, alpha): one per lag, or a local order's d.
+        alphas = ([np.asarray(alpha_nodes, dtype=float).T] if local
+                  else [np.asarray(a, dtype=float)[..., None] for a in alpha])
+        beta = [[np.asarray(b, dtype=float) for b in group] for group in beta]
+        if ((len(alpha) if local else alpha_nodes is not None) or any(a.ndim != 2 for a in alphas)
+                or any(b.ndim != 1 for group in beta for b in group)):
+            raise OrderError("alpha and beta need one-dimensional arrays; a local order needs "
+                             "alpha_nodes of shape (d, p) and no alpha, others no alpha_nodes")
+        order = GnarOrder(variant, tuple(len(a) for a in alphas),
+                          tuple(tuple(len(b) for b in group) for group in beta))
+        theta = np.concatenate([x for a, group in zip(alphas, beta)
+                                for block in zip(a, group) for x in block])
+        self._store(order, theta, alphas[0].shape[1] if local else None, noise_sd)
 
-    def validate_against(self, order: GnarOrder, d: int | None = None) -> None:
-        if self.variant != order.variant:
-            raise OrderError(f"coefficients are {self.variant}, order is {order.variant}")
-        nodes = self.alpha_nodes
-        if d is None and nodes is not None and nodes.ndim:
-            d = len(nodes)
-        actual = (tuple(a.shape for a in self.alpha),
-                  tuple(tuple(b.shape for b in group) for group in self.beta),
-                  None if nodes is None else nodes.shape)
-        for name, got, want in zip(("alpha", "beta", "alpha_nodes"), actual, _layout(order, d)):
-            if got != want:
-                raise OrderError(f"{name} shapes {got} do not match the order "
-                                 f"{format_order(order)}, which needs {want}")
-
-    def _entries(self, order: GnarOrder) -> list[ThetaEntry]:
-        """``theta_index`` of the order, sized by the node-wise alphas if any."""
-        return theta_index(order, None if self.alpha_nodes is None else len(self.alpha_nodes))
-
-    @classmethod
-    def _zeros(cls, order: GnarOrder, noise_sd: float,
-               d: int | None = None) -> "GnarCoefficients":
-        """All-zero coefficients of the order, ready to be filled slot by slot."""
-        alpha, beta, nodes = _layout(order, d)
-        return cls(variant=order.variant, alpha=tuple(np.zeros(s) for s in alpha),
-                   beta=tuple(tuple(np.zeros(s) for s in group) for group in beta),
-                   noise_sd=noise_sd, alpha_nodes=None if nodes is None else np.zeros(nodes))
-
-    # -- flat parameter vector --------------------------------------------
-    def to_theta(self, order: GnarOrder) -> np.ndarray:
-        self.validate_against(order)
-        return np.asarray([_coef(self, e) for e in self._entries(order)])
+    def _store(self, order: GnarOrder, theta, d: int | None, noise_sd: float) -> None:
+        """Set the fields to a copy of ``theta``, read-only, after checking its length."""
+        if not noise_sd > 0:
+            raise OrderError(f"noise sd must be positive, got {noise_sd}")
+        theta = np.array(theta, dtype=float)
+        if theta.shape != (size := order.param_count(d),):
+            raise OrderError(f"theta length {theta.shape} does not match {size}")
+        theta.flags.writeable = False
+        vars(self).update(order=order, theta=theta, noise_sd=noise_sd,
+                          d=d if order.variant == "local" else None)
 
     @classmethod
     def from_theta(cls, theta: np.ndarray, order: GnarOrder,
                    noise_sd: float = 1.0, d: int | None = None) -> "GnarCoefficients":
-        theta = np.asarray(theta, dtype=float)
-        entries = theta_index(order, d)
-        if theta.shape != (len(entries),):
-            raise OrderError(f"theta length {theta.shape} does not match {len(entries)}")
-        coeffs = cls._zeros(order, noise_sd, d)
-        for e, value in zip(entries, theta):
-            _coef(coeffs, e, value)
+        coeffs = cls.__new__(cls)
+        coeffs._store(order, theta, d, noise_sd)
         return coeffs
 
+    def to_theta(self, order: GnarOrder) -> np.ndarray:
+        self.validate_against(order)
+        return self.theta.copy()
 
-def _coef(coeffs: GnarCoefficients, e: ThetaEntry, value: float | None = None) -> float:
-    """The coefficient of slot e; sets it first when ``value`` is given."""
-    if e.stage is not None:
-        arr, idx = coeffs.beta[e.group - 1][e.lag - 1], e.stage - 1
-    elif e.node is not None:
-        arr, idx = coeffs.alpha_nodes, (e.node - 1, e.lag - 1)
-    else:
-        arr, idx = coeffs.alpha[e.group - 1], e.lag - 1
-    if value is not None:
-        arr[idx] = value
-    return float(arr[idx])
+    def validate_against(self, order: GnarOrder, d: int | None = None) -> None:
+        """Refuse another order, or a node count other than a local order's own."""
+        if order != self.order:
+            raise OrderError(f"coefficients are {format_order(self.order)}, "
+                             f"not {format_order(order)}")
+        if self.d is not None and d not in (None, self.d):
+            raise OrderError(f"alpha_nodes cover {self.d} nodes, not {d}")
+
+    @property
+    def variant(self) -> str:
+        return self.order.variant
+
+    @property
+    def alpha(self) -> tuple[np.ndarray, ...]:
+        groups = [] if self.d is not None else _blocks(self.order)  # local: no group alphas
+        return tuple(self.theta[[start for start, _, _ in group]] for group in groups)
+
+    @property
+    def beta(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return tuple(tuple(self.theta[start + a:start + a + s].copy() for start, a, s in group)
+                     for group in _blocks(self.order, self.d))
+
+    @property
+    def alpha_nodes(self) -> np.ndarray | None:
+        if self.d is None:
+            return None
+        return np.stack([self.theta[start:start + a]
+                         for start, a, _ in _blocks(self.order, self.d)[0]], axis=1)
 
 
 class _Stationarity:
@@ -288,7 +271,8 @@ def abs_sums(entries: Sequence[ThetaEntry], theta: np.ndarray) -> StationarityRe
 
 def stationarity_margin(coeffs: GnarCoefficients, order: GnarOrder) -> StationarityReport:
     """Sum |alpha| + |beta| per group (per node if local) against the unit bound."""
-    return abs_sums(coeffs._entries(order), coeffs.to_theta(order))
+    coeffs.validate_against(order)
+    return abs_sums(theta_index(order, coeffs.d), coeffs.theta)
 
 
 def to_var(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
@@ -301,7 +285,7 @@ def to_var(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     """
     coeffs.validate_against(order, d=net.d)
     group, Bs = _group_bases(order, net.d, part, stage_weights(net, W, order.r_star))
-    nodewise = _nodewise(coeffs, order, group)
+    nodewise = _nodewise(coeffs, group)
     phi = np.zeros((order.p_max, net.d, net.d))
     phi[:, range(net.d), range(net.d)] = nodewise.alpha.T
     for r, B in enumerate(Bs):
@@ -349,18 +333,17 @@ class NodewiseCoefficients(_Stationarity):
         return np.sum(np.abs(self.alpha), axis=1) + np.sum(np.abs(self.beta), axis=(1, 2))
 
 
-def _nodewise(coeffs: GnarCoefficients, order: GnarOrder,
-              group: np.ndarray) -> NodewiseCoefficients:
-    """Fill each node's coefficients from the slots: a group slot fills the rows
-    of its group's nodes, a node-wise alpha its own row."""
+def _nodewise(coeffs: GnarCoefficients, group: np.ndarray) -> NodewiseCoefficients:
+    """Fill each node's coefficients from theta, one slice per block: a block fills the
+    rows of its group's nodes, and a local order's d alphas fill one row each."""
+    order, theta = coeffs.order, coeffs.theta
     alpha = np.zeros((len(group), order.p_max))
     beta = np.zeros((len(group), order.p_max, order.r_star))
-    for e in theta_index(order, len(group)):
-        rows = group == e.group if e.node is None else e.node - 1
-        if e.stage is None:
-            alpha[rows, e.lag - 1] = _coef(coeffs, e)
-        else:
-            beta[rows, e.lag - 1, e.stage - 1] = _coef(coeffs, e)
+    for g, blocks in enumerate(_blocks(order, coeffs.d), start=1):
+        rows = group == g
+        for k, (start, a, s) in enumerate(blocks):
+            alpha[rows, k] = theta[start:start + a]
+            beta[rows, k, :s] = theta[start + a:start + a + s]
     return NodewiseCoefficients(alpha=alpha, beta=beta)
 
 
@@ -374,7 +357,7 @@ def to_local_alpha(coeffs: GnarCoefficients, order: GnarOrder,
     if order.variant != "community":
         raise OrderError("node-wise expansion applies to community models")
     coeffs.validate_against(order)
-    return _nodewise(coeffs, order, _group_bases(order, part.d, part)[0])
+    return _nodewise(coeffs, _group_bases(order, part.d, part)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -425,24 +408,34 @@ def _line_key(variant: str, e: ThetaEntry) -> str:
     return e.name(variant).replace(".node", ".").replace(".", " ")
 
 
+def _slot(variant: str, blocks: list, key: str) -> int | None:
+    """Theta position of the slot whose ``_line_key`` is ``key``; None if there is none."""
+    name, *ids = key.split(" ")
+    fields = re.findall("{(.)}", dict(zip(("alpha", "beta"), _NAMES[variant])).get(name, ""))
+    if (not fields or len(ids) != len(fields)  # each id a positive integer as str() writes it
+            or not all(re.fullmatch("[1-9][0-9]*", x) for x in ids)):
+        return None
+    at = {"g": 1, "i": 1, **dict(zip(fields, map(int, ids)))}
+    if at["g"] > len(blocks) or at["k"] > len(blocks[at["g"] - 1]):
+        return None
+    start, n_alpha, n_stage = blocks[at["g"] - 1][at["k"] - 1]
+    j, end = (at["i"], n_alpha) if name == "alpha" else (n_alpha + at["r"], n_alpha + n_stage)
+    return start + j - 1 if j <= end else None
+
+
 def format_model(coeffs: GnarCoefficients, order: GnarOrder,
                  d: int | None = None) -> str:
     """Model-file text; floats use repr so reads reproduce values exactly."""
     coeffs.validate_against(order, d=d)
     lines = ["gnar-model v1", f"variant {order.variant}"]
-    if order.variant == "community":
-        lines.append(f"C {order.n_groups}")
-        lines.append("p " + " ".join(str(p) for p in order.lags))
-        for g in range(1, order.n_groups + 1):
-            lines.append(f"s {g} " + " ".join(str(x) for x in order.stages[g - 1]))
-    else:
-        if order.variant == "local":
-            lines.append(f"d {coeffs.alpha_nodes.shape[0]}")
-        lines.append(f"p {order.lags[0]}")
-        lines.append("s " + " ".join(str(x) for x in order.stages[0]))
+    if order.variant != "global":  # the community count, or a local order's node count
+        lines.append(f"C {order.n_groups}" if coeffs.d is None else f"d {coeffs.d}")
+    lines.append("p " + " ".join(map(str, order.lags)))
+    lines += ["s " + " ".join(map(str, [g, *s] if order.variant == "community" else s))
+              for g, s in enumerate(order.stages, start=1)]
     lines.append(f"sigma {float(coeffs.noise_sd)!r}")
-    lines += [f"{_line_key(order.variant, e)} {_coef(coeffs, e)!r}"
-              for e in coeffs._entries(order)]
+    lines += [f"{_line_key(order.variant, e)} {value!r}"
+              for e, value in zip(theta_index(order, coeffs.d), coeffs.theta.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -543,17 +536,16 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
             raise DataError(f"{path}:{rows[key][0]}: {len(s)} stage orders for {p} lags")
     order = GnarOrder(variant, tuple(lags), tuple(stages))
     d = _header(path, rows, "d") if variant == "local" else None
-    coeffs = GnarCoefficients._zeros(order, sigma, d)
-    slots = {_line_key(variant, e): e for e in theta_index(order, d)}
+    blocks, theta = _blocks(order, d), np.zeros(order.param_count(d))
     for key, (ln, parts) in rows.items():
         if isinstance(key, int) or key in _HEADER:
             continue
-        if key not in slots:
+        if (slot := _slot(order.variant, blocks, key)) is None:
             raise DataError(f"{path}:{ln}: {' '.join(parts)!r} sets no coefficient of "
                             f"the order {format_order(order)}")
         try:
-            _coef(coeffs, slots[key], _finite(parts[-1]))
+            theta[slot] = _finite(parts[-1])
         except ValueError:
             raise DataError(f"{path}:{ln}: coefficient value must be a finite number, "
                             f"got {parts[-1]!r}") from None
-    return coeffs, order
+    return GnarCoefficients.from_theta(theta, order, sigma, d), order

@@ -103,7 +103,7 @@ def loop_abs_sums(coeffs, order) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def loop_to_var(coeffs, order, net, W, part=None) -> np.ndarray:
     """VAR matrices added up slot by slot from per-community masked stage weights."""
-    from gnar.model import _coef, theta_index
+    from gnar.model import theta_index
     from gnar.network import mask_weights, stage_weights
 
     Bs = stage_weights(net, W, order.r_star)
@@ -115,8 +115,7 @@ def loop_to_var(coeffs, order, net, W, part=None) -> np.ndarray:
         xi = [indicator(part, g) for g in groups]
         Bs = [[mask_weights(B, part, g) for B in Bs[:depth[g - 1]]] for g in groups]
     phi = np.zeros((order.p_max, net.d, net.d))
-    for e in theta_index(order, net.d):
-        v = _coef(coeffs, e)
+    for e, v in zip(theta_index(order, net.d), coeffs.theta):
         if e.stage is not None:
             phi[e.lag - 1] += v * Bs[e.group - 1][e.stage - 1]
         elif e.node is not None:

@@ -261,8 +261,11 @@ def test_ols_refuses_a_system_without_residual_degrees_of_freedom(text, T, n, q)
     ds = build_design(make_panel(np.random.default_rng(T).normal(size=(2, T))),
                       parse_order(text), net, default_weights(bfs_distances(net)))
     assert (ds.n, ds.q, ds.local is not None) == (n, q, text.startswith("local"))
-    with pytest.raises(DesignError, match=rf"^no residual degrees of freedom \(n={n}, q={q}\)$"):
-        fit_ols(ds)
+    # GLS under an identity block refuses these systems as OLS does, before any solve.
+    for fit in (fit_ols, lambda ds: fit_gls(ds, KroneckerCovariance(np.eye(2)))):
+        with pytest.raises(DesignError,
+                           match=rf"^no residual degrees of freedom \(n={n}, q={q}\)$"):
+            fit(ds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,7 +324,12 @@ GLOBAL_HEADER = "gnar-model v1\nvariant global\nsigma 1.0\n"
     ("p 2\ns 1 0\nalpha 0 0.1\n", 6, "sets no coefficient"),
     ("p 1\ns 1\nalpha 1 0.1\nbeta 1 1 0.2\nalpha 1 0.3\n", 8, "already set on line 6"),
     ("p 1\ns 1\nalpha 3 0.1\n", 6, "sets no coefficient"),
-], ids=["lag-zero", "repeated", "lag-beyond-order"])
+    ("p 2\ns 1 0\nalpha 01 0.1\n", 6, "sets no coefficient"),
+    ("p 2\ns 1 0\nalpha +1 0.1\n", 6, "sets no coefficient"),
+    ("p 2\ns 1 0\nbeta 1 0 0.1\n", 6, "sets no coefficient"),
+    ("p 2\ns 1 0\nalpha 1 1 0.1\n", 6, "sets no coefficient"),
+], ids=["lag-zero", "repeated", "lag-beyond-order", "leading-zero", "plus-sign",
+        "stage-zero", "extra-id"])
 def test_model_file_rejects_bad_coefficient_lines(tmp_path, body, line, what):
     path = tmp_path / "bad.txt"
     path.write_text(GLOBAL_HEADER + body)
@@ -332,6 +338,41 @@ def test_model_file_rejects_bad_coefficient_lines(tmp_path, body, line, what):
 
 
 COMMUNITY_HEADER = "gnar-model v1\nvariant community\nC 2\np 1 1\nsigma 1.0\n"
+
+
+@pytest.mark.parametrize("header, key", [
+    ("variant local\nd 5\np 2\ns 1 0\n", "alpha 6 1"),
+    ("variant local\nd 5\np 2\ns 1 0\n", "alpha 1 3"),
+    ("variant local\nd 5\np 2\ns 1 0\n", "alpha"),
+    ("variant community\nC 2\np 1 1\ns 1 1\ns 2 1\n", "alpha 1 3"),
+    ("variant community\nC 2\np 1 1\ns 1 1\ns 2 1\n", "beta 1 1 3"),
+], ids=["local-node-beyond-d", "local-lag-beyond-order", "local-bare-name",
+        "community-beyond-C", "community-beta-beyond-C"])
+def test_model_file_rejects_near_miss_keys(tmp_path, header, key):
+    """Keys next to real slots of local and community orders set nothing."""
+    path = tmp_path / "bad.txt"
+    text = f"gnar-model v1\n{header}sigma 1.0\n{key} 0.1\n"
+    path.write_text(text)
+    line = text.count("\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: .*sets no coefficient"):
+        read_model(path)
+
+
+def test_read_model_memory_follows_theta_not_a_slot_map(tmp_path):
+    """A 133-byte local file of d 10000 and p 40 with no coefficient lines: the read holds
+    at most two copies of theta (d p floats) and 1 MiB besides."""
+    path = tmp_path / "local.txt"
+    path.write_text("gnar-model v1\nvariant local\nd 10000\np 40\ns" + " 0" * 40
+                    + "\nsigma 1.0\n")
+    assert path.stat().st_size == 133
+    tracemalloc.start()
+    try:
+        coeffs, order = read_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order.param_count(10_000) == coeffs.theta.size == 400_000
+    assert peak <= 2 * 10_000 * 40 * 8 + 2**20, peak
 
 
 @pytest.mark.parametrize("body, line, what", [

@@ -36,6 +36,7 @@ PROBES = {
     "network": (("--d", "51", "--runs", "1"), ["geometry"], "51"),
     "estimate": (("--d", "20", "--runs", "1"),
                  ["community", "global", "local", "gls", "per-community"], "20"),
+    "model": (("--d", "1000", "--runs", "1"), ["read local"], "1000"),
     "autocorr": (("--d", "200"), ["pnacf", "nacf"], "200"),
     "startup": (("--runs", "1"), ["import gnar", "import gnar.cli", "gnar simulate",
                                   "gnar nacf", "gnar forecast", "gnar fit"], "-"),

@@ -8,8 +8,10 @@ community, global and local OLS, Kronecker GLS with an identity block and
 per-community fits; the joint designs are built and scipy imported before
 the clock starts.  ``autocorr`` evaluates a PNACF and a NACF grid of 8 lags
 x 3 stages per community.  Both run on the synthetic workloads' inputs at
-node count d, with a simulated T = 200 panel.  ``startup`` imports gnar or
-runs a command on the five-node test network (``tests/data``).
+node count d, with a simulated T = 200 panel.  ``model`` reads a local model
+file of node count d and 40 lags with no coefficient lines, so every slot is
+zero.  ``startup`` imports gnar or runs a command on the five-node test
+network (``tests/data``).
 
 Each case is an untimed set-up and a timed call, run in fresh processes one
 at a time, with the ``--root`` checkout's ``src/`` on the path and one BLAS
@@ -94,6 +96,12 @@ panel = gnar.simulate(coeffs, model_order, net, W, 200, part=part, seed=seed)
 ORDER = INPUTS + "import scipy.linalg\norder = gnar.parse_order(workloads.%s_ORDER)\n"
 DESIGN = ORDER + "ds = gnar.build_design(panel, order, net, W, part)\n"
 PARAMETERS = '\nresult = f"{sum(fit.theta.size for fit in fits)} parameters"'
+LOCAL_MODEL = """\
+from pathlib import Path
+import gnar
+Path("local.txt").write_text(f"gnar-model v1\\nvariant local\\nd {d}\\np 40\\ns{' 0' * 40}\\n"
+                             "sigma 1.0\\n")
+"""
 GRID = """\
 grid = gnar.corbit_grid(panel, net, W, 8, 3, "%s", part)
 result = f"{grid.values.size} cells, {int(grid.degenerate.sum())} degenerate"
@@ -126,6 +134,10 @@ LAYERS = {
         "per-community": (ORDER % "COMMUNITY",
                           "fits = gnar.fit_per_community(panel, order, net, W, part)"
                           + PARAMETERS),
+    }),
+    "model": ((1000, 10000), 3, 1, {
+        "read local": (LOCAL_MODEL, 'coeffs, order = gnar.read_model("local.txt")\n'
+                                    'result = f"p {order.p_max}, sigma {coeffs.noise_sd}"'),
     }),
     "autocorr": ((200, 800), 1, 5, {kind: (INPUTS, GRID % kind) for kind in ("pnacf", "nacf")}),
     "startup": ((None,), 7, 1, {
