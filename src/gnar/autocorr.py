@@ -226,7 +226,7 @@ def pnacf(panel: TimeSeriesPanel, net: Network, W: np.ndarray, h: int, r: int,
     return _pnacf_cells([(E, Bs, _lambda(Bs), V)], P, h, nodes is not None)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorbitGrid:
     """(P)NACF values over lags 1..H and stages 1..R, optionally per community.
 

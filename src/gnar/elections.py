@@ -128,7 +128,7 @@ def us_border_network() -> Network:
     return build_network(len(_POSTAL), sorted(edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElectionPanel:
     """Republican vote-share panel plus the vote counts behind it."""
 
@@ -138,7 +138,7 @@ class ElectionPanel:
     total_votes: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateClassification:
     """Win counts per state and the Red/Blue/Swing partition they induce."""
 

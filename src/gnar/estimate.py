@@ -36,7 +36,7 @@ from .panel import TimeSeriesPanel
 from .partition import CommunityPartition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignSystem:
     """Stacked linear system R theta = y plus the column/row bookkeeping.
 
@@ -87,7 +87,7 @@ class DesignSystem:
         return tuple(e.name(self.variant) for e in self.columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Estimates, uncertainty and residuals from one least-squares fit."""
 
@@ -137,6 +137,8 @@ def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np
         for k, j in enumerate(js):
             e = entries[j]
             M = V[e.stage or 0][rows, p0 - e.lag:T - e.lag]
+            # A product, not a zero fill: a masked negative value leaves -0.0, and the
+            # solve's output bits follow these signs, so a +0.0 fill changes saved fits.
             out[:, :, k] = ((node_group[rows] == e.group)[:, None] * M).T
         return out
 
@@ -180,24 +182,21 @@ def solve_least_squares(R: np.ndarray, y: np.ndarray,
     """Column-pivoted QR solve of R theta = y; returns (theta, (R'R)^-1).
 
     Both are in R's column order.  The solve holds one copy of the design
-    besides the caller's R: a Fortran-ordered copy that LAPACK's dgeqp3
-    factors in place and dorgqr then overwrites with Q.  The calls, their
-    workspace sizes and the input layout are those of
-    ``scipy.linalg.qr(R, mode="economic", pivoting=True)``, so the results
-    equal those of a solve on scipy's factors bit for bit.  Rank deficiency
-    raises :class:`RankDeficiencyError` naming the columns that the pivoting
-    pushed beyond the numerical rank.
+    besides the caller's R: a Fortran-ordered copy, checked for finite
+    values, that ``scipy.linalg.qr(..., overwrite_a=True)`` factors in place
+    and then overwrites with Q.  Rank deficiency raises
+    :class:`RankDeficiencyError` naming the columns that the pivoting pushed
+    beyond the numerical rank.
     """
     import scipy.linalg
     n, q = R.shape
     if n < q:
         raise DesignError(f"system has {n} rows for {q} parameters")
-    if q == 0:  # a local order's beta system without stages; LAPACK refuses empty input
+    if q == 0:  # a local order's beta system without stages; scipy's 0 x 0 R has no diag[0]
         return np.empty(0), np.empty((0, 0))
-    qr = np.array(np.asarray_chkfinite(R), dtype=float, order="F")
-    qr, piv, tau = _lapack(scipy.linalg.lapack.dgeqp3, "geqp3", qr)
-    piv -= 1  # dgeqp3 numbers columns from 1
-    Rf = np.triu(qr[:q])
+    own = np.array(np.asarray_chkfinite(R), dtype=float, order="F")
+    Q, Rf, piv = scipy.linalg.qr(own, overwrite_a=True, mode="economic", pivoting=True,
+                                 check_finite=False)
     diag = np.abs(np.diag(Rf))
     tol = diag[0] * max(n, q) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
@@ -206,7 +205,6 @@ def solve_least_squares(R: np.ndarray, y: np.ndarray,
         raise RankDeficiencyError(
             f"design matrix is rank deficient (rank {rank} of {q}); "
             f"dependent columns: {', '.join(dependent)}", dependent)
-    Q, = _lapack(scipy.linalg.lapack.dorgqr, "gorgqr/gungqr", qr, tau)
     z = scipy.linalg.solve_triangular(Rf, Q.T @ y)
     theta = np.empty(q)
     theta[piv] = z
@@ -215,19 +213,6 @@ def solve_least_squares(R: np.ndarray, y: np.ndarray,
     gram_inv = np.empty((q, q))
     gram_inv[np.ix_(piv, piv)] = gram_inv_piv
     return theta, gram_inv
-
-
-def _lapack(routine, name: str, a: np.ndarray, *args):
-    """Run a LAPACK routine in place on ``a`` with its optimal workspace.
-
-    Mirrors ``scipy.linalg``'s internal call: a workspace query, then the
-    call, then a check of ``info``; returns the outputs before work and info.
-    """
-    lwork = int(routine(a, *args, lwork=-1, overwrite_a=1)[-2][0])
-    *out, _, info = routine(a, *args, lwork=lwork, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal {name}")
-    return out
 
 
 def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,7 +300,7 @@ def fit_ols(ds: DesignSystem) -> FitResult:
     return _finish_fit(ds, theta, sigma2 * gram_inv, sigma2, resid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KroneckerCovariance:
     """Structured error covariance I_(T-p) kron Sigma_u (same block each step)."""
 

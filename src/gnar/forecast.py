@@ -70,7 +70,7 @@ class ModelSpec:
         check_cell("model label", self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExternalForecast:
     """Held-out predictions imported from an external tool.
 
@@ -102,7 +102,7 @@ def load_external_forecast(name: str, path: str | Path, d: int) -> ExternalForec
     return ExternalForecast(name=name, raw=rows["raw"], centred=rows.get("centred"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonEntry:
     name: str
     prediction: np.ndarray
@@ -111,7 +111,7 @@ class ComparisonEntry:
     n_params: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastReport:
     """Per-model hold-out scores; the text export puts models in columns."""
 
@@ -173,26 +173,15 @@ def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
     train_c = train.with_values(train.values - means[:, None])
     actual = panel.values[:, idx]
     actual_c = actual - means
-    entries: list[ComparisonEntry] = []
-    for spec in specs:
-        pred = _fit_and_predict(train, spec.order, net, W, part)
-        pred_c = _fit_and_predict(train_c, spec.order, net, W, part)
-        entries.append(ComparisonEntry(
-            name=spec.name, prediction=pred,
-            rmspe=rmspe(actual, pred),
-            rmspe_centred=rmspe(actual_c, pred_c),
-            n_params=spec.order.param_count(panel.d)))
+    # (name, prediction, centred prediction or None, parameter count or None)
+    rows = [(spec.name, _fit_and_predict(train, spec.order, net, W, part),
+             _fit_and_predict(train_c, spec.order, net, W, part),
+             spec.order.param_count(panel.d)) for spec in specs]
     naive = naive_forecast(train, 1)[0]
-    entries.append(ComparisonEntry(
-        name="naive", prediction=naive,
-        rmspe=rmspe(actual, naive),
-        rmspe_centred=rmspe(actual_c, naive - means),
-        n_params=None))
-    for ext in external or []:
-        entries.append(ComparisonEntry(
-            name=ext.name, prediction=ext.raw,
-            rmspe=rmspe(actual, ext.raw),
-            rmspe_centred=None if ext.centred is None else rmspe(actual_c, ext.centred),
-            n_params=None))
-    return ForecastReport(holdout_label=panel.time_labels[idx],
-                          entries=tuple(entries))
+    rows.append(("naive", naive, naive - means, None))
+    rows += [(ext.name, ext.raw, ext.centred, None) for ext in external or []]
+    entries = tuple(
+        ComparisonEntry(name, pred, rmspe(actual, pred),
+                        None if pred_c is None else rmspe(actual_c, pred_c), n_params)
+        for name, pred, pred_c, n_params in rows)
+    return ForecastReport(holdout_label=panel.time_labels[idx], entries=entries)

@@ -149,7 +149,7 @@ def theta_index(order: GnarOrder, d: int | None = None) -> list[ThetaEntry]:
     return entries
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GnarCoefficients:
     """Coefficients of an order: read-only ``theta`` in :func:`theta_index` order, the
     node count ``d`` of a local order (None otherwise) and the noise sd.  The keyword
@@ -244,7 +244,7 @@ class _Stationarity:
         return float(1.0 - np.max(self.sums))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationarityReport(_Stationarity):
     """Per-group (or per-node) absolute-coefficient sums and their labels."""
 
@@ -315,7 +315,7 @@ def _group_bases(order: GnarOrder, d: int, part: CommunityPartition | None,
     return group, [B * (group[:, None] == group) for B in Bs]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodewiseCoefficients(_Stationarity):
     """Node-wise representation of any model: what each node's equation uses.
 

@@ -18,7 +18,7 @@ from .errors import DataError, GnarError
 from .textfile import check_cell, read_rows, write_text_atomic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesPanel:
     """d x T observation matrix with node and time labels."""
 

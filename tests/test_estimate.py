@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from gnar.errors import CovarianceError, DesignError, RankDeficiencyError
 from gnar.estimate import (KroneckerCovariance, build_community_design,
@@ -60,6 +63,30 @@ def test_design_rejects_short_panel(table1_model, fivenet, fivenet_weights,
     panel = make_panel(np.random.default_rng(0).normal(size=(5, 2)))
     with pytest.raises(DesignError, match="at least 3"):
         build_design(panel, order, fivenet, fivenet_weights, fivenet_partition)
+
+
+def test_community_design_masked_zeros_keep_the_sign_of_the_masked_value(
+        fivenet, fivenet_weights, fivenet_partition):
+    """A masked entry is 0 times the regressor, so a negative one leaves -0.0.
+
+    The solve's output bits follow these signs, so a design filled with +0.0
+    would change saved fits although it compares equal.  Both communities
+    use lag 1 and stage 1, and every row is in one community, so the two
+    communities' columns of one (lag, stage) sum to the unmasked regressor.
+    """
+    panel = make_panel(np.random.default_rng(6).normal(size=(5, 30)))
+    ds = build_design(panel, parse_order("community:[1,1];{[1],[1]}"), fivenet,
+                      fivenet_weights, fivenet_partition)
+    group = np.tile(fivenet_partition.assignment, ds.n // 5)
+    negative_zeros = 0
+    for j, e in enumerate(ds.columns):
+        twins = [k for k, f in enumerate(ds.columns) if (f.lag, f.stage) == (e.lag, e.stage)]
+        unmasked = ds.R[:, twins].sum(axis=1)
+        masked = (group != e.group) & (unmasked != 0.0)
+        assert np.all(ds.R[masked, j] == 0.0)
+        assert np.array_equal(np.signbit(ds.R[masked, j]), unmasked[masked] < 0)
+        negative_zeros += int(np.sum(np.signbit(ds.R[masked, j])))
+    assert negative_zeros > 0
 
 
 def test_design_community_rows_zero_elsewhere(table1_model, fivenet,
@@ -508,3 +535,61 @@ def test_standard_errors_are_calibrated(fivenet, fivenet_weights, fivenet_partit
         sd, covered = np.std(z, axis=0, ddof=1), np.mean(np.abs(z) < 1.96, axis=0)
         assert np.all(np.abs(sd - 1.0) <= 0.15), f"{name} sd(z) {sd}"
         assert np.all(np.abs(covered - 0.95) <= 0.04), f"{name} coverage {covered}"
+
+
+# ---------------------------------------------------------------------------
+# standard errors against their exact law on fixed Gaussian designs
+# ---------------------------------------------------------------------------
+
+_EXACT_NET = build_network(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+_EXACT_PART = CommunityPartition(assignment=(1, 1, 2, 2), n_communities=2)
+_V = np.array([[1.0, 0.9, 0.0, 0.0], [0.0, 0.5, -0.8, 0.0],
+               [0.0, 0.0, 2.0, 1.5], [0.0, 0.0, 0.0, 0.3]])
+#: (order, T, random-walk panel, per-step innovation covariance for GLS or None).
+EXACT_CASES = {
+    "global": ("global:2;[1,1]", 7, False, None),
+    "community": ("community:[1,2];{[1],[1,1]}", 8, False, None),
+    "local": ("local:2;[1,1]", 12, True, None),
+    "gls": ("community:[1,2];{[1],[1,1]}", 8, False, _V @ _V.T),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_standard_errors_follow_their_exact_law(case):
+    """z = (estimate - truth) / SE over 2,000 draws of y = R theta + e on one fixed design.
+
+    With Gaussian e and R held fixed, an OLS z-score follows Student's t
+    with n - q degrees of freedom exactly; Kronecker GLS reports
+    (R' Sigma^-1 R)^-1 for the Sigma it is given, so its z is N(0, 1).
+    Each design is built from one Gaussian panel, with few residual degrees
+    of freedom (16 to 30) so that sigma2's divisor shows.  The local panel
+    is a random walk: each node's own lags are then strongly correlated and
+    (A_i'A_i)^-1 is far from diagonal.  The GLS covariance couples nodes
+    with unequal scales.  The bounds are four sampling spreads at 2,000
+    draws: sqrt((kurtosis - 1) / 4N) times the law's sd for sd(z), about
+    0.017, and sqrt(0.95 * 0.05 / N), about 0.005, for the share of |z|
+    inside the law's 97.5% quantile.
+    """
+    text, T, walk, sigma_u = EXACT_CASES[case]
+    x = np.random.default_rng(1).normal(size=(4, T))
+    panel = make_panel(np.cumsum(x, axis=1) if walk else x)
+    order = parse_order(text)
+    ds = build_design(panel, order, _EXACT_NET, default_weights(bfs_distances(_EXACT_NET)),
+                      _EXACT_PART)
+    theta = np.linspace(0.1, 0.3, ds.q)
+    chol = np.eye(4) if sigma_u is None else np.linalg.cholesky(sigma_u)
+    law = stats.t(ds.n - ds.q) if sigma_u is None else stats.norm()
+    draws = 2000
+    rng = np.random.default_rng(2)
+    z = np.empty((draws, ds.q))
+    for i in range(draws):
+        e = (rng.normal(size=(ds.n // 4, 4)) @ chol.T).ravel()
+        sample = dataclasses.replace(ds, y=ds.R @ theta + e)
+        fit = fit_ols(sample) if sigma_u is None else fit_gls(sample,
+                                                             KroneckerCovariance(sigma_u))
+        z[i] = (fit.theta - theta) / fit.se
+    sd, covered = np.std(z, axis=0, ddof=1), np.mean(np.abs(z) < law.ppf(0.975), axis=0)
+    sd_spread = law.std() * np.sqrt((law.stats(moments="k") + 2) / (4 * draws))
+    assert np.all(np.abs(sd - law.std()) <= 4 * sd_spread), f"sd(z) {sd} against {law.std()}"
+    assert np.all(np.abs(covered - 0.95) <= 4 * np.sqrt(0.95 * 0.05 / draws)), \
+        f"coverage {covered}"
