@@ -81,7 +81,7 @@ def _cmd_fit(args):
               f"largest sum {np.max(fit.stationarity_sums):.3f})", file=sys.stderr)
     return ({out_dir / "coefficients.csv": estimate.coefficient_table(fit),
              out_dir / "residuals.csv": format_panel(fit.residuals),
-             out_dir / "model.txt": format_model(fit.to_coefficients(), order, d=panel.d)},
+             out_dir / "model.txt": format_model(fit.to_coefficients())},
             f"wrote {out_dir}/coefficients.csv ({len(fit.theta)} parameters), "
             "residuals.csv, model.txt")
 
@@ -109,8 +109,8 @@ def _cmd_corbit(args):
 def _cmd_forecast(args):
     net, W, part = _load_network(args)
     panel = read_panel(args.panel)
-    coeffs, order = read_model(args.model)
-    preds = forecast(coeffs, order, net, W, panel, args.horizon, part)
+    coeffs, _ = read_model(args.model)
+    preds = forecast(coeffs, net, W, panel, args.horizon, part)
     out = TimeSeriesPanel(values=preds.T, node_labels=panel.node_labels,
                           time_labels=tuple(f"+{s}" for s in range(1, args.horizon + 1)),
                           meta={"kind": "forecast", "horizon": str(args.horizon)})

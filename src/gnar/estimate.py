@@ -46,7 +46,10 @@ class DesignSystem:
     has ``R=None`` and ``local = (A, B, a_idx, b_idx)``: each node's own lags
     and beta columns as [t, node, column] arrays, and their columns of R.
     ``R`` (C order) is built from them on first access and kept; ``n``,
-    ``q`` and :meth:`column_names` never build it.
+    ``q`` and :meth:`column_names` never build it.  ``dataclasses.replace``
+    reads every field it is not given, so on a local design it builds and
+    keeps ``R`` on both objects; ``replace(ds, y=..., R=None)`` keeps both
+    blocks-only, with the same fit.
     """
 
     R: np.ndarray | None = field(repr=False)

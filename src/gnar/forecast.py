@@ -25,14 +25,14 @@ from .simulate import var_recursion
 from .textfile import check_cell
 
 
-def forecast(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
-             W: np.ndarray, panel: TimeSeriesPanel, horizon: int,
+def forecast(coeffs: GnarCoefficients, net: Network, W: np.ndarray,
+             panel: TimeSeriesPanel, horizon: int,
              part: CommunityPartition | None = None) -> np.ndarray:
     """Iterated one-step predictions; returns an array of shape (horizon, d)."""
     if horizon < 1:
         raise GnarError(f"horizon must be >= 1, got {horizon}")
     check_size("panel", panel.d, "network", net.d)
-    phi = to_var(coeffs, order, net, W, part)
+    phi = to_var(coeffs, net, W, part)
     p = phi.shape[0]
     if panel.T < p:
         raise GnarError(f"panel has {panel.T} steps; forecasting needs at "
@@ -139,7 +139,7 @@ class ForecastReport:
 def _fit_and_predict(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
                      W: np.ndarray, part: CommunityPartition | None) -> np.ndarray:
     coeffs = fit_ols(build_design(panel, order, net, W, part)).to_coefficients()
-    return forecast(coeffs, order, net, W, panel, 1, part)[0]
+    return forecast(coeffs, net, W, panel, 1, part)[0]
 
 
 def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,

@@ -197,18 +197,6 @@ class GnarCoefficients:
         coeffs._store(order, theta, d, noise_sd)
         return coeffs
 
-    def to_theta(self, order: GnarOrder) -> np.ndarray:
-        self.validate_against(order)
-        return self.theta.copy()
-
-    def validate_against(self, order: GnarOrder, d: int | None = None) -> None:
-        """Refuse another order, or a node count other than a local order's own."""
-        if order != self.order:
-            raise OrderError(f"coefficients are {format_order(self.order)}, "
-                             f"not {format_order(order)}")
-        if self.d is not None and d not in (None, self.d):
-            raise OrderError(f"alpha_nodes cover {self.d} nodes, not {d}")
-
     @property
     def variant(self) -> str:
         return self.order.variant
@@ -269,21 +257,22 @@ def abs_sums(entries: Sequence[ThetaEntry], theta: np.ndarray) -> StationarityRe
                               tuple(str(g) for g in present))
 
 
-def stationarity_margin(coeffs: GnarCoefficients, order: GnarOrder) -> StationarityReport:
+def stationarity_margin(coeffs: GnarCoefficients) -> StationarityReport:
     """Sum |alpha| + |beta| per group (per node if local) against the unit bound."""
-    coeffs.validate_against(order)
-    return abs_sums(theta_index(order, coeffs.d), coeffs.theta)
+    return abs_sums(theta_index(coeffs.order, coeffs.d), coeffs.theta)
 
 
-def to_var(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
-           W: np.ndarray, part: CommunityPartition | None = None) -> np.ndarray:
+def to_var(coeffs: GnarCoefficients, net: Network, W: np.ndarray,
+           part: CommunityPartition | None = None) -> np.ndarray:
     """Transition matrices of the equivalent VAR(p), shape (p_max, d, d).
 
     Phi_k = diag(alpha_k) + sum_r diag(beta_k,r) (W_c o S_r) with the
     node-wise coefficients of :func:`_nodewise`; lags beyond a group's own
-    order contribute zero.
+    order contribute zero.  A local model's node count must be the network's.
     """
-    coeffs.validate_against(order, d=net.d)
+    order = coeffs.order
+    if coeffs.d is not None:
+        check_size("coefficients", coeffs.d, "network", net.d)
     group, Bs = _group_bases(order, net.d, part, stage_weights(net, W, order.r_star))
     nodewise = _nodewise(coeffs, group)
     phi = np.zeros((order.p_max, net.d, net.d))
@@ -347,17 +336,15 @@ def _nodewise(coeffs: GnarCoefficients, group: np.ndarray) -> NodewiseCoefficien
     return NodewiseCoefficients(alpha=alpha, beta=beta)
 
 
-def to_local_alpha(coeffs: GnarCoefficients, order: GnarOrder,
-                   part: CommunityPartition) -> NodewiseCoefficients:
+def to_local_alpha(coeffs: GnarCoefficients, part: CommunityPartition) -> NodewiseCoefficients:
     """Expand a community model into per-node coefficient arrays.
 
     Node i inherits the coefficients of its community; slots beyond the
     community's own lag or stage order are zero.
     """
-    if order.variant != "community":
+    if coeffs.variant != "community":
         raise OrderError("node-wise expansion applies to community models")
-    coeffs.validate_against(order)
-    return _nodewise(coeffs, _group_bases(order, part.d, part)[0])
+    return _nodewise(coeffs, _group_bases(coeffs.order, part.d, part)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +410,9 @@ def _slot(variant: str, blocks: list, key: str) -> int | None:
     return start + j - 1 if j <= end else None
 
 
-def format_model(coeffs: GnarCoefficients, order: GnarOrder,
-                 d: int | None = None) -> str:
+def format_model(coeffs: GnarCoefficients) -> str:
     """Model-file text; floats use repr so reads reproduce values exactly."""
-    coeffs.validate_against(order, d=d)
+    order = coeffs.order
     lines = ["gnar-model v1", f"variant {order.variant}"]
     if order.variant != "global":  # the community count, or a local order's node count
         lines.append(f"C {order.n_groups}" if coeffs.d is None else f"d {coeffs.d}")
@@ -439,9 +425,8 @@ def format_model(coeffs: GnarCoefficients, order: GnarOrder,
     return "\n".join(lines) + "\n"
 
 
-def write_model(coeffs: GnarCoefficients, order: GnarOrder, path: str | Path,
-                d: int | None = None) -> None:
-    write_text_atomic(path, format_model(coeffs, order, d=d))
+def write_model(coeffs: GnarCoefficients, path: str | Path) -> None:
+    write_text_atomic(path, format_model(coeffs))
 
 
 def _finite(text: str) -> float:
@@ -496,12 +481,14 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     Each line is keyed by its header key, its community id (a community ``s``
     line, whose id is checked first) or its coefficient name.  The earliest
     line that repeats a key raises :class:`DataError`; then, in this order, so
-    does a header line that ``_HEADER`` refuses (no value, one that does not
-    convert or is out of range, or a second where the key takes one), an
-    unknown variant, a community id outside 1..C, an ``s`` line without one
-    stage order per lag and a coefficient line that names no slot of the order
-    or holds no finite value, each with its line number.  A missing header
-    line, or community ``s`` line, is named.  Slots without a line are zero.
+    does a ``variant`` line that ``_HEADER`` refuses (no value, one that does not
+    convert or is out of range, or a second where the key takes one) or whose
+    variant is unknown, a ``C`` or ``d`` line in a file of another variant, a
+    refused ``sigma``, ``p`` or ``C`` line, a ``C`` other than the count of lags, a
+    community id outside 1..C, refused ``s`` lines, then one without one stage
+    order per lag, a refused ``d`` line and a coefficient line that names no slot
+    of the order or holds no finite value, each with its line number.  A missing
+    header line, or community ``s`` line, is named.  Slots without a line are zero.
     """
     lines = list(read_rows(path, sep=None)[1])
     if not lines or lines[0][1] != ["gnar-model", "v1"]:
@@ -519,6 +506,10 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     variant = _header(path, rows, "variant")
     if variant not in VARIANTS:
         raise DataError(f"{path}:{rows['variant'][0]}: unknown variant {variant!r}")
+    for key, owner in (("C", "community"), ("d", "local")):
+        if key in rows and variant != owner:
+            raise DataError(f"{path}:{rows[key][0]}: {key!r} belongs to {owner} models, "
+                            f"not {variant} ones")
     sigma = _header(path, rows, "sigma")
     if community:
         lags, C = _header(path, rows, "p", one=False), _header(path, rows, "C")

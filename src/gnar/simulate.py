@@ -14,8 +14,8 @@ import warnings
 
 import numpy as np
 
-from .errors import GnarError
-from .model import GnarCoefficients, GnarOrder, stationarity_margin, to_var
+from .errors import GnarError, OrderError
+from .model import GnarCoefficients, GnarOrder, format_order, stationarity_margin, to_var
 from .network import Network
 from .panel import TimeSeriesPanel, default_node_labels
 from .partition import CommunityPartition
@@ -39,7 +39,8 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
              W: np.ndarray, T: int, *, part: CommunityPartition | None = None,
              burn_in: int = 200, seed: int = 0,
              allow_nonstationary: bool = False) -> TimeSeriesPanel:
-    """Generate one realisation of length T.
+    """Generate one realisation of length T of the coefficients' model, whose order
+    must be ``order``.
 
     Coefficient sets that do not meet the sufficient stationarity condition
     (every group's absolute sum below 1) are rejected unless
@@ -52,7 +53,10 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
         raise GnarError(f"burn-in must be >= 0, got {burn_in}")
     if seed < 0:
         raise GnarError(f"seed must be >= 0, got {seed}")
-    report = stationarity_margin(coeffs, order)
+    if order != coeffs.order:
+        raise OrderError(f"coefficients are {format_order(coeffs.order)}, "
+                         f"not {format_order(order)}")
+    report = stationarity_margin(coeffs)
     if not report.stationary:
         if not allow_nonstationary:
             raise GnarError("coefficients do not meet the sufficient stationarity condition, "
@@ -62,7 +66,7 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
         warnings.warn("simulating a model whose coefficients do not meet the sufficient "
                       "stationarity condition (every group's absolute sum below 1)",
                       stacklevel=2)
-    phi = to_var(coeffs, order, net, W, part)
+    phi = to_var(coeffs, net, W, part)
     p, d = phi.shape[0], net.d
     rng = np.random.default_rng(seed)
     steps = burn_in + T

@@ -83,7 +83,7 @@ def test_criterion_2b_ols_oracle():
 def test_criterion_2c_var_equals_structural(fivenet, fivenet_weights,
                                             fivenet_partition, table1_model):
     coeffs, order = table1_model
-    phi = to_var(coeffs, order, fivenet, fivenet_weights, fivenet_partition)
+    phi = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(50):
@@ -166,16 +166,15 @@ def test_criterion_3_block_structure(fivenet, fivenet_weights, fivenet_partition
 
 
 def test_criterion_4_stationarity_arithmetic(table1_model):
-    coeffs, order = table1_model
-    rep = stationarity_margin(coeffs, order)
+    coeffs, _ = table1_model
+    rep = stationarity_margin(coeffs)
     ok = (abs(rep.sums[0] - 0.45) < 1e-12 and abs(rep.sums[1] - 0.87) < 1e-12
           and rep.stationary and abs(rep.margin - (1 - 0.87)) < 1e-12)
-    swing_order = GnarOrder.global_order(2, [1, 0])
     swing = GnarCoefficients(variant="global",
                              alpha=(np.array([0.905, -0.591]),),
                              beta=((np.array([-0.747]), np.array([])),),
                              noise_sd=1.0)
-    swing_rep = stationarity_margin(swing, swing_order)
+    swing_rep = stationarity_margin(swing)
     ok = ok and abs(swing_rep.sums[0] - 2.243) < 1e-12 and not swing_rep.stationary
     assert report("4 (stationarity sums and verdicts, exact)", ok)
 
@@ -286,7 +285,7 @@ def test_criterion_8_forecast_error_concentration(fivenet, fivenet_weights,
         panel = simulate(coeffs, order, fivenet, fivenet_weights, 120,
                          part=fivenet_partition, seed=seed)
         train = make_panel(panel.values[:, :-1])
-        pred = forecast(coeffs, order, fivenet, fivenet_weights, train, 1,
+        pred = forecast(coeffs, fivenet, fivenet_weights, train, 1,
                         fivenet_partition)[0]
         errors.append(rmspe(panel.values[:, -1], pred))
     mean_error = float(np.mean(errors))

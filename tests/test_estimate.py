@@ -111,7 +111,7 @@ def test_exact_recovery_zero_noise(table1_model, fivenet, fivenet_weights,
     coeffs, order = table1_model
     panel = sim_panel(table1_model, fivenet, fivenet_weights, fivenet_partition)
     ds = build_design(panel, order, fivenet, fivenet_weights, fivenet_partition)
-    theta_star = coeffs.to_theta(order)
+    theta_star = coeffs.theta
     y_exact = ds.R @ theta_star
     ds_exact = type(ds)(R=ds.R, y=y_exact, columns=ds.columns, order=ds.order,
                         variant=ds.variant, lag_offset=ds.lag_offset,
@@ -402,7 +402,7 @@ def test_local_fit_recovers_simulated_coefficients():
                               noise_sd=1.0, alpha_nodes=alpha)
     panel = simulate(coeffs, LOCAL, net, W, 2000, seed=12)
     fit = fit_ols(build_design(panel, LOCAL, net, W))
-    truth = coeffs.to_theta(LOCAL)
+    truth = coeffs.theta
     assert fit.theta.shape == truth.shape == (2 * d + 2,)
     assert np.all(np.abs(fit.theta - truth) <= 5 * fit.se)
 
@@ -415,6 +415,22 @@ def test_local_ols_builds_no_dense_design(fivenet, fivenet_weights):
     repr(ds)
     assert "R" not in vars(ds)
     assert fit.df_resid == ds.n - ds.q
+
+
+def test_replace_with_r_none_keeps_local_designs_blocks_only(fivenet, fivenet_weights):
+    """``dataclasses.replace`` reads every init field it is not given, so it would build
+    and keep R on both designs; given ``R=None`` it keeps both blocks-only.  A new last
+    step changes y and no lag, so the moved design's fit is the fresh design's."""
+    values = np.random.default_rng(11).normal(size=(5, 40))
+    ds = build_design(make_panel(values), LOCAL, fivenet, fivenet_weights)
+    values[:, -1] += 1.0
+    fresh = build_design(make_panel(values), LOCAL, fivenet, fivenet_weights)
+    moved = dataclasses.replace(ds, y=fresh.y, R=None)
+    moved_fit, fresh_fit = fit_ols(moved), fit_ols(fresh)
+    assert "R" not in vars(ds) and "R" not in vars(moved)
+    assert not np.array_equal(moved.y, ds.y)
+    assert np.array_equal(moved_fit.theta, fresh_fit.theta)
+    assert np.array_equal(moved_fit.se, fresh_fit.se)
 
 
 def test_local_dense_design_is_built_on_demand_and_kept(fivenet, fivenet_weights):
@@ -522,7 +538,7 @@ def test_standard_errors_are_calibrated(fivenet, fivenet_weights, fivenet_partit
     the covariance it is given.
     """
     order, theta = parse_order(text), np.array(CALIBRATION_CASES[text])
-    phi = to_var(GnarCoefficients.from_theta(theta, order, d=5), order,
+    phi = to_var(GnarCoefficients.from_theta(theta, order, d=5),
                  fivenet, fivenet_weights, fivenet_partition)
     sigma = KroneckerCovariance(CALIBRATION_SIGMA_U)
     for name, chol, fit in [

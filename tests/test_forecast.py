@@ -23,11 +23,10 @@ def make_panel(values):
 
 
 def test_zero_model_forecasts_zero(fivenet, fivenet_weights):
-    order = GnarOrder.global_order(1, [1])
     coeffs = GnarCoefficients(variant="global", alpha=(np.zeros(1),),
                               beta=((np.zeros(1),),), noise_sd=1.0)
     panel = make_panel(np.random.default_rng(0).normal(size=(5, 10)))
-    pred = forecast(coeffs, order, fivenet, fivenet_weights, panel, 3)
+    pred = forecast(coeffs, fivenet, fivenet_weights, panel, 3)
     assert np.array_equal(pred, np.zeros((3, 5)))
 
 
@@ -36,7 +35,7 @@ def test_forecast_matches_structural_oracle(fivenet, fivenet_weights,
     coeffs, order = table1_model
     rng = np.random.default_rng(5)
     panel = make_panel(rng.normal(size=(5, 12)))
-    pred = forecast(coeffs, order, fivenet, fivenet_weights, panel, 1,
+    pred = forecast(coeffs, fivenet, fivenet_weights, panel, 1,
                     fivenet_partition)[0]
     oracle = structural_prediction(coeffs, order, fivenet, fivenet_weights,
                                    fivenet_partition, panel.values)
@@ -44,11 +43,10 @@ def test_forecast_matches_structural_oracle(fivenet, fivenet_weights,
 
 
 def test_forecast_feeds_predictions_back(fivenet, fivenet_weights):
-    order = GnarOrder.global_order(1, [0])
     coeffs = GnarCoefficients(variant="global", alpha=(np.array([0.5]),),
                               beta=((np.array([]),),), noise_sd=1.0)
     panel = make_panel(np.ones((5, 4)))
-    pred = forecast(coeffs, order, fivenet, fivenet_weights, panel, 3)
+    pred = forecast(coeffs, fivenet, fivenet_weights, panel, 3)
     assert np.allclose(pred[0], 0.5)
     assert np.allclose(pred[1], 0.25)
     assert np.allclose(pred[2], 0.125)
@@ -56,10 +54,10 @@ def test_forecast_feeds_predictions_back(fivenet, fivenet_weights):
 
 def test_forecast_rejects_short_panel(fivenet, fivenet_weights, fivenet_partition,
                                       table1_model):
-    coeffs, order = table1_model
+    coeffs, _ = table1_model
     panel = make_panel(np.ones((5, 1)))
     with pytest.raises(GnarError):
-        forecast(coeffs, order, fivenet, fivenet_weights, panel, 1,
+        forecast(coeffs, fivenet, fivenet_weights, panel, 1,
                  fivenet_partition)
 
 
@@ -135,7 +133,7 @@ def test_holdout_error_concentrates_at_noise_sd(fivenet, fivenet_weights,
         panel = simulate(coeffs, order, fivenet, fivenet_weights, 120,
                          part=fivenet_partition, seed=seed)
         train = make_panel(panel.values[:, :-1])
-        pred = forecast(coeffs, order, fivenet, fivenet_weights, train, 1,
+        pred = forecast(coeffs, fivenet, fivenet_weights, train, 1,
                         fivenet_partition)[0]
         errors.append(rmspe(panel.values[:, -1], pred))
     mean_error = float(np.mean(errors))
@@ -219,9 +217,9 @@ def test_non_community_orders_refuse_a_partition_of_another_size(fivenet, fivene
     panel = make_panel(np.random.default_rng(0).normal(size=(5, 20)))
     calls = {
         "simulate": lambda: simulate(coeffs, order, fivenet, fivenet_weights, 10, part=part),
-        "to_var": lambda: to_var(coeffs, order, fivenet, fivenet_weights, part),
+        "to_var": lambda: to_var(coeffs, fivenet, fivenet_weights, part),
         "build_design": lambda: build_design(panel, order, fivenet, fivenet_weights, part),
-        "forecast": lambda: forecast(coeffs, order, fivenet, fivenet_weights, panel, 1, part),
+        "forecast": lambda: forecast(coeffs, fivenet, fivenet_weights, panel, 1, part),
         "compare": lambda: compare(panel, fivenet, fivenet_weights,
                                    [ModelSpec("m", order)], part),
     }

@@ -1,9 +1,11 @@
+import inspect
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import gnar
 from gnar.errors import DataError, OrderError
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, format_order,
                         parse_order, read_model, stationarity_margin,
@@ -85,8 +87,8 @@ def test_order_grammar_rejects(text):
 # ---------------------------------------------------------------------------
 
 def test_stationarity_table1_sums(table1_model):
-    coeffs, order = table1_model
-    report = stationarity_margin(coeffs, order)
+    coeffs, _ = table1_model
+    report = stationarity_margin(coeffs)
     assert report.sums[0] == pytest.approx(0.45, abs=1e-12)
     assert report.sums[1] == pytest.approx(0.87, abs=1e-12)
     assert report.stationary
@@ -95,30 +97,28 @@ def test_stationarity_table1_sums(table1_model):
 
 def test_stationarity_swing_estimates_violate():
     # the three swing-state estimates of the election fit sum past one
-    order = GnarOrder.global_order(2, [1, 0])
     coeffs = GnarCoefficients(variant="global",
                               alpha=(np.array([0.905, -0.591]),),
                               beta=((np.array([-0.747]), np.array([])),),
                               noise_sd=1.0)
-    report = stationarity_margin(coeffs, order)
+    report = stationarity_margin(coeffs)
     assert report.sums[0] == pytest.approx(2.243, abs=1e-12)
     assert not report.stationary
 
 
 def test_stationarity_zero_coefficients():
-    order = GnarOrder.global_order(1, [1])
     coeffs = GnarCoefficients(variant="global", alpha=(np.zeros(1),),
                               beta=((np.zeros(1),),), noise_sd=1.0)
-    report = stationarity_margin(coeffs, order)
+    report = stationarity_margin(coeffs)
     assert report.sums[0] == 0.0 and report.margin == 1.0 and report.stationary
 
 
 def test_stationarity_ignores_noise_scale(table1_model):
-    coeffs, order = table1_model
+    coeffs, _ = table1_model
     scaled = GnarCoefficients(variant="community", alpha=coeffs.alpha,
                               beta=coeffs.beta, noise_sd=17.0)
-    a = stationarity_margin(coeffs, order)
-    b = stationarity_margin(scaled, order)
+    a = stationarity_margin(coeffs)
+    b = stationarity_margin(scaled)
     assert a.stationary == b.stationary and np.array_equal(a.sums, b.sums)
 
 
@@ -127,12 +127,11 @@ def test_stationarity_ignores_noise_scale(table1_model):
 # ---------------------------------------------------------------------------
 
 def test_to_var_diagonal_when_no_network_terms(fivenet, fivenet_weights, fivenet_partition):
-    order = GnarOrder.community_order([1, 1], [[0], [0]])
     coeffs = GnarCoefficients(variant="community",
                               alpha=(np.array([0.3]), np.array([0.5])),
                               beta=(((np.array([])),), ((np.array([])),)),
                               noise_sd=1.0)
-    phi = to_var(coeffs, order, fivenet, fivenet_weights, fivenet_partition)
+    phi = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
     expected = np.diag([0.5, 0.3, 0.3, 0.3, 0.5])  # node 1,5 in community 2
     assert np.allclose(phi[0], expected)
     assert np.count_nonzero(phi[0] - np.diag(np.diag(phi[0]))) == 0
@@ -140,36 +139,34 @@ def test_to_var_diagonal_when_no_network_terms(fivenet, fivenet_weights, fivenet
 
 def test_to_var_single_community_equals_global(fivenet, fivenet_weights):
     part = single_community(5)
-    order_c = GnarOrder.community_order([2], [[1, 1]])
-    order_g = GnarOrder.global_order(2, [1, 1])
     alpha = np.array([0.2, 0.1])
     betas = (np.array([0.15]), np.array([0.05]))
     cc = GnarCoefficients(variant="community", alpha=(alpha,), beta=(betas,),
                           noise_sd=1.0)
     cg = GnarCoefficients(variant="global", alpha=(alpha,), beta=(betas,),
                           noise_sd=1.0)
-    phi_c = to_var(cc, order_c, fivenet, fivenet_weights, part)
-    phi_g = to_var(cg, order_g, fivenet, fivenet_weights)
+    phi_c = to_var(cc, fivenet, fivenet_weights, part)
+    phi_g = to_var(cg, fivenet, fivenet_weights)
     assert np.allclose(phi_c, phi_g)
 
 
 def test_to_var_linear_in_coefficients(fivenet, fivenet_weights, fivenet_partition,
                                        table1_model):
-    coeffs, order = table1_model
+    coeffs, _ = table1_model
     doubled = GnarCoefficients(
         variant="community",
         alpha=tuple(2 * a for a in coeffs.alpha),
         beta=tuple(tuple(2 * b for b in g) for g in coeffs.beta),
         noise_sd=1.0)
-    phi = to_var(coeffs, order, fivenet, fivenet_weights, fivenet_partition)
-    phi2 = to_var(doubled, order, fivenet, fivenet_weights, fivenet_partition)
+    phi = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
+    phi2 = to_var(doubled, fivenet, fivenet_weights, fivenet_partition)
     assert np.allclose(phi2, 2 * phi)
 
 
 def test_to_var_cross_community_entries_zero(fivenet, fivenet_weights,
                                              fivenet_partition, table1_model):
     coeffs, order = table1_model
-    phi = to_var(coeffs, order, fivenet, fivenet_weights, fivenet_partition)
+    phi = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
     dist = bfs_distances(fivenet)
     for k in range(phi.shape[0]):
         for i in range(5):
@@ -188,18 +185,18 @@ def test_to_var_cross_community_entries_zero(fivenet, fivenet_weights,
 
 def test_to_var_ignores_noise_scale(fivenet, fivenet_weights, fivenet_partition,
                                     table1_model):
-    coeffs, order = table1_model
+    coeffs, _ = table1_model
     rescaled = GnarCoefficients(variant="community", alpha=coeffs.alpha,
                                 beta=coeffs.beta, noise_sd=123.0)
-    a = to_var(coeffs, order, fivenet, fivenet_weights, fivenet_partition)
-    b = to_var(rescaled, order, fivenet, fivenet_weights, fivenet_partition)
+    a = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
+    b = to_var(rescaled, fivenet, fivenet_weights, fivenet_partition)
     assert np.array_equal(a, b)
 
 
 def test_to_var_matches_structural_oracle(fivenet, fivenet_weights,
                                           fivenet_partition, table1_model):
     coeffs, order = table1_model
-    phi = to_var(coeffs, order, fivenet, fivenet_weights, fivenet_partition)
+    phi = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
     rng = np.random.default_rng(42)
     for _ in range(25):
         hist = rng.normal(size=(5, order.p_max))
@@ -210,22 +207,20 @@ def test_to_var_matches_structural_oracle(fivenet, fivenet_weights,
 
 
 def test_to_var_rejects_excess_stage(fivenet, fivenet_weights, fivenet_partition):
-    order = GnarOrder.community_order([1, 1], [[4], [1]])  # r_max is 3
     coeffs = GnarCoefficients(variant="community",
                               alpha=(np.array([0.1]), np.array([0.1])),
                               beta=((np.array([0.1] * 4),), (np.array([0.1]),)),
-                              noise_sd=1.0)
+                              noise_sd=1.0)  # stage 4 at lag 1, but r_max is 3
     with pytest.raises(OrderError, match="stage"):
-        to_var(coeffs, order, fivenet, fivenet_weights, fivenet_partition)
+        to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
 
 
 def test_to_var_local_variant(fivenet, fivenet_weights):
-    order = GnarOrder.local_order(1, [1])
     alpha_nodes = np.array([[0.1], [0.2], [0.3], [0.4], [0.5]])
     coeffs = GnarCoefficients(variant="local", alpha=(),
                               beta=((np.array([0.2]),),), noise_sd=1.0,
                               alpha_nodes=alpha_nodes)
-    phi = to_var(coeffs, order, fivenet, fivenet_weights)
+    phi = to_var(coeffs, fivenet, fivenet_weights)
     assert np.allclose(np.diag(phi[0]), alpha_nodes[:, 0])
 
 
@@ -234,8 +229,8 @@ def test_to_var_local_variant(fivenet, fivenet_weights):
 # ---------------------------------------------------------------------------
 
 def test_to_local_alpha_values(table1_model, fivenet_partition):
-    coeffs, order = table1_model
-    nodewise = to_local_alpha(coeffs, order, fivenet_partition)
+    coeffs, _ = table1_model
+    nodewise = to_local_alpha(coeffs, fivenet_partition)
     # node 2 is in community 1 (p=1): lag-1 alpha matches, lag-2 padded to 0
     assert nodewise.alpha[1, 0] == coeffs.alpha[0][0]
     assert nodewise.alpha[1, 1] == 0.0
@@ -251,19 +246,18 @@ def test_to_local_alpha_stationarity_equivalence(fivenet_partition):
     agree = 0
     for _ in range(100):
         coeffs = random_community_coeffs(rng, order, scale=0.45)
-        report = stationarity_margin(coeffs, order)
-        nodewise = to_local_alpha(coeffs, order, fivenet_partition)
+        report = stationarity_margin(coeffs)
+        nodewise = to_local_alpha(coeffs, fivenet_partition)
         assert nodewise.stationary == report.stationary
         agree += 1
     assert agree == 100
 
 
 def test_to_local_alpha_requires_community_variant():
-    order = GnarOrder.global_order(1, [1])
     coeffs = GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
                               beta=((np.array([0.1]),),), noise_sd=1.0)
     with pytest.raises(OrderError):
-        to_local_alpha(coeffs, order, single_community(3))
+        to_local_alpha(coeffs, single_community(3))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +266,10 @@ def test_to_local_alpha_requires_community_variant():
 
 def test_theta_round_trip(table1_model):
     coeffs, order = table1_model
-    theta = coeffs.to_theta(order)
+    theta = coeffs.theta
     assert theta.shape == (6,)
     back = GnarCoefficients.from_theta(theta, order, noise_sd=coeffs.noise_sd)
-    assert np.array_equal(back.to_theta(order), theta)
+    assert back.order == order and np.array_equal(back.theta, theta)
 
 
 def test_theta_index_matches_table_order(table1_model):
@@ -288,11 +282,11 @@ def test_theta_index_matches_table_order(table1_model):
 def test_model_file_round_trip_bit_exact(tmp_path, table1_model):
     coeffs, order = table1_model
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_model(coeffs, order, a)
+    write_model(coeffs, a)
     again, order2 = read_model(a)
-    write_model(again, order2, b)
+    write_model(again, b)
     assert a.read_bytes() == b.read_bytes()
-    assert np.array_equal(again.to_theta(order2), coeffs.to_theta(order))
+    assert order2 == order and np.array_equal(again.theta, coeffs.theta)
 
 
 def test_model_file_local_variant_round_trip(tmp_path):
@@ -303,7 +297,7 @@ def test_model_file_local_variant_round_trip(tmp_path):
                               noise_sd=0.5,
                               alpha_nodes=rng.normal(size=(4, 2)))
     path = tmp_path / "m.txt"
-    write_model(coeffs, order, path, d=4)
+    write_model(coeffs, path)
     again, order2 = read_model(path)
     assert order2 == order
     assert np.array_equal(again.alpha_nodes, coeffs.alpha_nodes)
@@ -373,6 +367,24 @@ def test_read_model_memory_follows_theta_not_a_slot_map(tmp_path):
         tracemalloc.stop()
     assert order.param_count(10_000) == coeffs.theta.size == 400_000
     assert peak <= 2 * 10_000 * 40 * 8 + 2**20, peak
+
+
+@pytest.mark.parametrize("text, line, key, owner, variant", [
+    ("gnar-model v1\nvariant global\nd 7\nC 3\nsigma 1.0\np 1\ns 1\n", 4, "C", "community",
+     "global"),
+    ("gnar-model v1\nvariant local\nC 2\nd 3\nsigma 1.0\np 1\ns 1\n", 3, "C", "community",
+     "local"),
+    (COMMUNITY_HEADER + "d 9\ns 1 1\ns 2 0\n", 6, "d", "local", "community"),
+], ids=["global-d-and-C", "local-C", "community-d"])
+def test_model_file_rejects_header_keys_of_another_variant(tmp_path, text, line, key, owner,
+                                                           variant):
+    """``format_model`` writes ``C`` only for community models and ``d`` only for local
+    ones, so ``read_model`` refuses them anywhere else (the ``C`` line first)."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: '{key}' belongs to "
+                                        f"{owner} models, not {variant} ones$"):
+        read_model(path)
 
 
 @pytest.mark.parametrize("body, line, what", [
@@ -449,10 +461,8 @@ def test_model_file_rejects_bad_header_values(tmp_path, text, message):
 
 def test_coefficients_reject_bad_shapes():
     order = GnarOrder.community_order([1, 2], [[1], [1, 1]])
-    with pytest.raises(OrderError):
-        GnarCoefficients(variant="community", alpha=(np.array([0.1]),),
-                         beta=((np.array([0.1]),),), noise_sd=1.0) \
-            .validate_against(order)
+    assert GnarCoefficients(variant="community", alpha=(np.array([0.1]),),
+                            beta=((np.array([0.1]),),), noise_sd=1.0).order != order
     with pytest.raises(OrderError, match="positive"):
         GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
                          beta=((np.array([0.1]),),), noise_sd=0.0)
@@ -501,3 +511,13 @@ def test_coefficients_reject_nan_noise_sd():
     with pytest.raises(OrderError, match="positive"):
         GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
                          beta=((np.array([0.1]),),), noise_sd=float("nan"))
+
+
+def test_only_simulate_takes_coefficients_and_a_second_order():
+    """Coefficients carry their order, so no public function asks for it again, except
+    ``simulate``, which checks the copy it is given; the methods that took one are gone."""
+    both = [name for name in gnar.__all__ if inspect.isfunction(obj := getattr(gnar, name))
+            and {"coeffs", "order"} <= set(inspect.signature(obj).parameters)]
+    assert both == ["simulate"]
+    assert not hasattr(GnarCoefficients, "to_theta")
+    assert not hasattr(GnarCoefficients, "validate_against")

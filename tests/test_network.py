@@ -310,7 +310,7 @@ def test_library_paths_build_no_stage_matrices(table1_model, fivenet_partition):
     for text in ("community:[1,2];{[1],[1,1]}", "global:2;[3,1]", "local:1;[2]"):
         fitted = parse_order(text)
         fit = fit_ols(build_design(panel, fitted, net, W, fivenet_partition))
-        to_var(fit.to_coefficients(), fitted, net, W, fivenet_partition)
+        to_var(fit.to_coefficients(), net, W, fivenet_partition)
     for kind in KINDS:
         corbit_grid(panel, net, W, 2, 3, kind, fivenet_partition)
     assert "stages" not in vars(net)
@@ -330,8 +330,8 @@ def test_library_paths_mask_stage_weights_once(monkeypatch, table1_model, fivene
     panel = simulate(coeffs, order, net, W, 60, part=part, seed=1)
     fit = fit_ols(build_design(panel, order, net, W, part))
     fit_per_community(panel, order, net, W, part)
-    forecast(fit.to_coefficients(), order, net, W, panel, 2, part)
-    to_local_alpha(coeffs, order, part)
+    forecast(fit.to_coefficients(), net, W, panel, 2, part)
+    to_local_alpha(coeffs, part)
     compare(panel, net, W, [ModelSpec("community", order)], part)
     for kind in KINDS:
         corbit_grid(panel, net, W, 2, 3, kind, part)

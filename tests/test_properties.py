@@ -106,7 +106,7 @@ def test_design_times_theta_is_var_prediction(data, graph, seed):
     theta = rng.uniform(-0.5, 0.5, size=len(theta_index(order, d=net.d)))
     coeffs = GnarCoefficients.from_theta(theta, order, d=net.d)
     ds = build_design(panel, order, net, W, part)
-    phi = to_var(coeffs, order, net, W, part)
+    phi = to_var(coeffs, net, W, part)
     X, p = panel.values, order.p_max
     var_pred = np.stack([sum(phi[k - 1] @ X[:, t - k] for k in range(1, p + 1))
                          for t in range(p, panel.T)])
@@ -202,15 +202,15 @@ def test_theta_and_model_file_round_trips_are_exact(data, graph, noise_sd):
     n = len(theta_index(order, d=net.d))
     theta = np.asarray(data.draw(st.lists(FINITE, min_size=n, max_size=n)), dtype=float)
     coeffs = GnarCoefficients.from_theta(theta, order, noise_sd=noise_sd, d=net.d)
-    assert coeffs.to_theta(order).tobytes() == theta.tobytes()
-    text = format_model(coeffs, order, d=net.d)
+    assert coeffs.theta.tobytes() == theta.tobytes()
+    text = format_model(coeffs)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.txt"
         path.write_text(text)
         again, order_again = read_model(path)
     assert order_again == order
-    assert again.to_theta(order).tobytes() == theta.tobytes()
-    assert format_model(again, order_again, d=net.d) == text
+    assert again.theta.tobytes() == theta.tobytes()
+    assert format_model(again) == text
 
 
 @PROPERTY
@@ -222,8 +222,8 @@ def test_nodewise_expansion_agrees_with_var_form(data, graph):
     theta = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
     coeffs = GnarCoefficients.from_theta(np.asarray(theta), order)
     W = default_weights(net.distances)
-    phi = to_var(coeffs, order, net, W, part)
-    nodewise = to_local_alpha(coeffs, order, part)
+    phi = to_var(coeffs, net, W, part)
+    nodewise = to_local_alpha(coeffs, part)
     Bs = stage_weights(net, W, order.r_star)
     community = np.asarray(part.assignment)
     for i in range(net.d):
@@ -246,7 +246,7 @@ def test_to_var_equals_per_community_slot_loop(data, graph):
     theta = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
     coeffs = GnarCoefficients.from_theta(np.asarray(theta), order, d=net.d)
     W = default_weights(net.distances)
-    assert np.array_equal(to_var(coeffs, order, net, W, part),
+    assert np.array_equal(to_var(coeffs, net, W, part),
                           loop_to_var(coeffs, order, net, W, part))
 
 
@@ -684,11 +684,11 @@ def test_every_size_mismatch_is_one_size_error(data, graph, k, grow):
         "build_design": lambda P, W, Q: build_design(P, order, net, W, Q),
         "fit_per_community": lambda P, W, Q: fit_per_community(P, community, net, W, Q),
         "compare": lambda P, W, Q: compare(P, net, W, [ModelSpec("m", order)], Q),
-        "forecast": lambda P, W, Q: forecast(coeffs, order, net, W, P, 1, Q),
+        "forecast": lambda P, W, Q: forecast(coeffs, net, W, P, 1, Q),
         "nacf": lambda P, W, Q: nacf(P, net, W, 1, 1),
         "pnacf": lambda P, W, Q: pnacf(P, net, W, 1, 1),
         "corbit_grid": lambda P, W, Q: corbit_grid(P, net, W, 1, 1, "nacf", Q),
-        "to_var": lambda P, W, Q: to_var(coeffs, order, net, W, Q),
+        "to_var": lambda P, W, Q: to_var(coeffs, net, W, Q),
         "simulate": lambda P, W, Q: simulate(coeffs, order, net, W, 5, part=Q, burn_in=0),
         "stage_weights": lambda P, W, Q: stage_weights(net, W, 0),
         "mask_weights": lambda P, W, Q: mask_weights(W, Q, 1),

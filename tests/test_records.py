@@ -42,8 +42,8 @@ def records(table1_model, fivenet, fivenet_weights, fivenet_partition):
         "ForecastReport": report,
         "GnarCoefficients": GnarCoefficients.from_theta(np.array([0.1, 0.2]),
                                                         parse_order("global:1;[1]")),
-        "StationarityReport": stationarity_margin(coeffs, order),
-        "NodewiseCoefficients": to_local_alpha(coeffs, order, fivenet_partition),
+        "StationarityReport": stationarity_margin(coeffs),
+        "NodewiseCoefficients": to_local_alpha(coeffs, fivenet_partition),
         "TimeSeriesPanel": panel,
         "ElectionPanel": elections,
         "StateClassification": classify(elections),

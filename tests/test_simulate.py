@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnar.errors import GnarError
+from gnar.errors import GnarError, OrderError
 from gnar.model import GnarCoefficients, GnarOrder, to_var
 from gnar.simulate import simulate
 
@@ -63,6 +63,13 @@ def test_rejects_bad_arguments(fivenet, fivenet_weights):
         simulate(coeffs, order, fivenet, fivenet_weights, 0, seed=0)
 
 
+def test_refuses_an_order_other_than_the_coefficients_own(fivenet, fivenet_weights):
+    coeffs, _ = zero_model()
+    with pytest.raises(OrderError,
+                       match=r"^coefficients are global:1;\[1\], not global:2;\[1,1\]$"):
+        simulate(coeffs, zero_model(p=2)[1], fivenet, fivenet_weights, 10)
+
+
 def test_nonstationary_needs_flag(fivenet, fivenet_weights):
     order = GnarOrder.global_order(1, [0])
     coeffs = GnarCoefficients(variant="global", alpha=(np.array([1.2]),),
@@ -78,7 +85,7 @@ def test_nonstationary_needs_flag(fivenet, fivenet_weights):
 def test_stationary_run_stays_bounded(fivenet, fivenet_weights,
                                       fivenet_partition, table1_model):
     coeffs, order = table1_model
-    phi = to_var(coeffs, order, fivenet, fivenet_weights, fivenet_partition)
+    phi = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
     radius = companion_spectral_radius(phi)
     assert radius < 1.0  # the VAR form itself certifies stationarity
     panel = simulate(coeffs, order, fivenet, fivenet_weights, 10_000,

@@ -2,10 +2,11 @@
 sums all follow ``theta_index``.
 
 A hypothesis property draws orders of all three variants (a random node
-count for local ones) and checks that all-zero coefficients of the order
-pass ``validate_against``, that changing one array's length, the node count
-or the rank of the node-wise alphas is refused, and that the parameter count
-is the closed-form count.  The stationarity sums agree with the per-array
+count for local ones) and checks that all-zero coefficients carry the order
+and node count they were built with, that changing one array's length gives
+refused shapes or another order or node count, that a network of another
+node count or node-wise alphas of another rank are refused, and that the
+parameter count is the closed-form count.  The stationarity sums agree with the per-array
 oracle to within 2 ulps, and a per-community fit's sum is, bit for bit, its
 group's sum in ``stationarity_margin``.
 """
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnar.errors import OrderError
+from gnar.errors import OrderError, SizeError
 from gnar.estimate import fit_per_community
 from gnar.model import (GnarCoefficients, GnarOrder, abs_sums, stationarity_margin,
-                        theta_index)
+                        theta_index, to_var)
+from gnar.network import bfs_distances, build_network, default_weights
 from gnar.simulate import simulate
 
 from oracles import loop_abs_sums
@@ -62,9 +64,9 @@ def with_array(coeffs: GnarCoefficients, path: tuple, new) -> GnarCoefficients:
 def test_zeros_pass_and_any_one_shape_change_is_refused(order_d, data):
     order, d = order_d
     coeffs = GnarCoefficients.from_theta(np.zeros(order.param_count(d)), order, 1.0, d)
-    coeffs.validate_against(order, d)
+    assert (coeffs.order, coeffs.d) == (order, d)
     assert order.param_count(d) == len(theta_index(order, d)) == closed_form_count(order, d)
-    assert len(coeffs.to_theta(order)) == order.param_count(d)
+    assert len(coeffs.theta) == order.param_count(d)
 
     paths = [("alpha", g) for g in range(len(coeffs.alpha))]
     paths += [("beta", g, k) for g, group in enumerate(coeffs.beta) for k in range(len(group))]
@@ -75,29 +77,26 @@ def test_zeros_pass_and_any_one_shape_change_is_refused(order_d, data):
            coeffs.alpha[path[1]] if path[0] == "alpha" else coeffs.beta[path[1]][path[2]])
     grow = data.draw(st.booleans()) or len(old) == 0
     changed = np.zeros((len(old) + 1 if grow else len(old) - 1,) + old.shape[1:])
-    with pytest.raises(OrderError):
-        with_array(coeffs, path, changed).validate_against(order, d)
+    try:  # the shapes are refused, or they are those of another order or node count
+        other = with_array(coeffs, path, changed)
+    except OrderError:
+        pass
+    else:
+        assert (other.order, other.d) != (order, d)
 
     if order.variant == "local":
-        with pytest.raises(OrderError):
-            coeffs.validate_against(order, d + 1)
+        net = build_network(d + 1, [(i, i + 1) for i in range(1, d + 1)])
+        with pytest.raises(SizeError, match=f"coefficients has {d} nodes, network has {d + 1}"):
+            to_var(coeffs, net, default_weights(bfs_distances(net)))
         for reshaped in (coeffs.alpha_nodes.ravel(), coeffs.alpha_nodes[..., None]):
             with pytest.raises(OrderError):
-                with_array(coeffs, ("alpha_nodes",), reshaped).validate_against(order)
+                with_array(coeffs, ("alpha_nodes",), reshaped)
         with pytest.raises(OrderError):  # local coefficients carry no group alphas
             GnarCoefficients("local", (np.zeros(order.lags[0]),), coeffs.beta, 1.0,
-                             coeffs.alpha_nodes).validate_against(order, d)
+                             coeffs.alpha_nodes)
     else:
         with pytest.raises(OrderError):  # only local coefficients carry node-wise alphas
-            with_array(coeffs, ("alpha_nodes",), np.zeros((3, order.lags[0]))) \
-                .validate_against(order)
-
-
-def test_node_count_check_compares_shapes_and_allocates_nothing():
-    order = GnarOrder.local_order(2, [1, 0])
-    coeffs = GnarCoefficients.from_theta(np.zeros(order.param_count(5)), order, 1.0, d=5)
-    with pytest.raises(OrderError, match="alpha_nodes"):
-        coeffs.validate_against(order, d=10**12)
+            with_array(coeffs, ("alpha_nodes",), np.zeros((3, order.lags[0])))
 
 
 def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,7 +109,7 @@ def test_stationarity_sums_match_per_array_oracle(order_d, seed, scale):
     order, d = order_d
     theta = np.random.default_rng(seed).uniform(-scale, scale, order.param_count(d))
     coeffs = GnarCoefficients.from_theta(theta, order, d=d)
-    report = stationarity_margin(coeffs, order)
+    report = stationarity_margin(coeffs)
     sums, labels = loop_abs_sums(coeffs, order)
     assert report.labels == labels
     assert np.all(ulps_apart(report.sums, sums) <= 2)
@@ -124,7 +123,7 @@ def test_per_community_fit_sum_is_its_groups_margin_sum(fivenet, fivenet_weights
                      part=fivenet_partition, seed=5)
     fits = fit_per_community(panel, order, fivenet, fivenet_weights, fivenet_partition)
     theta = np.concatenate([fit.theta for fit in fits])  # groups ascending: theta_index
-    report = stationarity_margin(GnarCoefficients.from_theta(theta, order), order)
+    report = stationarity_margin(GnarCoefficients.from_theta(theta, order))
     for c, fit in enumerate(fits, start=1):
         assert fit.stationarity_sums.shape == (1,)
         assert fit.stationarity_sums[0] == report.sums[c - 1]
