@@ -110,7 +110,7 @@ def read_panel(path: str | Path) -> TimeSeriesPanel:
     if "" in header:
         raise DataError(f"{path}:{ln}: node column {header.index('') + 1} has no label")
     times: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     row_lines: list[int] = []
     for ln, cells in lines:
         if len(cells) != len(header) + 1:
@@ -118,14 +118,14 @@ def read_panel(path: str | Path) -> TimeSeriesPanel:
         times.append(cells[0].strip())
         if not times[-1]:
             raise DataError(f"{path}:{ln}: empty time label")
-        try:
-            rows.append([float(c) for c in cells[1:]])
+        try:  # numpy converts each str cell through float(), so syntax and message match it
+            rows.append(np.array(cells[1:], dtype=float))
         except ValueError as exc:
             raise DataError(f"{path}:{ln}: non-numeric cell ({exc})") from None
         row_lines.append(ln)
     if not rows:
         raise DataError(f"{path}: no panel data found")
-    values = np.asarray(rows, dtype=float).T
+    values = np.stack(rows).T  # (T, d) in C order seen as d x T: BLAS results follow layout
     if not np.isfinite(values).all():
         t, node = np.argwhere(~np.isfinite(values.T))[0]
         raise DataError(f"{path}:{row_lines[t]}: node {header[node]!r} is {values[node, t]}, "

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gnar import cli
 from gnar.cli import build_parser, main
 from gnar.panel import TimeSeriesPanel, default_node_labels, read_panel, write_panel
 
@@ -531,3 +532,31 @@ def test_cli_grammar():
         assert args["command"] == command
         assert {k: args[options[k].dest] for k, v in flags.items() if v is not REQUIRED} \
             == {k: v for k, v in flags.items() if v is not REQUIRED}, command
+
+
+def test_main_builds_its_parser_once_and_build_parser_a_new_one_each_call(tmp_path,
+                                                                          monkeypatch):
+    """``main`` parses with one parser per process; ``build_parser`` shares nothing, and
+    a parse leaves the shared parser as it was (an appended flag does not carry over)."""
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        missing = str(tmp_path / "missing.csv")
+        for _ in range(3):
+            assert run("fit", "--network", missing, "--panel", missing, "--order",
+                       "global:1;[1]", "--out-dir", str(tmp_path)) == 1
+        assert len(calls) == 1
+        argv = ["compare", "--network", EDGES, "--panel", missing, "--out", missing]
+        assert cli._parser().parse_args([*argv, "--external", "a=x"]).external == ["a=x"]
+        assert cli._parser().parse_args(argv).external is None
+        assert len(calls) == 1
+    finally:
+        cli._parser.cache_clear()
+    monkeypatch.undo()
+    assert build_parser() is not build_parser()

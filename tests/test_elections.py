@@ -321,39 +321,59 @@ def test_synthetic_full_study_runs(synthetic_returns_path):
     assert report.entry("GNAR*").n_params == 3
 
 
-def test_standardised_study_recovers_a_planted_truth(synthetic_returns_path):
-    """400 panels of T = 12 simulated on the border network from fixed coefficients of
-    the standardised order, each refitted: per parameter, z = (estimate - truth) / SE.
+def check_planted_truth(returns_path, order_text: str, coeffs: GnarCoefficients, T: int,
+                        draws: int = 400) -> int:
+    """Simulate ``draws`` panels of length T from ``coeffs`` on the border network with the
+    synthetic file's Red/Blue/Swing partition and refit each by OLS; per parameter,
+    z = (estimate - truth) / SE must look N(0, 1).  Returns the fits' residual df.
 
     The design is drawn with the panel, so z is only asymptotically N(0, 1).  The bounds
-    are four sampling spreads at N = 400: 1 / sqrt(N) = 0.05 for the mean of z (the
-    bias in SE units), sqrt(1 / (2 (N - 1))), about 0.035, for sd(z), and
-    sqrt(0.95 * 0.05 / N), about 0.011, for the share of |z| < 1.96.  At T = 12 OLS
-    on lagged values has a real bias: at 2,000 draws the mean z runs from -0.15
-    (``alpha.2.2``) to 0.04, which the mean bound leaves room for.
+    are four sampling spreads at N draws: 1 / sqrt(N) for the mean of z (the bias in SE
+    units), sqrt(1 / (2 (N - 1))) for sd(z), and sqrt(0.95 * 0.05 / N) for the share of
+    |z| < 1.96; at N = 400 they are 0.05, about 0.035 and about 0.011.
     """
-    part = classify(load_returns(synthetic_returns_path)).partition
+    part = classify(load_returns(returns_path)).partition
     assert [part.assignment.count(c) for c in (1, 2, 3)] == [21, 20, 10]
     net = us_border_network()
     W = default_weights(bfs_distances(net))
-    order = parse_order("community:[2,2,2];{[1,0],[1,0],[1,0]}")
-    coeffs = GnarCoefficients(  # per community: alpha at lags 1 and 2, beta at lag 1
-        "community", alpha=(np.array([0.45, -0.15]), np.array([0.30, 0.15]),
-                            np.array([0.55, 0.10])),
-        beta=((np.array([0.25]), np.array([])), (np.array([0.35]), np.array([])),
-              (np.array([-0.20]), np.array([]))), noise_sd=1.0)
-    draws = 400
+    order = parse_order(order_text)
     z = np.empty((draws, len(coeffs.theta)))
     for seed in range(draws):
-        panel = simulate(coeffs, order, net, W, 12, part=part, seed=seed)
+        panel = simulate(coeffs, order, net, W, T, part=part, seed=seed)
         fit = fit_ols(build_design(panel, order, net, W, part))
         z[seed] = (fit.theta - coeffs.theta) / fit.se
-    assert fit.df_resid == 510 - 9
     bias, sd = z.mean(axis=0), z.std(axis=0, ddof=1)
     covered = np.mean(np.abs(z) < 1.96, axis=0)
     assert np.all(np.abs(bias) <= 4 / np.sqrt(draws)), bias
     assert np.all(np.abs(sd - 1) <= 4 * np.sqrt(1 / (2 * (draws - 1)))), sd
     assert np.all(np.abs(covered - 0.95) <= 4 * np.sqrt(0.95 * 0.05 / draws)), covered
+    return fit.df_resid
+
+
+def test_standardised_study_recovers_a_planted_truth(synthetic_returns_path):
+    """The standardised order at T = 12, within ``check_planted_truth``'s bounds.  At T = 12
+    OLS on lagged values has a real bias: at 2,000 draws the mean z runs from -0.15
+    (``alpha.2.2``) to 0.04, which the mean bound leaves room for.
+    """
+    coeffs = GnarCoefficients(  # per community: alpha at lags 1 and 2, beta at lag 1
+        "community", alpha=(np.array([0.45, -0.15]), np.array([0.30, 0.15]),
+                            np.array([0.55, 0.10])),
+        beta=((np.array([0.25]), np.array([])), (np.array([0.35]), np.array([])),
+              (np.array([-0.20]), np.array([]))), noise_sd=1.0)
+    order_text = "community:[2,2,2];{[1,0],[1,0],[1,0]}"
+    assert check_planted_truth(synthetic_returns_path, order_text, coeffs, 12) == 510 - 9
+
+
+def test_differenced_study_recovers_a_planted_truth(synthetic_returns_path):
+    """The differenced order, three own lags per community and no neighbour terms, at the
+    differenced panel's T = 11, within ``check_planted_truth``'s bounds: 51 nodes x 8 usable
+    steps, 9 parameters."""
+    coeffs = GnarCoefficients(  # per community: alpha at lags 1 to 3, no beta
+        "community", alpha=(np.array([0.30, -0.20, 0.15]), np.array([-0.25, 0.20, 0.10]),
+                            np.array([0.40, 0.15, -0.20])),
+        beta=((np.array([]),) * 3,) * 3, noise_sd=1.0)
+    order_text = "community:[3,3,3];{[0,0,0],[0,0,0],[0,0,0]}"
+    assert check_planted_truth(synthetic_returns_path, order_text, coeffs, 11) == 51 * 8 - 9
 
 
 def test_election_grids_keep_each_cell_note(synthetic_returns_path):

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from gnar.elections import load_returns
 from gnar.errors import DataError, GnarError
 from gnar.model import read_model
 from gnar.network import load_weight_overrides, read_edge_list
-from gnar.panel import TimeSeriesPanel, format_panel, read_panel, write_panel
+from gnar.panel import (TimeSeriesPanel, default_node_labels, format_panel, read_panel,
+                        write_panel)
 from gnar.partition import (CommunityPartition, format_partition, read_partition,
                             single_community, write_partition)
 
@@ -327,3 +329,25 @@ def test_public_names_are_pinned_and_resolve():
     assert all(hasattr(gnar, name) for name in gnar.__all__)
     assert issubclass(gnar.SizeError, (gnar.DataError, gnar.DesignError,
                                        gnar.NetworkError, gnar.OrderError))
+
+
+def test_read_panel_memory_follows_the_file_and_the_values(tmp_path):
+    """A d = 500, T = 400 panel of one-decimal cells (about 4.5 bytes each): the read may
+    hold three copies of the file (its bytes, its text and its lines) and two of the
+    values (the rows and the stacked array), about 30 bytes a cell.  A Python float per
+    cell, 24 bytes and an 8-byte list slot, does not fit beside them."""
+    d, T = 500, 400
+    rng = np.random.default_rng(0)
+    panel = TimeSeriesPanel(rng.integers(-9, 10, size=(d, T)) / 10, default_node_labels(d),
+                            tuple(range(1, T + 1)))
+    path = tmp_path / "panel.csv"
+    write_panel(panel, path)
+    tracemalloc.start()
+    try:
+        values = read_panel(path).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, panel.values)
+    assert values.flags.f_contiguous and values.strides == (8, 8 * d)
+    assert peak <= 3 * path.stat().st_size + 2 * values.nbytes, (peak, path.stat().st_size)

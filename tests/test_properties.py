@@ -508,6 +508,46 @@ def test_model_read_errors_name_their_line_key_or_community(text_edits):
                        for rest in re.findall(r"malformed model file \((.*)", message)), message
 
 
+# Characters that end a line for str.splitlines, and the cell separator: no cell holds them.
+NOT_IN_A_CELL = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+PADDING = st.text(" \t\x1f\xa0\u2003\u3000", max_size=3)
+CELL_SPELLINGS = ("-0.0", "5e-324", "2.225073858507201e-308", "1.7976931348623157e+308",
+                  "1e400", "-1e400", "1e-400", "1_000", "1__0", "_1", "1_", "1_.5", "0x10",
+                  "\u0661\u0662\u0663", "NaN", "-inf", "+Infinity", "infinit", "", " ")
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.one_of(st.floats().map(repr),
+                 st.tuples(PADDING, st.floats().map(repr), PADDING).map("".join),
+                 st.text("0123456789_.eE+-", max_size=12), st.sampled_from(CELL_SPELLINGS),
+                 st.text(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters=NOT_IN_A_CELL), max_size=8)))
+def test_panel_cells_read_as_float_reads_them(cell):
+    """A cell inside a row reads to the bits of ``float(cell)``: float reprs (``-0.0``,
+    subnormals, large exponents), padding, underscores and other spellings alike.  A cell
+    ``float`` refuses raises its message at the cell's line, and a ``nan`` or ``inf`` the
+    non-finite error naming the node.  The values are a (T, d) C-order array seen as d x T."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        path.write_text(f"# seed: 0\ntime,a,b,c\n1,0.25,-1.5,2\n2,0.5,{cell},4e-3\n",
+                        encoding="utf-8")
+        try:
+            got = read_panel(path).values
+        except DataError as exc:
+            got = str(exc)
+    try:
+        value = float(cell)
+    except ValueError as exc:
+        assert got == f"{path}:4: non-numeric cell ({exc})"
+        return
+    if not np.isfinite(value):
+        assert got == f"{path}:4: node 'b' is {value}, not a finite number"
+        return
+    want = np.array([[0.25, 0.5], [-1.5, value], [2.0, 4e-3]])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.flags.f_contiguous and got.strides == (8, 24)
+
+
 SUBCOMMANDS = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)).choices
 INPUTS = {  # flag -> the file it expects; @FIX is the module's fixture directory

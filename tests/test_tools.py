@@ -5,6 +5,8 @@ renamed or removed name in ``src/`` or ``bench/`` that a tool uses fails
 here rather than when the tool is next needed.
 """
 
+import importlib.util
+import marshal
 import re
 import shutil
 import subprocess
@@ -37,6 +39,7 @@ PROBES = {
     "estimate": (("--d", "20", "--runs", "1"),
                  ["community", "global", "local", "gls", "per-community"], "20"),
     "model": (("--d", "1000", "--runs", "1"), ["read local"], "1000"),
+    "panel": (("--d", "20", "--runs", "1"), ["read", "format"], "20"),
     "autocorr": (("--d", "200"), ["pnacf", "nacf"], "200"),
     "startup": (("--runs", "1"), ["import gnar", "import gnar.cli", "gnar simulate",
                                   "gnar nacf", "gnar forecast", "gnar fit"], "-"),
@@ -64,10 +67,33 @@ def test_probe_runs(tmp_path, layer):
         assert len(lines) == 2 + len(roots) * len(names)
         assert lines[1].split() == ["case", "d", "root", "call_med_s", "call_min_s",
                                     "proc_med_s", "peak_mib", "scipy", "result"]
+        if layer == "panel":  # one text for every root: the format is byte-stable
+            assert {row[4] for row in rows if row[0] == "read"} == {"20 x 200"}
+            assert len({row[4] for row in rows if row[0] == "format"}) == 1
         if layer == "autocorr":
             assert all(result.startswith("72 cells, ") for *_, result in rows)
         if layer == "startup":  # only the fit reaches a least-squares solve
             assert [row[0] for row in rows if row[3] == "true"] == ["gnar fit"] * len(roots)
+
+
+def test_probe_ignores_bytecode_left_in_a_checkout(tmp_path):
+    """A ``__pycache__`` entry that matches ``gnar/__init__.py``'s time stamp and size but
+    holds other code is never run: each root caches its bytecode in a fresh directory."""
+    shutil.copytree(TOOLS.parent / "src" / "gnar", tmp_path / "src" / "gnar",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "gnar" / "__init__.py"
+    stale = Path(importlib.util.cache_from_source(str(source)))
+    stale.parent.mkdir()
+    code = compile("raise SystemExit('stale bytecode ran')", str(source), "exec")
+    stat = source.stat()
+    stale.write_bytes(importlib.util.MAGIC_NUMBER + b"\0" * 4
+                      + int(stat.st_mtime).to_bytes(4, "little")
+                      + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little") + marshal.dumps(code))
+    ran = subprocess.run([sys.executable, "-c", "import gnar"], cwd=tmp_path / "src",
+                         capture_output=True, text=True, timeout=60)
+    assert "stale bytecode ran" in ran.stderr  # without a cache prefix it would run
+    done = run_tool("probe.py", "network", "--d", "51", "--runs", "1", "--root", str(tmp_path))
+    assert done.returncode == 0, done.stderr
 
 
 def test_probe_refuses_bad_options(tmp_path):

@@ -8,23 +8,25 @@ community, global and local OLS, Kronecker GLS with an identity block and
 per-community fits; the joint designs are built and scipy imported before
 the clock starts.  ``autocorr`` evaluates a PNACF and a NACF grid of 8 lags
 x 3 stages per community.  Both run on the synthetic workloads' inputs at
-node count d, with a simulated T = 200 panel.  ``model`` reads a local model
+node count d, with a simulated T = 200 panel.  ``panel`` reads that panel
+from its file and formats it as file text.  ``model`` reads a local model
 file of node count d and 40 lags with no coefficient lines, so every slot is
 zero.  ``startup`` imports gnar or runs a command on the five-node test
 network (``tests/data``).
 
 Each case is an untimed set-up and a timed call, run in fresh processes one
-at a time, with the ``--root`` checkout's ``src/`` on the path and one BLAS
-thread.  Given twice, ``--root`` compares two checkouts: their processes
-alternate within each case, so drift of the machine reaches both alike, and
-each case prints one row per root.  A row gives the root (1 or 2, as the
-first line lists them), the median and minimum call time, the median wall
-time of a process, the median ``tracemalloc`` peak of the call, whether
-scipy was loaded and a short result.  The peak comes from one more call per
-process, after the timed ones and a fresh set-up, so no timed call runs
-traced and the process time leaves that part out.  In the ``startup`` layer
-the traced call finds gnar's modules loaded, so an import's peak is near
-zero.  Compare a parent commit (root 1) with the working tree (root 2), from
+at a time, with the ``--root`` checkout's ``src/`` on the path, one BLAS
+thread and a bytecode cache of its own per root, made fresh for each probe,
+so a ``__pycache__`` left in one checkout cannot favour it.  Given twice,
+``--root`` compares two checkouts: their processes alternate within each
+case, so drift of the machine reaches both alike, and each case prints one
+row per root.  A row gives the root (1 or 2, as the first line lists them),
+the median and minimum call time, the median wall time of a process, the
+median ``tracemalloc`` peak of the call, whether scipy was loaded and a
+short result.  The peak comes from one more call per process, after the
+timed ones and a fresh set-up, so no timed call runs traced and the process
+time leaves that part out.  In the ``startup`` layer the traced call finds
+gnar's modules loaded, so an import's peak is near zero.  Compare a parent commit (root 1) with the working tree (root 2), from
 the repository root:
 
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
@@ -139,6 +141,12 @@ LAYERS = {
         "read local": (LOCAL_MODEL, 'coeffs, order = gnar.read_model("local.txt")\n'
                                     'result = f"p {order.p_max}, sigma {coeffs.noise_sd}"'),
     }),
+    "panel": ((200, 800), 3, 5, {
+        "read": (INPUTS + 'gnar.write_panel(panel, "panel.csv")\n',
+                 'read = gnar.read_panel("panel.csv")\nresult = f"{read.d} x {read.T}"'),
+        "format": (INPUTS, 'text = gnar.panel.format_panel(panel)\n'
+                           'result = f"{len(text)} characters"'),
+    }),
     "autocorr": ((200, 800), 1, 5, {kind: (INPUTS, GRID % kind) for kind in ("pnacf", "nacf")}),
     "startup": ((None,), 7, 1, {
         "import gnar": ("", "import gnar"),
@@ -150,12 +158,13 @@ LAYERS = {
 }
 
 
-def run_process(case: str, code: str, d: int | None, seed: int, src: Path, cwd: str
-                ) -> tuple[float, list[float], float, str, str]:
-    """One fresh interpreter: (wall s less the traced call's part, call times, call peak
-    MiB, scipy loaded, result)."""
+def run_process(case: str, code: str, d: int | None, seed: int, src: Path, cwd: str,
+                pycache: Path) -> tuple[float, list[float], float, str, str]:
+    """One fresh interpreter, caching bytecode under ``pycache``: (wall s less the traced
+    call's part, call times, call peak MiB, scipy loaded, result)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(HERE / "bench")]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               PYTHONPYCACHEPREFIX=str(pycache), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", code, str(d or 0), str(seed)], env=env,
                           cwd=cwd, capture_output=True, text=True)
@@ -206,7 +215,8 @@ def main(argv=None) -> int:
                 procs = [[] for _ in srcs]
                 for _ in range(runs):
                     for i, src in enumerate(srcs):  # the roots alternate, process by process
-                        procs[i].append(run_process(case, code, d, seed, src, tmp))
+                        procs[i].append(run_process(case, code, d, seed, src, tmp,
+                                                    Path(tmp) / f"pycache{i}"))
                 for i, done in enumerate(procs, start=1):
                     walls, times, peaks, scipy, result = zip(*done)
                     times = [t for calls_s in times for t in calls_s]
