@@ -18,12 +18,10 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import autocorr, corbit_svg, elections, estimate
 from .errors import GnarError
 from .forecast import ModelSpec, compare, forecast, load_external_forecast
-from .model import format_model, parse_order, read_model
+from .model import format_model, parse_order, read_model, unmet_stationarity
 from .network import (default_weights, format_edge_list, load_weight_overrides,
                       read_edge_list)
 from .panel import TimeSeriesPanel, format_panel, read_panel
@@ -77,9 +75,8 @@ def _cmd_fit(args):
         return files, f"wrote per-community fits for {len(fits)} communities to {out_dir}"
     fit = estimate.fit_ols(estimate.build_design(panel, order, net, W, part))
     if not fit.stationary:
-        print("warning: estimates do not meet the sufficient stationarity condition "
-              "(every group's absolute sum below 1; "
-              f"largest sum {np.max(fit.stationarity_sums):.3f})", file=sys.stderr)
+        print("warning: " + unmet_stationarity("estimates do not meet", fit.stationarity_sums),
+              file=sys.stderr)
     return ({out_dir / "coefficients.csv": estimate.coefficient_table(fit),
              out_dir / "residuals.csv": format_panel(fit.residuals),
              out_dir / "model.txt": format_model(fit.to_coefficients())},
@@ -168,10 +165,9 @@ def _cmd_elections(args):
         "comparison.csv": report.to_csv_text(),
     }
     if not fit_std.stationary:
-        print("note: standardised fit does not meet the sufficient stationarity condition "
-              "(every group's absolute sum below 1; "
-              f"largest sum {np.max(fit_std.stationarity_sums):.3f}); "
-              "see the differenced fit", file=sys.stderr)
+        print("note: " + unmet_stationarity("standardised fit does not meet",
+                                            fit_std.stationarity_sums)
+              + "; see the differenced fit", file=sys.stderr)
     out_dir = Path(args.out_dir)
     return ({out_dir / name: text for name, text in outputs.items()},
             f"wrote election study outputs to {out_dir} (hold-out {report.holdout_label})")

@@ -60,57 +60,50 @@ _POSTAL = (
     "WV", "WI", "WY",
 )
 
-#: Land-border contiguity, symmetric; AK and HI are absent (isolated).
+#: Land-border contiguity, each border once, under the state that comes first in
+#: ``_POSTAL``; AK and HI are absent (isolated).
 _BORDERS = {
     "AL": ("FL", "GA", "MS", "TN"),
     "AZ": ("CA", "NV", "NM", "UT"),
     "AR": ("LA", "MS", "MO", "OK", "TN", "TX"),
-    "CA": ("AZ", "NV", "OR"),
+    "CA": ("NV", "OR"),
     "CO": ("KS", "NE", "NM", "OK", "UT", "WY"),
     "CT": ("MA", "NY", "RI"),
     "DE": ("MD", "NJ", "PA"),
     "DC": ("MD", "VA"),
-    "FL": ("AL", "GA"),
-    "GA": ("AL", "FL", "NC", "SC", "TN"),
+    "FL": ("GA",),
+    "GA": ("NC", "SC", "TN"),
     "ID": ("MT", "NV", "OR", "UT", "WA", "WY"),
     "IL": ("IN", "IA", "KY", "MO", "WI"),
-    "IN": ("IL", "KY", "MI", "OH"),
-    "IA": ("IL", "MN", "MO", "NE", "SD", "WI"),
-    "KS": ("CO", "MO", "NE", "OK"),
-    "KY": ("IL", "IN", "MO", "OH", "TN", "VA", "WV"),
-    "LA": ("AR", "MS", "TX"),
+    "IN": ("KY", "MI", "OH"),
+    "IA": ("MN", "MO", "NE", "SD", "WI"),
+    "KS": ("MO", "NE", "OK"),
+    "KY": ("MO", "OH", "TN", "VA", "WV"),
+    "LA": ("MS", "TX"),
     "ME": ("NH",),
-    "MD": ("DE", "DC", "PA", "VA", "WV"),
-    "MA": ("CT", "NH", "NY", "RI", "VT"),
-    "MI": ("IN", "OH", "WI"),
-    "MN": ("IA", "ND", "SD", "WI"),
-    "MS": ("AL", "AR", "LA", "TN"),
-    "MO": ("AR", "IL", "IA", "KS", "KY", "NE", "OK", "TN"),
-    "MT": ("ID", "ND", "SD", "WY"),
-    "NE": ("CO", "IA", "KS", "MO", "SD", "WY"),
-    "NV": ("AZ", "CA", "ID", "OR", "UT"),
-    "NH": ("ME", "MA", "VT"),
-    "NJ": ("DE", "NY", "PA"),
-    "NM": ("AZ", "CO", "OK", "TX"),
-    "NY": ("CT", "MA", "NJ", "PA", "VT"),
-    "NC": ("GA", "SC", "TN", "VA"),
-    "ND": ("MN", "MT", "SD"),
-    "OH": ("IN", "KY", "MI", "PA", "WV"),
-    "OK": ("AR", "CO", "KS", "MO", "NM", "TX"),
-    "OR": ("CA", "ID", "NV", "WA"),
-    "PA": ("DE", "MD", "NJ", "NY", "OH", "WV"),
-    "RI": ("CT", "MA"),
-    "SC": ("GA", "NC"),
-    "SD": ("IA", "MN", "MT", "NE", "ND", "WY"),
-    "TN": ("AL", "AR", "GA", "KY", "MS", "MO", "NC", "VA"),
-    "TX": ("AR", "LA", "NM", "OK"),
-    "UT": ("AZ", "CO", "ID", "NV", "WY"),
-    "VT": ("MA", "NH", "NY"),
-    "VA": ("DC", "KY", "MD", "NC", "TN", "WV"),
-    "WA": ("ID", "OR"),
-    "WV": ("KY", "MD", "OH", "PA", "VA"),
-    "WI": ("IL", "IA", "MI", "MN"),
-    "WY": ("CO", "ID", "MT", "NE", "SD", "UT"),
+    "MD": ("PA", "VA", "WV"),
+    "MA": ("NH", "NY", "RI", "VT"),
+    "MI": ("OH", "WI"),
+    "MN": ("ND", "SD", "WI"),
+    "MS": ("TN",),
+    "MO": ("NE", "OK", "TN"),
+    "MT": ("ND", "SD", "WY"),
+    "NE": ("SD", "WY"),
+    "NV": ("OR", "UT"),
+    "NH": ("VT",),
+    "NJ": ("NY", "PA"),
+    "NM": ("OK", "TX"),
+    "NY": ("PA", "VT"),
+    "NC": ("SC", "TN", "VA"),
+    "ND": ("SD",),
+    "OH": ("PA", "WV"),
+    "OK": ("TX",),
+    "OR": ("WA",),
+    "PA": ("WV",),
+    "SD": ("WY",),
+    "TN": ("VA",),
+    "UT": ("WY",),
+    "VA": ("WV",),
 }
 
 COMMUNITY_LABELS = ("Red", "Blue", "Swing")
@@ -119,13 +112,8 @@ COMMUNITY_LABELS = ("Red", "Blue", "Swing")
 def us_border_network() -> Network:
     """The 51-node land-border network, nodes in alphabetical state order."""
     index = {code: i + 1 for i, code in enumerate(_POSTAL)}
-    edges = set()
-    for a, nbrs in _BORDERS.items():
-        for b in nbrs:
-            if a not in _BORDERS.get(b, ()):
-                raise GnarError(f"border table asymmetric at {a}-{b}")
-            edges.add((min(index[a], index[b]), max(index[a], index[b])))
-    return build_network(len(_POSTAL), sorted(edges))
+    return build_network(len(_POSTAL), [(index[a], index[b]) for a, nbrs in _BORDERS.items()
+                                        for b in nbrs])
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,14 +8,17 @@ are zero on rows of other communities, the Gram matrix is block-diagonal
 across communities and the model can be fitted jointly or one community at
 a time (the latter on each community's own, longer usable range).
 
-A local-variant design (one alpha per node and lag) is kept as its nonzero
-blocks, gathered from the panel and Z_r = (W o S_r) X, in O(d T (p + q_beta))
-memory.  OLS reads only these and partials out each node's own lags
-(Frisch-Waugh-Lovell): the shared betas come from a small pivoted QR of the
-beta columns residualised node by node, the alphas and the full covariance
-by block inversion.  Its dense design is built only when read (by GLS, whose
-whitening couples the nodes).  Every other fit uses a column-pivoted QR of
-the whole design.  The normal-equations formula is only a test oracle.
+Every design is kept as its blocks, gathered once from the panel and
+Z_r = (W o S_r) X: the shared columns and, for a local-variant design (one
+alpha per node and lag), each node's own lags, in O(d T (p + q_beta))
+memory.  The dense design R is derived on first read; for a global or
+community design it is a view of the shared block.  Local OLS reads only
+the blocks and partials out each node's own lags (Frisch-Waugh-Lovell): the
+shared betas come from a small pivoted QR of the beta columns residualised
+node by node, the alphas and the full covariance by block inversion, so a
+local R is built only by GLS, whose whitening couples the nodes.  Every
+other fit uses a column-pivoted QR of the whole design.  The
+normal-equations formula is only a test oracle.
 
 scipy.linalg is imported on the first least-squares solve, inside
 :func:`solve_least_squares` and :func:`fit_gls`, so importing gnar and the
@@ -25,6 +28,7 @@ simulate, nacf, corbit and forecast commands never load scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,41 +46,36 @@ class DesignSystem:
 
     ``columns[j]`` says which coefficient column j estimates.  Rows cycle
     over ``node_ids`` (1-based) for each predicted time step; ``lag_offset``
-    is the number of leading panel steps consumed by lags.  A local design
-    has ``R=None`` and ``local = (A, B, a_idx, b_idx)``: each node's own lags
-    and beta columns as [t, node, column] arrays, and their columns of R.
-    ``R`` (C order) is built from them on first access and kept; ``n``,
-    ``q`` and :meth:`column_names` never build it.  ``dataclasses.replace``
-    reads every field it is not given, so on a local design it builds and
-    keeps ``R`` on both objects; ``replace(ds, y=..., R=None)`` keeps both
-    blocks-only, with the same fit.
+    is the number of leading panel steps consumed by lags.  ``blocks`` is
+    ``(A, B, a_idx, b_idx)``: each node's own lags (a local order's alphas,
+    ``None`` for other orders) and the shared columns as [t, node, column]
+    arrays, and their columns of R.  ``R`` (C order) is derived from them on
+    first read and kept: without own lags it is a view of ``B``.
     """
 
-    R: np.ndarray | None = field(repr=False)
+    blocks: tuple = field(repr=False)
     y: np.ndarray
     columns: tuple[ThetaEntry, ...]
     order: GnarOrder
-    variant: str
     lag_offset: int
     node_ids: tuple[int, ...]
     node_labels: tuple[str, ...]
     time_labels: tuple[str, ...]
     group: int | None = None
-    local: tuple | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.R is None:
-            object.__delattr__(self, "R")  # left to __getattr__
-
-    def __getattr__(self, name):
-        if name != "R" or self.local is None:
-            raise AttributeError(f"'DesignSystem' object has no attribute {name!r}")
-        A, B, a_idx, b_idx = self.local
+    @cached_property
+    def R(self) -> np.ndarray:
+        A, B, a_idx, b_idx = self.blocks
+        if A is None:
+            return B.reshape(self.n, self.q)
         R = np.zeros(A.shape[:2] + (self.q,))
         R[:, :, b_idx] = B
         R[:, np.arange(len(a_idx))[:, None], a_idx] = A
-        object.__setattr__(self, "R", R.reshape(self.n, self.q))
-        return self.R
+        return R.reshape(self.n, self.q)
+
+    @property
+    def variant(self) -> str:
+        return self.order.variant
 
     @property
     def n(self) -> int:
@@ -122,7 +121,7 @@ def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np
                    part: CommunityPartition | None, entries: list[ThetaEntry],
                    lag_offset: int, row_nodes: list[int], group: int | None = None
                    ) -> DesignSystem:
-    """The design of the given entries on the given node rows; blocks only if local."""
+    """The design of the given entries on the given node rows, as gathered blocks."""
     X = panel.values
     d, T = X.shape
     check_size("panel", d, "network", net.d)
@@ -145,20 +144,16 @@ def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np
             out[:, :, k] = ((node_group[rows] == e.group)[:, None] * M).T
         return out
 
-    y = X[rows, p0:].T.ravel()
-    R, local = None, None
-    if order.variant != "local":
-        R = gather(range(len(entries))).reshape(y.size, -1)
-    else:
-        b_idx = [j for j, e in enumerate(entries) if e.node is None]
-        a_idx = np.asarray([j for j, e in enumerate(entries) if e.node is not None])
-        a_idx = a_idx.reshape(order.lags[0], d).T  # theta_index: lag-major, nodes ascending
-        # Node 1's alpha columns read X at each lag on every row: node i's own lags.
-        local = (gather(a_idx[0]), gather(b_idx), a_idx, b_idx)
-    return DesignSystem(R=R, y=y, columns=tuple(entries), order=order,
-                        variant=order.variant, lag_offset=p0, node_ids=tuple(row_nodes),
+    b_idx = [j for j, e in enumerate(entries) if e.node is None]
+    a_idx = np.asarray([j for j, e in enumerate(entries) if e.node is not None], dtype=int)
+    a_idx = a_idx.reshape(-1, d).T  # theta_index: lag-major, nodes ascending
+    # Node 1's alpha columns read X at each lag on every row: node i's own lags.
+    A = gather(a_idx[0]) if a_idx.size else None
+    return DesignSystem(blocks=(A, gather(b_idx), a_idx, b_idx), y=X[rows, p0:].T.ravel(),
+                        columns=tuple(entries), order=order, lag_offset=p0,
+                        node_ids=tuple(row_nodes),
                         node_labels=tuple(panel.node_labels[i] for i in rows),
-                        time_labels=panel.time_labels[p0:], group=group, local=local)
+                        time_labels=panel.time_labels[p0:], group=group)
 
 
 def build_design(panel: TimeSeriesPanel, order: GnarOrder, net: Network,
@@ -230,7 +225,7 @@ def _solve_local(ds: DesignSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (R'R)^-1 and the residual y_i - A_i alpha_i - B_i beta in row order.
     """
     n, q = ds.n, ds.q
-    A, B, a_idx, b_idx = ds.local
+    A, B, a_idx, b_idx = ds.blocks
     m, p = a_idx.shape
     A, B = A.transpose(1, 0, 2), B.transpose(1, 0, 2)
     Y = ds.y.reshape(-1, m).T[:, :, None]
@@ -294,7 +289,7 @@ def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
 def fit_ols(ds: DesignSystem) -> FitResult:
     """Ordinary least squares with unbiased residual variance (n - q)."""
     df = _df_resid(ds)
-    if ds.local is not None:
+    if ds.blocks[0] is not None:
         theta, gram_inv, resid = _solve_local(ds)
     else:
         theta, gram_inv = solve_least_squares(ds.R, ds.y, ds.column_names())

@@ -262,6 +262,14 @@ def stationarity_margin(coeffs: GnarCoefficients) -> StationarityReport:
     return abs_sums(theta_index(coeffs.order, coeffs.d), coeffs.theta)
 
 
+def unmet_stationarity(subject: str, sums: np.ndarray | None = None, places: int = 3) -> str:
+    """``subject`` followed by the sufficient stationarity condition, with the largest of
+    ``sums`` if given: the one wording of every message that refuses or warns on it."""
+    largest = "" if sums is None else f"; largest sum {np.max(sums):.{places}f}"
+    return (f"{subject} the sufficient stationarity condition "
+            f"(every group's absolute sum below 1{largest})")
+
+
 def to_var(coeffs: GnarCoefficients, net: Network, W: np.ndarray,
            part: CommunityPartition | None = None) -> np.ndarray:
     """Transition matrices of the equivalent VAR(p), shape (p_max, d, d).

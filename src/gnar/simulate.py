@@ -15,7 +15,8 @@ import warnings
 import numpy as np
 
 from .errors import GnarError, OrderError
-from .model import GnarCoefficients, GnarOrder, format_order, stationarity_margin, to_var
+from .model import (GnarCoefficients, GnarOrder, format_order, stationarity_margin, to_var,
+                    unmet_stationarity)
 from .network import Network
 from .panel import TimeSeriesPanel, default_node_labels
 from .partition import CommunityPartition
@@ -59,12 +60,9 @@ def simulate(coeffs: GnarCoefficients, order: GnarOrder, net: Network,
     report = stationarity_margin(coeffs)
     if not report.stationary:
         if not allow_nonstationary:
-            raise GnarError("coefficients do not meet the sufficient stationarity condition, "
-                            "every group's absolute sum below 1 (largest group sum "
-                            f"{np.max(report.sums):.4f}); "
-                            "pass allow_nonstationary=True to simulate anyway")
-        warnings.warn("simulating a model whose coefficients do not meet the sufficient "
-                      "stationarity condition (every group's absolute sum below 1)",
+            raise GnarError(unmet_stationarity("coefficients do not meet", report.sums, 4)
+                            + "; pass allow_nonstationary=True to simulate anyway")
+        warnings.warn(unmet_stationarity("simulating a model whose coefficients do not meet"),
                       stacklevel=2)
     phi = to_var(coeffs, net, W, part)
     p, d = phi.shape[0], net.d

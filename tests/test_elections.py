@@ -137,6 +137,39 @@ def test_loader_names_file_and_line_of_malformed_input(tmp_path, header, bad_row
 # classification
 # ---------------------------------------------------------------------------
 
+def write_returns(path, votes):
+    """A returns file of every state and year; ``votes(state, year)`` gives the
+    Republican and Democratic votes and the total."""
+    rows = [HEADER]
+    for year in ELECTION_YEARS:
+        for state in STATE_NAMES:
+            rep, dem, total = votes(state, year)
+            rows.append(f"{year},{state},US PRESIDENT,R,REPUBLICAN,{rep},{total},REPUBLICAN")
+            rows.append(f"{year},{state},US PRESIDENT,D,DEMOCRAT,{dem},{total},DEMOCRAT")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("votes, message", [
+    ((0, 0, 0), "nonpositive total votes for ALABAMA in 1976"),
+    ((1200, 0, 1000), "Republican share outside [0, 100]"),
+], ids=["zero-total", "share-above-100"])
+def test_loader_refuses_totals_that_give_no_share(tmp_path, votes, message):
+    path = write_returns(tmp_path / "returns.csv", lambda state, year: (
+        votes if (state, year) == ("ALABAMA", 1976) else (500, 450, 1000)))
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_returns(path)
+
+
+def test_classify_refuses_returns_without_a_swing_state(tmp_path):
+    red = set(STATE_NAMES[:25])
+    path = write_returns(tmp_path / "returns.csv", lambda state, year: (
+        (600, 400, 1000) if state in red else (400, 600, 1000)))
+    with pytest.raises(DataError,
+                       match=r"^classification produced empty communities: \['Swing'\]$"):
+        classify(load_returns(path))
+
+
 def test_classification_matches_recount_oracle(synthetic_returns_path):
     data = load_returns(synthetic_returns_path)
     cl = classify(data)

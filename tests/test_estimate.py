@@ -113,10 +113,7 @@ def test_exact_recovery_zero_noise(table1_model, fivenet, fivenet_weights,
     ds = build_design(panel, order, fivenet, fivenet_weights, fivenet_partition)
     theta_star = coeffs.theta
     y_exact = ds.R @ theta_star
-    ds_exact = type(ds)(R=ds.R, y=y_exact, columns=ds.columns, order=ds.order,
-                        variant=ds.variant, lag_offset=ds.lag_offset,
-                        node_ids=ds.node_ids, node_labels=ds.node_labels,
-                        time_labels=ds.time_labels)
+    ds_exact = dataclasses.replace(ds, y=y_exact)
     fit = fit_ols(ds_exact)
     assert np.max(np.abs(fit.theta - theta_star)) < 1e-10
 
@@ -287,7 +284,7 @@ def test_ols_refuses_a_system_without_residual_degrees_of_freedom(text, T, n, q)
     net = build_network(2, [(1, 2)])
     ds = build_design(make_panel(np.random.default_rng(T).normal(size=(2, T))),
                       parse_order(text), net, default_weights(bfs_distances(net)))
-    assert (ds.n, ds.q, ds.local is not None) == (n, q, text.startswith("local"))
+    assert (ds.n, ds.q, ds.blocks[0] is not None) == (n, q, text.startswith("local"))
     # GLS under an identity block refuses these systems as OLS does, before any solve.
     for fit in (fit_ols, lambda ds: fit_gls(ds, KroneckerCovariance(np.eye(2)))):
         with pytest.raises(DesignError,
@@ -298,6 +295,16 @@ def test_ols_refuses_a_system_without_residual_degrees_of_freedom(text, T, n, q)
 # ---------------------------------------------------------------------------
 # per-community estimation
 # ---------------------------------------------------------------------------
+
+def test_per_community_fit_refuses_to_rebuild_coefficients(table1_model, fivenet,
+                                                           fivenet_weights, fivenet_partition):
+    _, order = table1_model
+    panel = sim_panel(table1_model, fivenet, fivenet_weights, fivenet_partition)
+    fit = fit_per_community(panel, order, fivenet, fivenet_weights, fivenet_partition)[0]
+    with pytest.raises(DesignError, match="^per-community results cover a single parameter "
+                                          "block; rebuild coefficients from a joint fit$"):
+        fit.to_coefficients()
+
 
 def test_per_community_usable_ranges(table1_model, fivenet, fivenet_weights,
                                      fivenet_partition):
@@ -417,15 +424,15 @@ def test_local_ols_builds_no_dense_design(fivenet, fivenet_weights):
     assert fit.df_resid == ds.n - ds.q
 
 
-def test_replace_with_r_none_keeps_local_designs_blocks_only(fivenet, fivenet_weights):
-    """``dataclasses.replace`` reads every init field it is not given, so it would build
-    and keep R on both designs; given ``R=None`` it keeps both blocks-only.  A new last
-    step changes y and no lag, so the moved design's fit is the fresh design's."""
+def test_replace_keeps_local_designs_blocks_only(fivenet, fivenet_weights):
+    """``dataclasses.replace`` reads every init field it is not given; R is not one, so
+    both designs stay blocks-only.  A new last step changes y and no lag, so the moved
+    design's fit is the fresh design's."""
     values = np.random.default_rng(11).normal(size=(5, 40))
     ds = build_design(make_panel(values), LOCAL, fivenet, fivenet_weights)
     values[:, -1] += 1.0
     fresh = build_design(make_panel(values), LOCAL, fivenet, fivenet_weights)
-    moved = dataclasses.replace(ds, y=fresh.y, R=None)
+    moved = dataclasses.replace(ds, y=fresh.y)
     moved_fit, fresh_fit = fit_ols(moved), fit_ols(fresh)
     assert "R" not in vars(ds) and "R" not in vars(moved)
     assert not np.array_equal(moved.y, ds.y)
@@ -440,6 +447,20 @@ def test_local_dense_design_is_built_on_demand_and_kept(fivenet, fivenet_weights
     assert R is ds.R and "R" in vars(ds)
     assert R.flags.c_contiguous
     assert np.array_equal(R, local_design(panel, LOCAL, fivenet, fivenet_weights))
+
+
+def test_global_and_community_r_is_a_view_of_the_shared_block(
+        table1_model, fivenet, fivenet_weights, fivenet_partition):
+    _, order = table1_model
+    panel = make_panel(np.random.default_rng(13).normal(size=(5, 40)))
+    for ds in (build_design(panel, parse_order("global:2;[1,1]"), fivenet, fivenet_weights),
+               build_design(panel, order, fivenet, fivenet_weights, fivenet_partition),
+               build_community_design(panel, order, fivenet, fivenet_weights,
+                                      fivenet_partition, 2)):
+        A, B, _, b_idx = ds.blocks
+        assert A is None and list(b_idx) == list(range(ds.q))
+        assert np.shares_memory(ds.R, B) and ds.R.flags.c_contiguous
+        assert ds.R is ds.R and "R" in vars(ds)
 
 
 def test_local_design_free_fit_matches_dense_qr(fivenet, fivenet_weights):

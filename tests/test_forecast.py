@@ -97,6 +97,14 @@ def test_naive_centred_equals_raw(fivenet, fivenet_weights):
     assert naive.rmspe_centred == pytest.approx(naive.rmspe, abs=1e-12)
 
 
+def test_report_entry_refuses_an_unknown_name(fivenet, fivenet_weights):
+    panel = make_panel(np.random.default_rng(2).normal(size=(5, 12)))
+    report = compare(panel, fivenet, fivenet_weights, [], holdout=-1)
+    with pytest.raises(KeyError) as info:
+        report.entry("community")
+    assert info.value.args == ("community",)
+
+
 def test_compare_report_structure(fivenet, fivenet_weights, fivenet_partition,
                                   table1_model):
     coeffs, order = table1_model

@@ -47,6 +47,15 @@ def test_panel_validation():
         TimeSeriesPanel(np.ones(3), ("a", "b", "c"), ("1",))
 
 
+@pytest.mark.parametrize("values, times, message", [
+    (np.ones((2, 0)), (), "panel must contain at least one time step"),
+    (np.ones((2, 2)), ("1",), "1 time labels for 2 columns"),
+], ids=["no-steps", "time-labels"])
+def test_panel_refuses_no_steps_and_a_wrong_time_label_count(values, times, message):
+    with pytest.raises(GnarError, match=f"^{re.escape(message)}$"):
+        TimeSeriesPanel(values, ("a", "b"), times)
+
+
 def test_panel_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,a\n1,2,3\n")
@@ -61,6 +70,18 @@ def test_panel_read_rejects_malformed(tmp_path):
     path.write_text("# seed: 1\n# rng: x\n#seed:2\ntime,a\n1,2\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: metadata 'seed' "
                                         "was already set on line 1$"):
+        read_panel(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("# seed: 1\n# no rows follow\n", ": no panel data found"),
+    ("# seed: 1\ntime,a,b\n", ": no panel data found"),
+    ("time\n1\n2\n", ":1: no node columns"),
+], ids=["comments-only", "header-only", "no-node-columns"])
+def test_panel_read_refuses_a_file_without_data(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path) + where)}$"):
         read_panel(path)
 
 
@@ -92,6 +113,15 @@ def test_partition_validation():
     assert np.array_equal(indicator(part, 1), np.ones(4))
 
 
+@pytest.mark.parametrize("labels, C, message", [
+    ((), 0, "community count must be >= 1, got 0"),
+    (("Red",), 2, "labels length must equal the community count"),
+], ids=["no-communities", "labels"])
+def test_partition_refuses_no_communities_and_a_wrong_label_count(labels, C, message):
+    with pytest.raises(GnarError, match=f"^{re.escape(message)}$"):
+        CommunityPartition(assignment=(1, 2), n_communities=C, labels=labels)
+
+
 def test_partition_read_rejects_gaps(tmp_path):
     path = tmp_path / "part.csv"
     path.write_text("node,community\n1,1\n3,1\n")
@@ -106,7 +136,9 @@ def test_partition_read_rejects_gaps(tmp_path):
     ("node,community\n1,0\n2,1\n", ":2: node 1 assigned to community 0, below 1"),
     ("1,1\n2,-2\n3,1\n", ":2: node 2 assigned to community -2, below 1"),
     ("1,1\n2,3\n3,3\n", ": empty communities: 2"),
-], ids=["zero", "negative", "empty"])
+    ("# label 1: Red\n# no rows follow\n", ": empty partition file"),
+    ("1,1\n2,3\n", ": community 3 but only 2 nodes to fill it"),
+], ids=["zero", "negative", "empty", "comments-only", "too-few-nodes"])
 def test_partition_read_names_the_file_of_a_community_it_cannot_form(tmp_path, text, where):
     path = tmp_path / "part.csv"
     path.write_text(text)

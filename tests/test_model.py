@@ -468,6 +468,11 @@ def test_coefficients_reject_bad_shapes():
                          beta=((np.array([0.1]),),), noise_sd=0.0)
 
 
+def test_from_theta_refuses_a_theta_of_the_wrong_length():
+    with pytest.raises(OrderError, match=r"^theta length \(3,\) does not match 2$"):
+        GnarCoefficients.from_theta(np.zeros(3), parse_order("global:1;[1]"))
+
+
 def test_model_file_community_count_must_match_lags(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("gnar-model v1\nvariant community\nC 3\np 1 1\nsigma 1.0\ns 1 1\ns 2 0\n")

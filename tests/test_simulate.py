@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,17 @@ def test_nonstationary_needs_flag(fivenet, fivenet_weights):
         panel = simulate(coeffs, order, fivenet, fivenet_weights, 10, seed=0,
                          burn_in=0, allow_nonstationary=True)
     assert panel.T == 10
+
+
+def test_nonstationary_refusal_names_the_condition_and_the_largest_sum(fivenet,
+                                                                       fivenet_weights):
+    coeffs = GnarCoefficients(variant="global", alpha=(np.array([1.2]),),
+                              beta=((np.array([]),),), noise_sd=1.0)
+    message = ("coefficients do not meet the sufficient stationarity condition (every "
+               "group's absolute sum below 1; largest sum 1.2000); "
+               "pass allow_nonstationary=True to simulate anyway")
+    with pytest.raises(GnarError, match=f"^{re.escape(message)}$"):
+        simulate(coeffs, coeffs.order, fivenet, fivenet_weights, 10)
 
 
 def test_stationary_run_stays_bounded(fivenet, fivenet_weights,
