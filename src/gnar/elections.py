@@ -130,14 +130,13 @@ class ElectionPanel:
 class StateClassification:
     """Win counts per state and the Red/Blue/Swing partition they induce."""
 
-    states: tuple[str, ...]
     rep_wins: np.ndarray
     dem_wins: np.ndarray
     partition: CommunityPartition
 
     def to_csv_text(self) -> str:
         lines = ["state,wins_R,wins_D,community"]
-        for i, state in enumerate(self.states):
+        for i, state in enumerate(STATE_NAMES):
             label = self.partition.label_of(self.partition.community_of(i + 1))
             lines.append(f"{state},{self.rep_wins[i]},{self.dem_wins[i]},{label}")
         return "\n".join(lines) + "\n"
@@ -242,8 +241,7 @@ def classify(data: ElectionPanel) -> StateClassification:
         raise DataError(f"classification produced empty communities: {missing}")
     partition = CommunityPartition(assignment=tuple(assignment), n_communities=3,
                                    labels=COMMUNITY_LABELS)
-    return StateClassification(states=STATE_NAMES, rep_wins=rep_wins,
-                               dem_wins=dem_wins, partition=partition)
+    return StateClassification(rep_wins=rep_wins, dem_wins=dem_wins, partition=partition)
 
 
 def standardize(panel: TimeSeriesPanel) -> TimeSeriesPanel:

@@ -45,8 +45,7 @@ class DesignSystem:
     """Stacked linear system R theta = y plus the column/row bookkeeping.
 
     ``columns[j]`` says which coefficient column j estimates.  Rows cycle
-    over ``node_ids`` (1-based) for each predicted time step; ``lag_offset``
-    is the number of leading panel steps consumed by lags.  ``blocks`` is
+    over ``node_labels`` for each predicted time step.  ``blocks`` is
     ``(A, B, a_idx, b_idx)``: each node's own lags (a local order's alphas,
     ``None`` for other orders) and the shared columns as [t, node, column]
     arrays, and their columns of R.  ``R`` (C order) is derived from them on
@@ -57,8 +56,6 @@ class DesignSystem:
     y: np.ndarray
     columns: tuple[ThetaEntry, ...]
     order: GnarOrder
-    lag_offset: int
-    node_ids: tuple[int, ...]
     node_labels: tuple[str, ...]
     time_labels: tuple[str, ...]
     group: int | None = None
@@ -104,8 +101,11 @@ class FitResult:
     stationary: bool
     stationarity_sums: np.ndarray
     order: GnarOrder
-    variant: str
     group: int | None = None
+
+    @property
+    def variant(self) -> str:
+        return self.order.variant
 
     def to_coefficients(self) -> GnarCoefficients:
         """Rebuild a coefficient container from the estimates (joint fits only)."""
@@ -119,13 +119,12 @@ class FitResult:
 
 def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np.ndarray,
                    part: CommunityPartition | None, entries: list[ThetaEntry],
-                   lag_offset: int, row_nodes: list[int], group: int | None = None
+                   p0: int, row_nodes: list[int], group: int | None = None
                    ) -> DesignSystem:
-    """The design of the given entries on the given node rows, as gathered blocks."""
+    """The design of the given entries on the given node rows and t = p0+1 .. T, as blocks."""
     X = panel.values
     d, T = X.shape
     check_size("panel", d, "network", net.d)
-    p0 = lag_offset
     if T <= p0:
         raise DesignError(f"panel length {T} cannot support maximum lag {p0}; "
                           f"need at least {p0 + 1} time steps")
@@ -150,8 +149,7 @@ def _build_columns(panel: TimeSeriesPanel, order: GnarOrder, net: Network, W: np
     # Node 1's alpha columns read X at each lag on every row: node i's own lags.
     A = gather(a_idx[0]) if a_idx.size else None
     return DesignSystem(blocks=(A, gather(b_idx), a_idx, b_idx), y=X[rows, p0:].T.ravel(),
-                        columns=tuple(entries), order=order, lag_offset=p0,
-                        node_ids=tuple(row_nodes),
+                        columns=tuple(entries), order=order,
                         node_labels=tuple(panel.node_labels[i] for i in rows),
                         time_labels=panel.time_labels[p0:], group=group)
 
@@ -274,7 +272,7 @@ def _df_resid(ds: DesignSystem) -> int:
 
 def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
                 sigma2: float, resid: np.ndarray) -> FitResult:
-    m = len(ds.node_ids)
+    m = len(ds.node_labels)
     resid_panel = TimeSeriesPanel(values=resid.reshape(-1, m).T,
                                   node_labels=ds.node_labels,
                                   time_labels=ds.time_labels)
@@ -283,7 +281,7 @@ def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
                      sigma2=sigma2, cov=cov, se=np.sqrt(np.diag(cov)),
                      residuals=resid_panel, df_resid=ds.n - ds.q,
                      stationary=report.stationary, stationarity_sums=report.sums,
-                     order=ds.order, variant=ds.variant, group=ds.group)
+                     order=ds.order, group=ds.group)
 
 
 def fit_ols(ds: DesignSystem) -> FitResult:
@@ -324,7 +322,7 @@ def fit_gls(ds: DesignSystem, sigma) -> FitResult:
     df = _df_resid(ds)
     kron = isinstance(sigma, KroneckerCovariance)
     S = sigma.sigma_u if kron else np.asarray(sigma, dtype=float)
-    m = len(ds.node_ids) if kron else ds.n
+    m = len(ds.node_labels) if kron else ds.n
     if S.shape != (m, m):
         raise CovarianceError(f"covariance block must be {m} x {m} ({ds.n} design rows "
                               f"in blocks of {m}), got {S.shape}")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gnar.autocorr import corbit_grid, pnacf
+from gnar.cli import main
 from gnar.elections import (COMMUNITY_LABELS, ELECTION_YEARS, STATE_NAMES,
                             ElectionPanel, classify, difference, load_returns,
                             standardize, us_border_network)
@@ -352,6 +353,28 @@ def test_synthetic_full_study_runs(synthetic_returns_path):
                      part)
     assert report.entry("GNAR").n_params == 9
     assert report.entry("GNAR*").n_params == 3
+
+
+def test_elections_notes_a_standardised_fit_that_fails_the_condition(tmp_path, capsys):
+    """Persistent shares, each state's a drifting random walk, give a standardised fit whose
+    largest group sum is above 1: the study still writes every file and notes it."""
+    rng = np.random.default_rng(0)
+    kind = np.arange(len(STATE_NAMES)) % 3  # Red, Blue and Swing (crossing 50% mid-way)
+    share = (np.array([0.62, 0.38, 0.44])[kind, None] + np.array([0, 0, 0.012])[kind, None]
+             * np.arange(len(ELECTION_YEARS))
+             + np.cumsum(rng.normal(0, 0.01, (len(STATE_NAMES), len(ELECTION_YEARS))), axis=1))
+
+    def votes(state, year):
+        rep = int(round(1e6 * share[STATE_INDEX[state], ELECTION_YEARS.index(year)]))
+        return rep, 1_000_000 - rep, 1_000_000
+
+    returns = write_returns(tmp_path / "returns.csv", votes)
+    out_dir = tmp_path / "study"
+    assert main(["elections", "--returns", str(returns), "--out-dir", str(out_dir)]) == 0
+    assert len(list(out_dir.iterdir())) == 15
+    assert capsys.readouterr().err == (
+        "note: standardised fit does not meet the sufficient stationarity condition (every "
+        "group's absolute sum below 1; largest sum 2.396); see the differenced fit\n")
 
 
 def check_planted_truth(returns_path, order_text: str, coeffs: GnarCoefficients, T: int,

@@ -41,6 +41,17 @@ def test_order_validation():
     assert order.param_count() == 6
 
 
+@pytest.mark.parametrize("variant, lags, stages, message", [
+    ("vector", (1,), ((1,),), "unknown variant 'vector'"),
+    ("global", (1, 1), ((1,), (1,)), "global orders have a single group"),
+    ("local", (2, 1), ((1, 0), (1,)), "local orders have a single group"),
+])
+def test_order_refuses_an_unknown_variant_and_a_second_group(variant, lags, stages, message):
+    with pytest.raises(OrderError) as err:
+        GnarOrder(variant, lags, stages)
+    assert str(err.value) == message
+
+
 def test_zero_stage_orders_are_legal():
     order = GnarOrder.community_order([2, 2, 2], [[1, 0]] * 3)
     assert order.param_count() == 9

@@ -1,5 +1,6 @@
 """Property tests on random graphs, including disconnected ones and singleton
-communities: the design reproduces the VAR form, the community Gram matrix
+communities: the design reproduces the VAR form, simulating a model and
+refitting it by OLS recovers its coefficients, the community Gram matrix
 is block-diagonal, model files and parameter vectors round-trip exactly,
 the node-wise expansion agrees with the VAR form, the VAR matrices and every
 joint and per-community design equal those built from stage weights masked
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gnar.autocorr import KINDS, CorbitGrid, corbit_grid, nacf, pnacf
 from gnar.cli import build_parser, main
@@ -43,7 +45,7 @@ from gnar.errors import DataError, GnarError, SizeError
 from gnar.estimate import build_community_design, build_design, fit_ols, fit_per_community
 from gnar.forecast import ModelSpec, compare, forecast
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
-                        theta_index, to_local_alpha, to_var)
+                        stationarity_margin, theta_index, to_local_alpha, to_var)
 from gnar.network import (bfs_distances, build_network, default_weights, load_weight_overrides,
                           mask_weights, read_edge_list, stage_adjacency, stage_weights)
 from gnar.panel import (TimeSeriesPanel, default_node_labels, format_panel, read_panel,
@@ -111,6 +113,50 @@ def test_design_times_theta_is_var_prediction(data, graph, seed):
     var_pred = np.stack([sum(phi[k - 1] @ X[:, t - k] for k in range(1, p + 1))
                          for t in range(p, panel.T)])
     assert np.max(np.abs(ds.R @ theta - var_pred.ravel())) <= 1e-12
+
+
+RECOVERY_T, RECOVERY_MARGIN, RECOVERY_ALPHA = 1000, 0.2, 1e-3
+
+
+def stage_reach(Bs: list[np.ndarray], members: list[int]) -> int:
+    """The largest r such that each stage 1..r links some member to another member."""
+    idx = np.asarray(members) - 1
+    reach = 0
+    while reach < len(Bs) and np.any(Bs[reach][np.ix_(idx, idx)]):
+        reach += 1
+    return reach
+
+
+@PROPERTY
+@given(st.data(), graphs(), st.integers(0, 2**32 - 1))
+def test_simulate_then_fit_recovers_the_coefficients(data, graph, seed):
+    """A model drawn on a random graph, simulated at T = 1000 and refitted by OLS: every
+    estimate is within c standard errors of the truth.  Each group's stage orders, drawn
+    from its reach down, stop where its members run out of within-group neighbours, so
+    every column can be estimated.  theta is scaled so that its largest group sum is
+    1 - RECOVERY_MARGIN.  c is the two-sided t quantile at RECOVERY_ALPHA / (examples x q):
+    by the union bound, the chance that any estimate of the run strays beyond c is at
+    most RECOVERY_ALPHA."""
+    net, part = graph
+    W = default_weights(net.distances)
+    Bs = stage_weights(net, W, net.r_max)
+    variant = data.draw(st.sampled_from(("global", "community", "local")))
+    groups = ([part.members(c) for c in range(1, part.n_communities + 1)]
+              if variant == "community" else [list(range(1, net.d + 1))])
+    lags = [data.draw(st.integers(1, 3)) for _ in groups]
+    stages = [tuple(data.draw(st.sampled_from(range(stage_reach(Bs, members), -1, -1)))
+                    for _ in range(p))
+              for p, members in zip(lags, groups)]
+    order = GnarOrder(variant, tuple(lags), tuple(stages))
+    raw = GnarCoefficients.from_theta(np.random.default_rng(seed).uniform(
+        -1, 1, len(theta_index(order, d=net.d))), order, d=net.d)
+    theta = raw.theta * (1 - RECOVERY_MARGIN) / np.max(stationarity_margin(raw).sums)
+    coeffs = GnarCoefficients.from_theta(theta, order, d=net.d)
+    panel = simulate(coeffs, order, net, W, RECOVERY_T, part=part, seed=seed)
+    fit = fit_ols(build_design(panel, order, net, W, part))
+    c = stats.t.isf(RECOVERY_ALPHA / (2 * PROPERTY.max_examples * theta.size), fit.df_resid)
+    z = (fit.theta - theta) / fit.se
+    assert np.max(np.abs(z)) <= c, dict(zip(fit.names, z.round(2)))
 
 
 @PROPERTY

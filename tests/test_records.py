@@ -7,13 +7,15 @@ or more entries, and its ``hash`` would raise too.  Records of plain values
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from gnar.autocorr import corbit_grid
-from gnar.elections import classify, load_returns
-from gnar.estimate import KroneckerCovariance, build_design, fit_ols
+from gnar.elections import STATE_NAMES, classify, load_returns
+from gnar.estimate import (KroneckerCovariance, build_design, fit_gls, fit_ols,
+                           fit_per_community)
 from gnar.forecast import ExternalForecast, ModelSpec, compare
 from gnar.model import (GnarCoefficients, parse_order, stationarity_margin,
                         to_local_alpha)
@@ -75,3 +77,22 @@ def test_value_records_compare_and_hash_by_value():
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+def test_records_store_no_copy_of_what_another_field_holds(records, fivenet, fivenet_weights,
+                                                            fivenet_partition):
+    """A design's rows are its ``node_labels``, a fit's variant is its order's and the
+    classified states are ``STATE_NAMES``: none is stored a second time."""
+    fields = {name: {f.name for f in dataclasses.fields(records[name])}
+              for name in ("DesignSystem", "FitResult", "StateClassification")}
+    assert not fields["DesignSystem"] & {"lag_offset", "node_ids"}
+    assert "variant" not in fields["FitResult"]
+    assert "states" not in fields["StateClassification"]
+    ds = records["DesignSystem"]
+    fits = [fit_ols(ds), fit_gls(ds, KroneckerCovariance(np.eye(5))),
+            *fit_per_community(records["TimeSeriesPanel"], ds.order, fivenet, fivenet_weights,
+                               fivenet_partition)]
+    assert [fit.variant for fit in fits] == [fit.order.variant for fit in fits] == \
+        ["community"] * 4
+    rows = records["StateClassification"].to_csv_text().splitlines()[1:]
+    assert tuple(row.split(",")[0] for row in rows) == STATE_NAMES

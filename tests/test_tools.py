@@ -104,3 +104,25 @@ def test_probe_refuses_bad_options(tmp_path):
     done = run_tool("probe.py", "network", "--d", "51", "--root", str(tmp_path))
     assert done.returncode != 0
     assert f"no gnar package under {tmp_path / 'src'}" in done.stderr
+
+
+def test_probe_children_load_numpy_from_a_warmed_cache(tmp_path, monkeypatch):
+    """Each timed child finds numpy's bytecode in its root's cache, so the probe times
+    gnar rather than the compiling of numpy, even where Python is told to write none."""
+    shutil.copytree(TOOLS.parent / "src" / "gnar", tmp_path / "src" / "gnar",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    log = tmp_path / "cached.log"
+    with open(tmp_path / "src" / "gnar" / "__init__.py", "a") as init:
+        init.write(f"\nimport os as _os, numpy as _np\n_c = _np.__spec__.cached\n"
+                   f"with open({str(log)!r}, 'a') as _f:\n"
+                   "    _f.write(f'{_c}\\t{_os.path.isfile(_c)}\\n')\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    done = run_tool("probe.py", "network", "--d", "51", "--runs", "2", "--root", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    # The last two lines are the two timed children; any before them warmed the cache.
+    timed = [line.split("\t") for line in log.read_text().splitlines()[-2:]]
+    assert len(timed) == 2
+    for cached, found in timed:
+        assert found == "True", cached
+        assert not Path(cached).is_relative_to(Path(importlib.util.find_spec("numpy").origin)
+                                               .parent)

@@ -17,10 +17,14 @@ network (``tests/data``).
 Each case is an untimed set-up and a timed call, run in fresh processes one
 at a time, with the ``--root`` checkout's ``src/`` on the path, one BLAS
 thread and a bytecode cache of its own per root, made fresh for each probe,
-so a ``__pycache__`` left in one checkout cannot favour it.  Given twice,
-``--root`` compares two checkouts: their processes alternate within each
-case, so drift of the machine reaches both alike, and each case prints one
-row per root.  A row gives the root (1 or 2, as the first line lists them),
+so a ``__pycache__`` left in one checkout cannot favour it.  One untimed
+process per root first fills that cache, whatever ``PYTHONDONTWRITEBYTECODE``
+says: it copies in the installed bytecode of the standard library, numpy
+and scipy, and compiles gnar and the benchmark's ``workloads`` into it, so
+the timed processes time gnar, not the compiling of numpy and scipy.
+Given twice, ``--root`` compares two checkouts: their processes alternate
+within each case, so drift of the machine reaches both alike, and each
+case prints one row per root.  A row gives the root (1 or 2, as the first line lists them),
 the median and minimum call time, the median wall time of a process, the
 median ``tracemalloc`` peak of the call, whether scipy was loaded and a
 short result.  The peak comes from one more call per process, after the
@@ -158,16 +162,56 @@ LAYERS = {
 }
 
 
+# Run once per root before any timing: fills its fresh cache with copies of the installed
+# bytecode of the standard library, numpy and scipy (which Python checks against their
+# sources, as it does in place), then compiles the root's gnar and the benchmark's
+# workloads into it.
+WARM = """\
+import importlib.util, os, shutil, sys
+prefix, sys.pycache_prefix, sys.dont_write_bytecode = sys.pycache_prefix, None, True
+import tracemalloc, numpy, numpy.random, scipy.linalg
+
+def cached(origin, under):
+    sys.pycache_prefix = under
+    return importlib.util.cache_from_source(origin)
+
+for module in list(sys.modules.values()):
+    origin = getattr(getattr(module, "__spec__", None), "origin", None) or ""
+    installed = cached(origin, None) if origin.endswith(".py") else ""
+    if os.path.isfile(installed):
+        target = cached(origin, prefix)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copyfile(installed, target)
+sys.pycache_prefix, sys.dont_write_bytecode = prefix, False
+import gnar, gnar.cli, workloads
+"""
+
+
+def child_env(src: Path, pycache: Path) -> dict[str, str]:
+    """The environment of a child running ``src``'s gnar and caching bytecode under
+    ``pycache``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(HERE / "bench")]),
+                PYTHONPYCACHEPREFIX=str(pycache), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def warm_cache(src: Path, cwd: str, pycache: Path) -> None:
+    """Put the bytecode of what the cases import into ``pycache``, in one untimed interpreter
+    that writes bytecode whatever ``PYTHONDONTWRITEBYTECODE`` says."""
+    done = subprocess.run([sys.executable, "-c", WARM], env=child_env(src, pycache), cwd=cwd,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"probe: warming the bytecode cache of {src} exited {done.returncode}: "
+                 f"{done.stderr}")
+
+
 def run_process(case: str, code: str, d: int | None, seed: int, src: Path, cwd: str,
                 pycache: Path) -> tuple[float, list[float], float, str, str]:
     """One fresh interpreter, caching bytecode under ``pycache``: (wall s less the traced
     call's part, call times, call peak MiB, scipy loaded, result)."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(HERE / "bench")]),
-               PYTHONPYCACHEPREFIX=str(pycache), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", code, str(d or 0), str(seed)], env=env,
-                          cwd=cwd, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code, str(d or 0), str(seed)],
+                          env=child_env(src, pycache), cwd=cwd, capture_output=True, text=True)
     wall = time.perf_counter() - start
     if done.returncode != 0:
         sys.exit(f"probe: {case} (d = {d or '-'}) exited {done.returncode}: {done.stderr}")
@@ -208,6 +252,8 @@ def main(argv=None) -> int:
     print(f"{'case':<16} {'d':>5} {'root':>4} {'call_med_s':>10} {'call_min_s':>10} "
           f"{'proc_med_s':>10} {'peak_mib':>8} {'scipy':>5}  result")
     with tempfile.TemporaryDirectory() as tmp:
+        for i, src in enumerate(srcs):
+            warm_cache(src, tmp, Path(tmp) / f"pycache{i}")
         for d in args.d or sizes:
             for case, (setup, call) in cases.items():
                 code = CHILD.format(setup=setup, calls=calls, call=call,
