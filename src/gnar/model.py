@@ -76,20 +76,6 @@ class GnarOrder:
             if any(int(sk) != sk or sk < 0 for sk in s):
                 raise OrderError(f"group {g}: stage orders must be nonnegative integers")
 
-    # -- constructors -----------------------------------------------------
-    @classmethod
-    def global_order(cls, p: int, stages: list[int]) -> "GnarOrder":
-        return cls("global", (p,), (tuple(stages),))
-
-    @classmethod
-    def community_order(cls, lags: list[int], stages: list[list[int]]) -> "GnarOrder":
-        return cls("community", tuple(lags), tuple(tuple(s) for s in stages))
-
-    @classmethod
-    def local_order(cls, p: int, stages: list[int]) -> "GnarOrder":
-        return cls("local", (p,), (tuple(stages),))
-
-    # -- derived quantities -----------------------------------------------
     @property
     def n_groups(self) -> int:
         return len(self.lags)
@@ -152,10 +138,10 @@ def theta_index(order: GnarOrder, d: int | None = None) -> list[ThetaEntry]:
 @dataclass(frozen=True, eq=False, init=False)
 class GnarCoefficients:
     """Coefficients of an order: read-only ``theta`` in :func:`theta_index` order, the
-    node count ``d`` of a local order (None otherwise) and the noise sd.  The keyword
-    constructor reads the order from nested arrays' shapes; the same names read copies
-    back: ``alpha[g][k-1]`` and ``beta[g][k-1][r-1]`` are group g's coefficients at lag
-    k (stage r), and a local order's ``alpha_nodes[i-1, k-1]`` node i's lag-k alpha.
+    node count ``d`` of a local order (None otherwise) and the noise sd, made only by
+    :meth:`from_theta`.  Read-only views copy slots out: ``alpha[g][k-1]`` and
+    ``beta[g][k-1][r-1]`` are group g's coefficients at lag k (stage r), and a local
+    order's ``alpha_nodes[i-1, k-1]`` node i's lag-k alpha.
     """
 
     order: GnarOrder
@@ -163,38 +149,19 @@ class GnarCoefficients:
     d: int | None
     noise_sd: float
 
-    def __init__(self, variant: str, alpha, beta, noise_sd: float, alpha_nodes=None):
-        local = variant == "local"
-        # Each group's alphas as (lag, alpha): one per lag, or a local order's d.
-        alphas = ([np.asarray(alpha_nodes, dtype=float).T] if local
-                  else [np.asarray(a, dtype=float)[..., None] for a in alpha])
-        beta = [[np.asarray(b, dtype=float) for b in group] for group in beta]
-        if ((len(alpha) if local else alpha_nodes is not None) or any(a.ndim != 2 for a in alphas)
-                or any(b.ndim != 1 for group in beta for b in group)):
-            raise OrderError("alpha and beta need one-dimensional arrays; a local order needs "
-                             "alpha_nodes of shape (d, p) and no alpha, others no alpha_nodes")
-        order = GnarOrder(variant, tuple(len(a) for a in alphas),
-                          tuple(tuple(len(b) for b in group) for group in beta))
-        theta = np.concatenate([x for a, group in zip(alphas, beta)
-                                for block in zip(a, group) for x in block])
-        self._store(order, theta, alphas[0].shape[1] if local else None, noise_sd)
-
-    def _store(self, order: GnarOrder, theta, d: int | None, noise_sd: float) -> None:
-        """Set the fields to a copy of ``theta``, read-only, after checking its length."""
+    @classmethod
+    def from_theta(cls, theta: np.ndarray, order: GnarOrder,
+                   noise_sd: float = 1.0, d: int | None = None) -> "GnarCoefficients":
+        """Coefficients holding a read-only copy of ``theta``, after checking its length."""
         if not noise_sd > 0:
             raise OrderError(f"noise sd must be positive, got {noise_sd}")
         theta = np.array(theta, dtype=float)
         if theta.shape != (size := order.param_count(d),):
             raise OrderError(f"theta length {theta.shape} does not match {size}")
         theta.flags.writeable = False
-        vars(self).update(order=order, theta=theta, noise_sd=noise_sd,
-                          d=d if order.variant == "local" else None)
-
-    @classmethod
-    def from_theta(cls, theta: np.ndarray, order: GnarOrder,
-                   noise_sd: float = 1.0, d: int | None = None) -> "GnarCoefficients":
         coeffs = cls.__new__(cls)
-        coeffs._store(order, theta, d, noise_sd)
+        vars(coeffs).update(order=order, theta=theta, noise_sd=noise_sd,
+                            d=d if order.variant == "local" else None)
         return coeffs
 
     @property
@@ -375,23 +342,20 @@ def parse_order(text: str) -> GnarOrder:
                          "local:p;[s,...] or community:[p,...];{[s,...],...}")
     variant, p, stages, lags, lists = match.groups()
 
-    def ints(part: str) -> list[int]:
-        return [int(x) for x in re.findall(_INT, part)]
+    def ints(part: str) -> tuple[int, ...]:
+        return tuple(int(x) for x in re.findall(_INT, part))
 
     if variant:
-        return GnarOrder(variant, (int(p),), (tuple(ints(stages)),))
+        return GnarOrder(variant, (int(p),), (ints(stages),))
     # Each "]" closes one stage list, so the pieces before them hold one list each.
-    return GnarOrder.community_order(ints(lags),
-                                     [ints(x) for x in (lists or "").split("]")[:-1]])
+    return GnarOrder("community", ints(lags), tuple(map(ints, (lists or "").split("]")[:-1])))
 
 
 def format_order(order: GnarOrder) -> str:
-    if order.variant in ("global", "local"):
-        s = ",".join(str(x) for x in order.stages[0])
-        return f"{order.variant}:{order.lags[0]};[{s}]"
-    lags = ",".join(str(p) for p in order.lags)
-    stage_lists = ",".join("[" + ",".join(str(x) for x in s) + "]" for s in order.stages)
-    return f"community:[{lags}];{{{stage_lists}}}"
+    stage_lists = [f"[{','.join(map(str, s))}]" for s in order.stages]
+    if order.variant == "community":
+        return f"community:[{','.join(map(str, order.lags))}];{{{','.join(stage_lists)}}}"
+    return f"{order.variant}:{order.lags[0]};{stage_lists[0]}"
 
 
 # ---------------------------------------------------------------------------

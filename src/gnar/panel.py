@@ -71,7 +71,8 @@ def format_panel(panel: TimeSeriesPanel) -> str:
 
     A label or metadata entry that would not read back as written raises
     GnarError: an empty label, a line break, a comma or surrounding
-    whitespace, a time label starting with ``#``, a metadata key with ``:``.
+    whitespace, a time label starting with ``#``, a metadata key with ``:``,
+    a node label that names a second column.
     """
     for key, value in panel.meta.items():
         check_cell("metadata key", str(key), ":")
@@ -79,6 +80,9 @@ def format_panel(panel: TimeSeriesPanel) -> str:
     for kind, labels in (("node label", panel.node_labels), ("time label", panel.time_labels)):
         for label in labels:
             check_cell(kind, label)
+    if len(set(panel.node_labels)) < panel.d:
+        label = next(x for x in panel.node_labels if panel.node_labels.count(x) > 1)
+        raise GnarError(f"node label {label!r} is repeated, so a gnar file cannot hold it")
     lines = [f"# {k}: {v}" for k, v in panel.meta.items()]
     lines.append(",".join(("time",) + panel.node_labels))
     for label, row in zip(panel.time_labels, panel.values.T.tolist()):
@@ -109,6 +113,10 @@ def read_panel(path: str | Path) -> TimeSeriesPanel:
         raise DataError(f"{path}:{ln}: no node columns")
     if "" in header:
         raise DataError(f"{path}:{ln}: node column {header.index('') + 1} has no label")
+    if len(set(header)) < len(header):
+        j = next(j for j, label in enumerate(header) if label in header[:j])
+        raise DataError(f"{path}:{ln}: node column {j + 1} repeats the label {header[j]!r} "
+                        f"of node column {header.index(header[j]) + 1}")
     times: list[str] = []
     rows: list[np.ndarray] = []
     row_lines: list[int] = []

@@ -13,7 +13,7 @@ from gnar.elections import classify, difference, load_returns, standardize, us_b
 from gnar.estimate import (build_community_design, build_design, fit_gls,
                            fit_ols, fit_per_community, solve_least_squares)
 from gnar.forecast import compare, forecast, rmspe
-from gnar.model import (GnarCoefficients, GnarOrder, parse_order,
+from gnar.model import (GnarCoefficients, parse_order,
                         stationarity_margin, to_var)
 from gnar.network import bfs_distances, build_network, default_weights
 from gnar.panel import TimeSeriesPanel, default_node_labels
@@ -116,22 +116,19 @@ def community_model_corpus(fivenet, fivenet_weights, fivenet_partition):
     the simulation-study model, an equal-lags variant, and the 51-node
     three-community election configuration on the synthetic returns."""
     corpus = []
-    t1_order = GnarOrder.community_order([1, 2], [[1], [1, 1]])
-    t1_coeffs = GnarCoefficients(
-        variant="community",
-        alpha=(np.array([0.27]), np.array([0.25, 0.12])),
-        beta=((np.array([0.18]),), (np.array([0.30]), np.array([0.20]))),
-        noise_sd=1.0)
+    t1_order = parse_order("community:[1,2];{[1],[1,1]}")
+    t1_coeffs = GnarCoefficients.from_theta(
+        [0.27, 0.18,                # alpha.1.1, beta.1.1.1
+         0.25, 0.30, 0.12, 0.20],   # alpha.1.2, beta.1.1.2, alpha.2.2, beta.2.1.2
+        t1_order)
     panel = simulate(t1_coeffs, t1_order, fivenet, fivenet_weights, 90,
                      part=fivenet_partition, seed=11)
     corpus.append((panel, fivenet, fivenet_weights, fivenet_partition, t1_order))
-    eq_order = GnarOrder.community_order([2, 2], [[1, 1], [1, 1]])
-    eq_coeffs = GnarCoefficients(
-        variant="community",
-        alpha=(np.array([0.2, 0.1]), np.array([0.15, 0.05])),
-        beta=((np.array([0.1]), np.array([0.05])),
-              (np.array([0.2]), np.array([0.1]))),
-        noise_sd=1.0)
+    eq_order = parse_order("community:[2,2];{[1,1],[1,1]}")
+    eq_coeffs = GnarCoefficients.from_theta(
+        [0.2, 0.1, 0.1, 0.05,     # alpha.1.1, beta.1.1.1, alpha.2.1, beta.2.1.1
+         0.15, 0.2, 0.05, 0.1],   # alpha.1.2, beta.1.1.2, alpha.2.2, beta.2.1.2
+        eq_order)
     panel = simulate(eq_coeffs, eq_order, fivenet, fivenet_weights, 90,
                      part=fivenet_partition, seed=12)
     corpus.append((panel, fivenet, fivenet_weights, fivenet_partition, eq_order))
@@ -170,10 +167,8 @@ def test_criterion_4_stationarity_arithmetic(table1_model):
     rep = stationarity_margin(coeffs)
     ok = (abs(rep.sums[0] - 0.45) < 1e-12 and abs(rep.sums[1] - 0.87) < 1e-12
           and rep.stationary and abs(rep.margin - (1 - 0.87)) < 1e-12)
-    swing = GnarCoefficients(variant="global",
-                             alpha=(np.array([0.905, -0.591]),),
-                             beta=((np.array([-0.747]), np.array([])),),
-                             noise_sd=1.0)
+    swing = GnarCoefficients.from_theta([0.905, -0.747, -0.591],  # alpha.1, beta.1.1, alpha.2
+                                        parse_order("global:2;[1,0]"))
     swing_rep = stationarity_margin(swing)
     ok = ok and abs(swing_rep.sums[0] - 2.243) < 1e-12 and not swing_rep.stationary
     assert report("4 (stationarity sums and verdicts, exact)", ok)

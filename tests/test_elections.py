@@ -411,12 +411,9 @@ def test_standardised_study_recovers_a_planted_truth(synthetic_returns_path):
     OLS on lagged values has a real bias: at 2,000 draws the mean z runs from -0.15
     (``alpha.2.2``) to 0.04, which the mean bound leaves room for.
     """
-    coeffs = GnarCoefficients(  # per community: alpha at lags 1 and 2, beta at lag 1
-        "community", alpha=(np.array([0.45, -0.15]), np.array([0.30, 0.15]),
-                            np.array([0.55, 0.10])),
-        beta=((np.array([0.25]), np.array([])), (np.array([0.35]), np.array([])),
-              (np.array([-0.20]), np.array([]))), noise_sd=1.0)
     order_text = "community:[2,2,2];{[1,0],[1,0],[1,0]}"
+    coeffs = GnarCoefficients.from_theta(  # per community g: alpha.1.g, beta.1.1.g, alpha.2.g
+        [0.45, 0.25, -0.15, 0.30, 0.35, 0.15, 0.55, -0.20, 0.10], parse_order(order_text))
     assert check_planted_truth(synthetic_returns_path, order_text, coeffs, 12) == 510 - 9
 
 
@@ -424,11 +421,9 @@ def test_differenced_study_recovers_a_planted_truth(synthetic_returns_path):
     """The differenced order, three own lags per community and no neighbour terms, at the
     differenced panel's T = 11, within ``check_planted_truth``'s bounds: 51 nodes x 8 usable
     steps, 9 parameters."""
-    coeffs = GnarCoefficients(  # per community: alpha at lags 1 to 3, no beta
-        "community", alpha=(np.array([0.30, -0.20, 0.15]), np.array([-0.25, 0.20, 0.10]),
-                            np.array([0.40, 0.15, -0.20])),
-        beta=((np.array([]),) * 3,) * 3, noise_sd=1.0)
     order_text = "community:[3,3,3];{[0,0,0],[0,0,0],[0,0,0]}"
+    coeffs = GnarCoefficients.from_theta(  # per community g: alpha.1.g to alpha.3.g, no beta
+        [0.30, -0.20, 0.15, -0.25, 0.20, 0.10, 0.40, 0.15, -0.20], parse_order(order_text))
     assert check_planted_truth(synthetic_returns_path, order_text, coeffs, 11) == 51 * 8 - 9
 
 

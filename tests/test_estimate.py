@@ -8,7 +8,7 @@ from gnar.errors import CovarianceError, DesignError, RankDeficiencyError
 from gnar.estimate import (KroneckerCovariance, build_community_design,
                            build_design, coefficient_table, fit_gls, fit_ols,
                            fit_per_community, solve_least_squares)
-from gnar.model import GnarCoefficients, GnarOrder, parse_order, to_var
+from gnar.model import GnarCoefficients, parse_order, to_var
 from gnar.network import bfs_distances, build_network, default_weights
 from gnar.panel import TimeSeriesPanel, default_node_labels
 from gnar.partition import CommunityPartition, single_community
@@ -218,7 +218,7 @@ def test_gls_kronecker_matches_dense_oracle():
     d, T = 4, 9
     net = build_network(d, [(1, 2), (2, 3), (3, 4)])
     W = default_weights(bfs_distances(net))
-    order = GnarOrder.global_order(1, [1])
+    order = parse_order("global:1;[1]")
     panel = make_panel(rng.normal(size=(d, T)))
     ds = build_design(panel, order, net, W)
     A = rng.normal(size=(d, d))
@@ -249,7 +249,7 @@ def test_gls_rejects_singular_covariance(table1_model, fivenet, fivenet_weights,
 @pytest.mark.parametrize("dense", (False, True), ids=("kronecker", "dense"))
 def test_gls_refuses_a_covariance_of_the_wrong_size(fivenet, fivenet_weights, dense):
     ds = build_design(make_panel(np.random.default_rng(4).normal(size=(5, 12))),
-                      GnarOrder.global_order(1, [1]), fivenet, fivenet_weights)
+                      parse_order("global:1;[1]"), fivenet, fivenet_weights)
     m = ds.n if dense else 5
     sigma = np.eye(m + 1) if dense else KroneckerCovariance(np.eye(m + 1))
     with pytest.raises(CovarianceError, match=rf"^covariance block must be {m} x {m} "
@@ -268,7 +268,7 @@ def test_gls_covariance_is_whitened_gram_inverse():
     d, T = 3, 12
     net = build_network(d, [(1, 2), (2, 3)])
     W = default_weights(bfs_distances(net))
-    order = GnarOrder.global_order(1, [1])
+    order = parse_order("global:1;[1]")
     ds = build_design(make_panel(rng.normal(size=(d, T))), order, net, W)
     sigma = 2.5 * np.eye(ds.n)
     gls = fit_gls(ds, sigma)
@@ -320,14 +320,12 @@ def test_per_community_usable_ranges(table1_model, fivenet, fivenet_weights,
 
 
 def test_equal_lags_match_joint_slices(fivenet, fivenet_weights, fivenet_partition):
-    order = GnarOrder.community_order([2, 2], [[1, 1], [1, 1]])
+    order = parse_order("community:[2,2];{[1,1],[1,1]}")
     rng = np.random.default_rng(21)
-    coeffs = GnarCoefficients(
-        variant="community",
-        alpha=(np.array([0.2, 0.1]), np.array([0.15, 0.05])),
-        beta=((np.array([0.1]), np.array([0.05])),
-              (np.array([0.2]), np.array([0.1]))),
-        noise_sd=1.0)
+    coeffs = GnarCoefficients.from_theta(
+        [0.2, 0.1, 0.1, 0.05,     # alpha.1.1, beta.1.1.1, alpha.2.1, beta.2.1.1
+         0.15, 0.2, 0.05, 0.1],   # alpha.1.2, beta.1.1.2, alpha.2.2, beta.2.1.2
+        order)
     panel = simulate(coeffs, order, fivenet, fivenet_weights, 80,
                      part=fivenet_partition, seed=13)
     joint = fit_ols(build_design(panel, order, fivenet, fivenet_weights,
@@ -340,8 +338,8 @@ def test_equal_lags_match_joint_slices(fivenet, fivenet_weights, fivenet_partiti
 
 def test_single_community_equals_global_fit(fivenet, fivenet_weights):
     part = single_community(5)
-    order_c = GnarOrder.community_order([1], [[1]])
-    order_g = GnarOrder.global_order(1, [1])
+    order_c = parse_order("community:[1];{[1]}")
+    order_g = parse_order("global:1;[1]")
     rng = np.random.default_rng(31)
     panel = make_panel(rng.normal(size=(5, 60)))
     fit_c = fit_per_community(panel, order_c, fivenet, fivenet_weights, part)[0]
@@ -353,7 +351,7 @@ def test_single_community_equals_global_fit(fivenet, fivenet_weights):
 # local variant: own lags partialled out, shared betas by pivoted QR
 # ---------------------------------------------------------------------------
 
-LOCAL = GnarOrder.local_order(2, [1, 1])
+LOCAL = parse_order("local:2;[1,1]")
 
 
 def test_local_fit_solves_only_the_residualised_beta_system(fivenet, fivenet_weights,
@@ -404,9 +402,9 @@ def test_local_fit_recovers_simulated_coefficients():
     net = build_network(d, random_connected_graph(rng, d))
     W = default_weights(bfs_distances(net))
     alpha = rng.uniform(-0.3, 0.3, size=(d, 2))
-    coeffs = GnarCoefficients(variant="local", alpha=(),
-                              beta=((np.array([0.2]), np.array([-0.15])),),
-                              noise_sd=1.0, alpha_nodes=alpha)
+    # alpha.node1.1 to alpha.node12.1, beta.1.1, alpha.node1.2 to alpha.node12.2, beta.2.1
+    coeffs = GnarCoefficients.from_theta(
+        np.concatenate([alpha[:, 0], [0.2], alpha[:, 1], [-0.15]]), LOCAL, d=d)
     panel = simulate(coeffs, LOCAL, net, W, 2000, seed=12)
     fit = fit_ols(build_design(panel, LOCAL, net, W))
     truth = coeffs.theta

@@ -8,7 +8,7 @@ from gnar.errors import DataError, GnarError, SizeError
 from gnar.estimate import build_design
 from gnar.forecast import (ExternalForecast, ModelSpec, compare, forecast,
                            load_external_forecast, naive_forecast, rmspe)
-from gnar.model import GnarCoefficients, GnarOrder, parse_order, to_var
+from gnar.model import GnarCoefficients, parse_order, to_var
 from gnar.panel import TimeSeriesPanel, default_node_labels, write_panel
 from gnar.partition import CommunityPartition
 from gnar.simulate import simulate
@@ -23,8 +23,7 @@ def make_panel(values):
 
 
 def test_zero_model_forecasts_zero(fivenet, fivenet_weights):
-    coeffs = GnarCoefficients(variant="global", alpha=(np.zeros(1),),
-                              beta=((np.zeros(1),),), noise_sd=1.0)
+    coeffs = GnarCoefficients.from_theta(np.zeros(2), parse_order("global:1;[1]"))
     panel = make_panel(np.random.default_rng(0).normal(size=(5, 10)))
     pred = forecast(coeffs, fivenet, fivenet_weights, panel, 3)
     assert np.array_equal(pred, np.zeros((3, 5)))
@@ -43,8 +42,7 @@ def test_forecast_matches_structural_oracle(fivenet, fivenet_weights,
 
 
 def test_forecast_feeds_predictions_back(fivenet, fivenet_weights):
-    coeffs = GnarCoefficients(variant="global", alpha=(np.array([0.5]),),
-                              beta=((np.array([]),),), noise_sd=1.0)
+    coeffs = GnarCoefficients.from_theta([0.5], parse_order("global:1;[0]"))  # alpha.1
     panel = make_panel(np.ones((5, 4)))
     pred = forecast(coeffs, fivenet, fivenet_weights, panel, 3)
     assert np.allclose(pred[0], 0.5)
@@ -111,7 +109,7 @@ def test_compare_report_structure(fivenet, fivenet_weights, fivenet_partition,
     panel = simulate(coeffs, order, fivenet, fivenet_weights, 60,
                      part=fivenet_partition, seed=3)
     specs = [ModelSpec("community", order),
-             ModelSpec("pooled", GnarOrder.global_order(1, [1]))]
+             ModelSpec("pooled", parse_order("global:1;[1]"))]
     report = compare(panel, fivenet, fivenet_weights, specs, fivenet_partition)
     names = [e.name for e in report.entries]
     assert names == ["community", "pooled", "naive"]
@@ -202,7 +200,7 @@ def test_compare_checks_external_sizes_before_any_fit(fivenet, fivenet_weights, 
 
     monkeypatch.setattr(sys.modules["gnar.forecast"], "_fit_and_predict", refuse)
     panel = make_panel(np.random.default_rng(2).normal(size=(5, 20)))
-    specs = [ModelSpec("m", GnarOrder.global_order(1, [1]))]
+    specs = [ModelSpec("m", parse_order("global:1;[1]"))]
     with pytest.raises(SizeError, match=f"^external forecast {where} has 4 nodes, panel has 5$"):
         compare(panel, fivenet, fivenet_weights, specs,
                 external=[ExternalForecast("x", raw, centred)])
@@ -240,7 +238,7 @@ def test_non_community_orders_refuse_a_partition_of_another_size(fivenet, fivene
                          ids=["ModelSpec", "ExternalForecast"])
 def test_model_names_that_would_break_the_report_are_refused(make):
     with pytest.raises(GnarError, match="label 'a,b' holds ','"):
-        make(GnarOrder.global_order(1, [0]))
+        make(parse_order("global:1;[0]"))
 
 
 @pytest.mark.parametrize("spec_names, ext_names, taken", [
@@ -248,7 +246,7 @@ def test_model_names_that_would_break_the_report_are_refused(make):
 def test_compare_refuses_repeated_or_naive_names(fivenet, fivenet_weights,
                                                  spec_names, ext_names, taken):
     panel = make_panel(np.random.default_rng(1).normal(size=(5, 20)))
-    specs = [ModelSpec(n, GnarOrder.global_order(1, [0])) for n in spec_names]
+    specs = [ModelSpec(n, parse_order("global:1;[0]")) for n in spec_names]
     external = [ExternalForecast(n, np.zeros(5)) for n in ext_names]
     with pytest.raises(GnarError, match=f"^model name '{taken}' is taken"):
         compare(panel, fivenet, fivenet_weights, specs, external=external)

@@ -243,6 +243,7 @@ def test_fixed_rows_reject_a_wrong_cell_count(tmp_path, read, text, line, got):
     (("a", "b"), ("1", "2"), {"seed\nx": "1"}, "metadata key 'seed\\nx'"),
     (("a", "b"), ("1", "2"), {"seed": "1\n2"}, "metadata value '1\\n2'"),
     (("a", "b"), ("1", "2"), {"a:b": "1"}, "metadata key 'a:b'"),
+    (("a", "a"), ("1", "2"), {}, "node label 'a' is repeated"),
 ])
 def test_format_panel_refuses_what_would_not_read_back(nodes, times, meta, named):
     panel = TimeSeriesPanel(np.ones((2, 2)), nodes, times, meta=meta)
@@ -262,6 +263,8 @@ def test_panel_labels_that_read_back_are_written(tmp_path):
 @pytest.mark.parametrize("text, where", [
     ("time,a,,c\n1,1,2,3\n", "bad.csv:1: node column 2 has no label"),
     ("# seed: 1\ntime,a\n1,0.5\n ,0.25\n", "bad.csv:4: empty time label"),
+    ("# seed: 1\ntime,n1,n1,n3\n1,1,2,3\n",
+     "bad.csv:2: node column 2 repeats the label 'n1' of node column 1"),
 ])
 def test_panel_read_refuses_empty_labels(tmp_path, text, where):
     path = tmp_path / "bad.csv"

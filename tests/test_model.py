@@ -17,12 +17,7 @@ from oracles import structural_prediction
 
 
 def random_community_coeffs(rng, order, scale=0.3):
-    alphas, betas = [], []
-    for g in range(order.n_groups):
-        alphas.append(rng.uniform(-scale, scale, order.lags[g]))
-        betas.append(tuple(rng.uniform(-scale, scale, s) for s in order.stages[g]))
-    return GnarCoefficients(variant="community", alpha=tuple(alphas),
-                            beta=tuple(betas), noise_sd=1.0)
+    return GnarCoefficients.from_theta(rng.uniform(-scale, scale, order.param_count()), order)
 
 
 # ---------------------------------------------------------------------------
@@ -31,12 +26,12 @@ def random_community_coeffs(rng, order, scale=0.3):
 
 def test_order_validation():
     with pytest.raises(OrderError):
-        GnarOrder.global_order(0, [])
+        GnarOrder("global", (0,), ((),))
     with pytest.raises(OrderError):
-        GnarOrder.global_order(2, [1])  # stage list length mismatch
+        GnarOrder("global", (2,), ((1,),))  # stage list length mismatch
     with pytest.raises(OrderError):
-        GnarOrder.global_order(1, [-1])
-    order = GnarOrder.community_order([1, 2], [[1], [1, 1]])
+        GnarOrder("global", (1,), ((-1,),))
+    order = GnarOrder("community", (1, 2), ((1,), (1, 1)))
     assert order.p_max == 2 and order.r_star == 1
     assert order.param_count() == 6
 
@@ -53,13 +48,13 @@ def test_order_refuses_an_unknown_variant_and_a_second_group(variant, lags, stag
 
 
 def test_zero_stage_orders_are_legal():
-    order = GnarOrder.community_order([2, 2, 2], [[1, 0]] * 3)
+    order = parse_order("community:[2,2,2];{[1,0],[1,0],[1,0]}")
     assert order.param_count() == 9
-    assert GnarOrder.global_order(2, [1, 0]).param_count() == 3
+    assert parse_order("global:2;[1,0]").param_count() == 3
 
 
 def test_local_param_count_needs_d():
-    order = GnarOrder.local_order(2, [1, 0])
+    order = parse_order("local:2;[1,0]")
     with pytest.raises(OrderError):
         order.param_count()
     assert order.param_count(51) == 51 * 2 + 1
@@ -108,26 +103,22 @@ def test_stationarity_table1_sums(table1_model):
 
 def test_stationarity_swing_estimates_violate():
     # the three swing-state estimates of the election fit sum past one
-    coeffs = GnarCoefficients(variant="global",
-                              alpha=(np.array([0.905, -0.591]),),
-                              beta=((np.array([-0.747]), np.array([])),),
-                              noise_sd=1.0)
+    coeffs = GnarCoefficients.from_theta([0.905, -0.747, -0.591],  # alpha.1, beta.1.1, alpha.2
+                                         parse_order("global:2;[1,0]"))
     report = stationarity_margin(coeffs)
     assert report.sums[0] == pytest.approx(2.243, abs=1e-12)
     assert not report.stationary
 
 
 def test_stationarity_zero_coefficients():
-    coeffs = GnarCoefficients(variant="global", alpha=(np.zeros(1),),
-                              beta=((np.zeros(1),),), noise_sd=1.0)
+    coeffs = GnarCoefficients.from_theta(np.zeros(2), parse_order("global:1;[1]"))
     report = stationarity_margin(coeffs)
     assert report.sums[0] == 0.0 and report.margin == 1.0 and report.stationary
 
 
 def test_stationarity_ignores_noise_scale(table1_model):
     coeffs, _ = table1_model
-    scaled = GnarCoefficients(variant="community", alpha=coeffs.alpha,
-                              beta=coeffs.beta, noise_sd=17.0)
+    scaled = GnarCoefficients.from_theta(coeffs.theta, coeffs.order, noise_sd=17.0)
     a = stationarity_margin(coeffs)
     b = stationarity_margin(scaled)
     assert a.stationary == b.stationary and np.array_equal(a.sums, b.sums)
@@ -138,10 +129,8 @@ def test_stationarity_ignores_noise_scale(table1_model):
 # ---------------------------------------------------------------------------
 
 def test_to_var_diagonal_when_no_network_terms(fivenet, fivenet_weights, fivenet_partition):
-    coeffs = GnarCoefficients(variant="community",
-                              alpha=(np.array([0.3]), np.array([0.5])),
-                              beta=(((np.array([])),), ((np.array([])),)),
-                              noise_sd=1.0)
+    coeffs = GnarCoefficients.from_theta([0.3, 0.5],  # alpha.1.1, alpha.1.2
+                                         parse_order("community:[1,1];{[0],[0]}"))
     phi = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
     expected = np.diag([0.5, 0.3, 0.3, 0.3, 0.5])  # node 1,5 in community 2
     assert np.allclose(phi[0], expected)
@@ -150,12 +139,9 @@ def test_to_var_diagonal_when_no_network_terms(fivenet, fivenet_weights, fivenet
 
 def test_to_var_single_community_equals_global(fivenet, fivenet_weights):
     part = single_community(5)
-    alpha = np.array([0.2, 0.1])
-    betas = (np.array([0.15]), np.array([0.05]))
-    cc = GnarCoefficients(variant="community", alpha=(alpha,), beta=(betas,),
-                          noise_sd=1.0)
-    cg = GnarCoefficients(variant="global", alpha=(alpha,), beta=(betas,),
-                          noise_sd=1.0)
+    theta = [0.2, 0.15, 0.1, 0.05]  # global names: alpha.1, beta.1.1, alpha.2, beta.2.1
+    cc = GnarCoefficients.from_theta(theta, parse_order("community:[2];{[1,1]}"))
+    cg = GnarCoefficients.from_theta(theta, parse_order("global:2;[1,1]"))
     phi_c = to_var(cc, fivenet, fivenet_weights, part)
     phi_g = to_var(cg, fivenet, fivenet_weights)
     assert np.allclose(phi_c, phi_g)
@@ -164,11 +150,7 @@ def test_to_var_single_community_equals_global(fivenet, fivenet_weights):
 def test_to_var_linear_in_coefficients(fivenet, fivenet_weights, fivenet_partition,
                                        table1_model):
     coeffs, _ = table1_model
-    doubled = GnarCoefficients(
-        variant="community",
-        alpha=tuple(2 * a for a in coeffs.alpha),
-        beta=tuple(tuple(2 * b for b in g) for g in coeffs.beta),
-        noise_sd=1.0)
+    doubled = GnarCoefficients.from_theta(2 * coeffs.theta, coeffs.order)
     phi = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
     phi2 = to_var(doubled, fivenet, fivenet_weights, fivenet_partition)
     assert np.allclose(phi2, 2 * phi)
@@ -197,8 +179,7 @@ def test_to_var_cross_community_entries_zero(fivenet, fivenet_weights,
 def test_to_var_ignores_noise_scale(fivenet, fivenet_weights, fivenet_partition,
                                     table1_model):
     coeffs, _ = table1_model
-    rescaled = GnarCoefficients(variant="community", alpha=coeffs.alpha,
-                                beta=coeffs.beta, noise_sd=123.0)
+    rescaled = GnarCoefficients.from_theta(coeffs.theta, coeffs.order, noise_sd=123.0)
     a = to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
     b = to_var(rescaled, fivenet, fivenet_weights, fivenet_partition)
     assert np.array_equal(a, b)
@@ -218,21 +199,20 @@ def test_to_var_matches_structural_oracle(fivenet, fivenet_weights,
 
 
 def test_to_var_rejects_excess_stage(fivenet, fivenet_weights, fivenet_partition):
-    coeffs = GnarCoefficients(variant="community",
-                              alpha=(np.array([0.1]), np.array([0.1])),
-                              beta=((np.array([0.1] * 4),), (np.array([0.1]),)),
-                              noise_sd=1.0)  # stage 4 at lag 1, but r_max is 3
+    # alpha.1.1, beta.1.1.1 to beta.1.4.1, alpha.1.2, beta.1.1.2: stage 4 at lag 1,
+    # but r_max is 3
+    coeffs = GnarCoefficients.from_theta(np.full(7, 0.1),
+                                         parse_order("community:[1,1];{[4],[1]}"))
     with pytest.raises(OrderError, match="stage"):
         to_var(coeffs, fivenet, fivenet_weights, fivenet_partition)
 
 
 def test_to_var_local_variant(fivenet, fivenet_weights):
-    alpha_nodes = np.array([[0.1], [0.2], [0.3], [0.4], [0.5]])
-    coeffs = GnarCoefficients(variant="local", alpha=(),
-                              beta=((np.array([0.2]),),), noise_sd=1.0,
-                              alpha_nodes=alpha_nodes)
+    alpha_nodes = [0.1, 0.2, 0.3, 0.4, 0.5]  # alpha.node1.1 to alpha.node5.1
+    coeffs = GnarCoefficients.from_theta(alpha_nodes + [0.2],  # and beta.1.1
+                                         parse_order("local:1;[1]"), d=5)
     phi = to_var(coeffs, fivenet, fivenet_weights)
-    assert np.allclose(np.diag(phi[0]), alpha_nodes[:, 0])
+    assert np.allclose(np.diag(phi[0]), alpha_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +232,7 @@ def test_to_local_alpha_values(table1_model, fivenet_partition):
 
 
 def test_to_local_alpha_stationarity_equivalence(fivenet_partition):
-    order = GnarOrder.community_order([1, 2], [[1], [1, 1]])
+    order = parse_order("community:[1,2];{[1],[1,1]}")
     rng = np.random.default_rng(99)
     agree = 0
     for _ in range(100):
@@ -265,8 +245,8 @@ def test_to_local_alpha_stationarity_equivalence(fivenet_partition):
 
 
 def test_to_local_alpha_requires_community_variant():
-    coeffs = GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
-                              beta=((np.array([0.1]),),), noise_sd=1.0)
+    coeffs = GnarCoefficients.from_theta([0.1, 0.1],  # alpha.1, beta.1.1
+                                         parse_order("global:1;[1]"))
     with pytest.raises(OrderError):
         to_local_alpha(coeffs, single_community(3))
 
@@ -301,12 +281,10 @@ def test_model_file_round_trip_bit_exact(tmp_path, table1_model):
 
 
 def test_model_file_local_variant_round_trip(tmp_path):
-    order = GnarOrder.local_order(2, [1, 0])
+    order = parse_order("local:2;[1,0]")
     rng = np.random.default_rng(1)
-    coeffs = GnarCoefficients(variant="local", alpha=(),
-                              beta=((rng.normal(size=1), np.array([])),),
-                              noise_sd=0.5,
-                              alpha_nodes=rng.normal(size=(4, 2)))
+    # alpha.node1.1 to alpha.node4.1, beta.1.1, alpha.node1.2 to alpha.node4.2
+    coeffs = GnarCoefficients.from_theta(rng.normal(size=9), order, noise_sd=0.5, d=4)
     path = tmp_path / "m.txt"
     write_model(coeffs, path)
     again, order2 = read_model(path)
@@ -471,12 +449,11 @@ def test_model_file_rejects_bad_header_values(tmp_path, text, message):
 
 
 def test_coefficients_reject_bad_shapes():
-    order = GnarOrder.community_order([1, 2], [[1], [1, 1]])
-    assert GnarCoefficients(variant="community", alpha=(np.array([0.1]),),
-                            beta=((np.array([0.1]),),), noise_sd=1.0).order != order
+    order = parse_order("global:1;[1]")
+    with pytest.raises(OrderError, match=r"^theta length \(1, 2\) does not match 2$"):
+        GnarCoefficients.from_theta(np.zeros((1, 2)), order)
     with pytest.raises(OrderError, match="positive"):
-        GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
-                         beta=((np.array([0.1]),),), noise_sd=0.0)
+        GnarCoefficients.from_theta([0.1, 0.1], order, noise_sd=0.0)
 
 
 def test_from_theta_refuses_a_theta_of_the_wrong_length():
@@ -525,8 +502,8 @@ def test_model_file_rejects_non_finite_values(tmp_path, text, message):
 
 def test_coefficients_reject_nan_noise_sd():
     with pytest.raises(OrderError, match="positive"):
-        GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
-                         beta=((np.array([0.1]),),), noise_sd=float("nan"))
+        GnarCoefficients.from_theta([0.1, 0.1], parse_order("global:1;[1]"),
+                                    noise_sd=float("nan"))
 
 
 def test_only_simulate_takes_coefficients_and_a_second_order():
@@ -537,3 +514,19 @@ def test_only_simulate_takes_coefficients_and_a_second_order():
     assert both == ["simulate"]
     assert not hasattr(GnarCoefficients, "to_theta")
     assert not hasattr(GnarCoefficients, "validate_against")
+
+
+def test_coefficients_and_orders_have_one_constructor_each():
+    """``from_theta`` makes coefficients and ``GnarOrder(...)`` or ``parse_order`` make
+    orders: the keyword constructor and the three order classmethods are gone."""
+    with pytest.raises(TypeError):
+        GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
+                         beta=((np.array([0.1]),),), noise_sd=1.0)
+    for name in ("global_order", "community_order", "local_order"):
+        assert not hasattr(GnarOrder, name)
+    params = inspect.signature(GnarCoefficients.from_theta).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("theta", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("order", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("noise_sd", inspect.Parameter.POSITIONAL_OR_KEYWORD, 1.0),
+        ("d", inspect.Parameter.POSITIONAL_OR_KEYWORD, None)]

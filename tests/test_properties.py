@@ -1,6 +1,6 @@
 """Property tests on random graphs, including disconnected ones and singleton
 communities: the design reproduces the VAR form, simulating a model and
-refitting it by OLS recovers its coefficients, the community Gram matrix
+refitting it by OLS and GLS recovers its coefficients, the community Gram matrix
 is block-diagonal, model files and parameter vectors round-trip exactly,
 the node-wise expansion agrees with the VAR form, the VAR matrices and every
 joint and per-community design equal those built from stage weights masked
@@ -42,7 +42,8 @@ from gnar.cli import build_parser, main
 from gnar.corbit_svg import RenderOptions, render_corbit, render_rcorbit
 from gnar.elections import ELECTION_YEARS, STATE_NAMES, load_returns
 from gnar.errors import DataError, GnarError, SizeError
-from gnar.estimate import build_community_design, build_design, fit_ols, fit_per_community
+from gnar.estimate import (KroneckerCovariance, build_community_design, build_design, fit_gls,
+                           fit_ols, fit_per_community)
 from gnar.forecast import ModelSpec, compare, forecast
 from gnar.model import (GnarCoefficients, GnarOrder, format_model, read_model,
                         stationarity_margin, theta_index, to_local_alpha, to_var)
@@ -62,12 +63,17 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=N
 
 
 @st.composite
-def graphs(draw, min_edges=0, sizes=st.integers(2, 8)):
-    """A simple graph on 1..d, possibly disconnected, and a partition of it."""
+def graphs(draw, min_edges=0, sizes=st.integers(2, 8), dense=False):
+    """A simple graph on 1..d, possibly disconnected, and a partition of it.  A dense
+    graph draws each pair as an edge or not, so about half the pairs are edges; else the
+    edges are a short list."""
     d = draw(sizes)
     pairs = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
-    edges = draw(st.lists(st.sampled_from(pairs), min_size=min_edges,
-                          max_size=len(pairs), unique=True)) if pairs else []
+    if dense:
+        edges = [pair for pair in pairs if draw(st.booleans())]
+    else:
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=min_edges,
+                              max_size=len(pairs), unique=True)) if pairs else []
     raw = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
     relabel = {c: k for k, c in enumerate(sorted(set(raw)), start=1)}
     part = CommunityPartition(assignment=tuple(relabel[c] for c in raw),
@@ -92,8 +98,6 @@ def orders(draw, r_max: int, n_communities: int,
     groups = n_communities if variant == "community" else 1
     lags = [draw(st.integers(1, 2)) for _ in range(groups)]
     stages = [[draw(st.integers(0, r_max)) for _ in range(p)] for p in lags]
-    if variant == "community":
-        return GnarOrder.community_order(lags, stages)
     return GnarOrder(variant, tuple(lags), tuple(tuple(s) for s in stages))
 
 
@@ -128,15 +132,17 @@ def stage_reach(Bs: list[np.ndarray], members: list[int]) -> int:
 
 
 @PROPERTY
-@given(st.data(), graphs(), st.integers(0, 2**32 - 1))
+@given(st.data(), graphs(dense=True), st.integers(0, 2**32 - 1))
 def test_simulate_then_fit_recovers_the_coefficients(data, graph, seed):
-    """A model drawn on a random graph, simulated at T = 1000 and refitted by OLS: every
+    """A model drawn on a random graph, simulated at T = 1000 with a noise sd other than 1
+    and refitted by OLS and by GLS under the known covariance noise_sd^2 I: every
     estimate is within c standard errors of the truth.  Each group's stage orders, drawn
     from its reach down, stop where its members run out of within-group neighbours, so
     every column can be estimated.  theta is scaled so that its largest group sum is
-    1 - RECOVERY_MARGIN.  c is the two-sided t quantile at RECOVERY_ALPHA / (examples x q):
-    by the union bound, the chance that any estimate of the run strays beyond c is at
-    most RECOVERY_ALPHA."""
+    1 - RECOVERY_MARGIN.  Each leg's c is the two-sided quantile at RECOVERY_ALPHA /
+    (2 legs x examples x q), of t for OLS (estimated variance) and of the normal for GLS
+    (known variance): by the union bound, the chance that any estimate of the run strays
+    beyond its c is at most RECOVERY_ALPHA."""
     net, part = graph
     W = default_weights(net.distances)
     Bs = stage_weights(net, W, net.r_max)
@@ -151,12 +157,16 @@ def test_simulate_then_fit_recovers_the_coefficients(data, graph, seed):
     raw = GnarCoefficients.from_theta(np.random.default_rng(seed).uniform(
         -1, 1, len(theta_index(order, d=net.d))), order, d=net.d)
     theta = raw.theta * (1 - RECOVERY_MARGIN) / np.max(stationarity_margin(raw).sums)
-    coeffs = GnarCoefficients.from_theta(theta, order, d=net.d)
+    noise_sd = data.draw(st.sampled_from((0.5, 2.0, 4.0)))
+    coeffs = GnarCoefficients.from_theta(theta, order, noise_sd, d=net.d)
     panel = simulate(coeffs, order, net, W, RECOVERY_T, part=part, seed=seed)
-    fit = fit_ols(build_design(panel, order, net, W, part))
-    c = stats.t.isf(RECOVERY_ALPHA / (2 * PROPERTY.max_examples * theta.size), fit.df_resid)
-    z = (fit.theta - theta) / fit.se
-    assert np.max(np.abs(z)) <= c, dict(zip(fit.names, z.round(2)))
+    ds = build_design(panel, order, net, W, part)
+    tail = RECOVERY_ALPHA / (2 * 2 * PROPERTY.max_examples * theta.size)
+    for fit, c in ((fit_ols(ds), stats.t.isf(tail, ds.n - ds.q)),
+                   (fit_gls(ds, KroneckerCovariance(noise_sd**2 * np.eye(net.d))),
+                    stats.norm.isf(tail))):
+        z = (fit.theta - theta) / fit.se
+        assert np.max(np.abs(z)) <= c, dict(zip(fit.names, z.round(2)))
 
 
 @PROPERTY
@@ -759,8 +769,8 @@ def test_every_size_mismatch_is_one_size_error(data, graph, k, grow):
     d = net.d
     n = d + k if grow or d <= k else d - k
     order = data.draw(orders(net.r_max, part.n_communities))
-    community = GnarOrder.community_order([1] * part.n_communities,
-                                          [[0]] * part.n_communities)
+    community = GnarOrder("community", (1,) * part.n_communities,
+                          ((0,),) * part.n_communities)
     W, panel = default_weights(net.distances), random_panel(0, d, 12)
     coeffs = GnarCoefficients.from_theta(np.zeros(len(theta_index(order, d=d))), order, d=d)
     bad_panel, bad_W = random_panel(0, n, 12), np.ones((n, n))

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from gnar.errors import GnarError, OrderError
-from gnar.model import GnarCoefficients, GnarOrder, to_var
+from gnar.model import GnarCoefficients, GnarOrder, parse_order, to_var
 from gnar.simulate import simulate
 
 from oracles import companion_spectral_radius
 
 
 def zero_model(p=1, s=1):
-    order = GnarOrder.global_order(p, [s] * p)
-    coeffs = GnarCoefficients(variant="global", alpha=(np.zeros(p),),
-                              beta=(tuple(np.zeros(s) for _ in range(p)),),
-                              noise_sd=1.0)
-    return coeffs, order
+    order = GnarOrder("global", (p,), ((s,) * p,))
+    return GnarCoefficients.from_theta(np.zeros(order.param_count()), order), order
 
 
 def test_zero_model_is_pure_noise(fivenet, fivenet_weights):
@@ -73,9 +70,8 @@ def test_refuses_an_order_other_than_the_coefficients_own(fivenet, fivenet_weigh
 
 
 def test_nonstationary_needs_flag(fivenet, fivenet_weights):
-    order = GnarOrder.global_order(1, [0])
-    coeffs = GnarCoefficients(variant="global", alpha=(np.array([1.2]),),
-                              beta=((np.array([]),),), noise_sd=1.0)
+    order = parse_order("global:1;[0]")
+    coeffs = GnarCoefficients.from_theta([1.2], order)  # alpha.1
     with pytest.raises(GnarError, match="stationarity"):
         simulate(coeffs, order, fivenet, fivenet_weights, 10, seed=0)
     with pytest.warns(UserWarning):
@@ -86,8 +82,7 @@ def test_nonstationary_needs_flag(fivenet, fivenet_weights):
 
 def test_nonstationary_refusal_names_the_condition_and_the_largest_sum(fivenet,
                                                                        fivenet_weights):
-    coeffs = GnarCoefficients(variant="global", alpha=(np.array([1.2]),),
-                              beta=((np.array([]),),), noise_sd=1.0)
+    coeffs = GnarCoefficients.from_theta([1.2], parse_order("global:1;[0]"))  # alpha.1
     message = ("coefficients do not meet the sufficient stationarity condition (every "
                "group's absolute sum below 1; largest sum 1.2000); "
                "pass allow_nonstationary=True to simulate anyway")
