@@ -141,8 +141,7 @@ def _cmd_elections(args):
     diff = elections.standardize(elections.difference(data.panel))
     order_diff = parse_order("community:[3,3,3];{[0,0,0],[0,0,0],[0,0,0]}")
     fit_diff = estimate.fit_ols(estimate.build_design(diff, order_diff, net, W, part))
-    grid_diff = autocorr.corbit_grid(diff, net, W, min(args.max_lag, diff.T - 1),
-                                     args.max_stage, "pnacf", part)
+    grid_diff = autocorr.corbit_grid(diff, net, W, args.max_lag, args.max_stage, "pnacf", part)
     specs = [ModelSpec("GNAR", order_std), ModelSpec("GNAR*", parse_order("global:2;[1,0]")),
              ModelSpec("GNAR+", parse_order("local:2;[1,0]"))]
     report = compare(data.panel, net, W, specs, part, holdout=args.holdout,

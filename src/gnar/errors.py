@@ -2,15 +2,17 @@
 
 
 class GnarError(ValueError):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.  ``at`` is the field and
+    0-based index of the item a record blames, if there is one: ``("edges", 3)``, or a panel
+    cell's ``("values", j, t)``.  Readers turn it into a line (:func:`textfile.located`)."""
+
+    def __init__(self, message: str, at: tuple | None = None):
+        super().__init__(message)
+        self.at = at
 
 
 class NetworkError(GnarError):
-    """Malformed network input; ``at`` is the position of the pair to blame, if one is."""
-
-    def __init__(self, message: str, at: int | None = None):
-        super().__init__(message)
-        self.at = at
+    """Malformed network input."""
 
 
 class OrderError(GnarError):

@@ -22,7 +22,7 @@ from .network import Network
 from .panel import TimeSeriesPanel, read_panel
 from .partition import CommunityPartition
 from .simulate import var_recursion
-from .textfile import check_cell
+from .textfile import check_cell, located
 
 
 def forecast(coeffs: GnarCoefficients, net: Network, W: np.ndarray,
@@ -89,13 +89,11 @@ class ExternalForecast:
 def load_external_forecast(name: str, path: str | Path, d: int) -> ExternalForecast:
     """Read an external forecast file (panel format, rows 'raw' and optionally 'centred')."""
     panel = read_panel(path)
-    check_size(f"{path}: forecast", panel.d, "panel", d)
+    located(path, lambda: check_size("forecast", panel.d, "panel", d))
     rows: dict[str, np.ndarray] = {}
     for t, label in enumerate(panel.time_labels):
         if label not in ("raw", "centred"):
             raise DataError(f"{path}: row {label!r} is neither 'raw' nor 'centred'")
-        if label in rows:
-            raise DataError(f"{path}: row {label!r} appears twice")
         rows[label] = panel.values[:, t]
     if "raw" not in rows:
         raise DataError(f"{path}: no row labelled 'raw'")
@@ -166,9 +164,7 @@ def compare(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
     idx = holdout if holdout >= 0 else panel.T + holdout
     if not (0 < idx < panel.T):
         raise GnarError(f"hold-out index {holdout} outside the panel")
-    train = TimeSeriesPanel(values=panel.values[:, :idx],
-                            node_labels=panel.node_labels,
-                            time_labels=panel.time_labels[:idx])
+    train = panel.with_values(panel.values[:, :idx], panel.time_labels[:idx])
     means = train.values.mean(axis=1)
     train_c = train.with_values(train.values - means[:, None])
     actual = panel.values[:, idx]

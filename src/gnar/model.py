@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DataError, OrderError, check_size
 from .network import MAX_NODES, Network, stage_weights
 from .partition import CommunityPartition
-from .textfile import read_rows, write_text_atomic
+from .textfile import located, read_rows, write_text_atomic
 
 VARIANTS = ("global", "community", "local")
 
@@ -72,7 +72,8 @@ class GnarOrder:
             if p < 1:
                 raise OrderError(f"group {g}: maximum lag must be >= 1, got {p}")
             if len(s) != p:
-                raise OrderError(f"group {g}: {len(s)} stage orders for {p} lags")
+                raise OrderError(f"group {g}: {len(s)} stage orders for {p} lags",
+                                 ("stages", g - 1))
             if any(int(sk) != sk or sk < 0 for sk in s):
                 raise OrderError(f"group {g}: stage orders must be nonnegative integers")
 
@@ -148,6 +149,9 @@ class GnarCoefficients:
     theta: np.ndarray
     d: int | None
     noise_sd: float
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("coefficients are made by GnarCoefficients.from_theta(theta, order)")
 
     @classmethod
     def from_theta(cls, theta: np.ndarray, order: GnarOrder,
@@ -457,9 +461,9 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     convert or is out of range, or a second where the key takes one) or whose
     variant is unknown, a ``C`` or ``d`` line in a file of another variant, a
     refused ``sigma``, ``p`` or ``C`` line, a ``C`` other than the count of lags, a
-    community id outside 1..C, refused ``s`` lines, then one without one stage
-    order per lag, a refused ``d`` line and a coefficient line that names no slot
-    of the order or holds no finite value, each with its line number.  A missing
+    community id outside 1..C, refused ``s`` lines, then one that :class:`GnarOrder`
+    refuses (not one stage order per lag), a refused ``d`` line and a coefficient line
+    that names no slot of the order or holds no finite value, each with its line number.  A missing
     header line, or community ``s`` line, is named.  Slots without a line are zero.
     """
     lines = list(read_rows(path, sep=None)[1])
@@ -493,11 +497,9 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
         keys = list(range(1, C + 1))
     else:
         lags, keys = [_header(path, rows, "p")], ["s"]
-    stages = [tuple(_header(path, rows, key, one=False)) for key in keys]
-    for key, p, s in zip(keys, lags, stages):
-        if len(s) != p:
-            raise DataError(f"{path}:{rows[key][0]}: {len(s)} stage orders for {p} lags")
-    order = GnarOrder(variant, tuple(lags), tuple(stages))
+    stages = tuple(tuple(_header(path, rows, key, one=False)) for key in keys)
+    order = located(path, lambda: GnarOrder(variant, tuple(lags), stages),
+                    lambda at: rows[keys[at[1]]][0])
     d = _header(path, rows, "d") if variant == "local" else None
     blocks, theta = _blocks(order, d), np.zeros(order.param_count(d))
     for key, (ln, parts) in rows.items():

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NetworkError, OrderError, check_size
-from .textfile import fixed_rows, read_rows, write_text_atomic
+from .textfile import fixed_rows, located, read_rows, write_text_atomic
 
 #: Sentinel distance for unreachable pairs.
 UNREACHABLE = -1
@@ -36,8 +36,8 @@ class Network:
     ``edges`` may list each undirected pair in either orientation; it is
     stored as a frozenset of sorted 1-based pairs.  Self-loops, ids outside
     1..d and a pair given twice (in either orientation) raise
-    :class:`NetworkError` naming the first such pair in iteration order, with
-    its position as ``at``.  The distance matrix is derived on first use,
+    :class:`NetworkError` naming the first such pair in iteration order, at
+    ``("edges", position)``.  The distance matrix is derived on first use,
     once per network, and is read-only.
     """
 
@@ -50,14 +50,14 @@ class Network:
         if self.d > MAX_NODES:
             raise NetworkError(f"node count d = {self.d} is too large for a d x d matrix")
         pairs: set[tuple[int, int]] = set()
-        for at, (i, j) in enumerate(self.edges):
+        for k, (i, j) in enumerate(self.edges):
             if i == j:
-                raise NetworkError(f"self-loop at node {i}", at)
+                raise NetworkError(f"self-loop at node {i}", ("edges", k))
             if not (1 <= i <= self.d) or not (1 <= j <= self.d):
-                raise NetworkError(f"edge ({i},{j}) out of range 1..{self.d}", at)
+                raise NetworkError(f"edge ({i},{j}) out of range 1..{self.d}", ("edges", k))
             key = (min(i, j), max(i, j))
             if key in pairs:
-                raise NetworkError(f"duplicate edge ({i},{j})", at)
+                raise NetworkError(f"duplicate edge ({i},{j})", ("edges", k))
             pairs.add(key)
         object.__setattr__(self, "edges", frozenset(pairs))
 
@@ -183,8 +183,8 @@ def read_edge_list(path: str | Path, d: int | None = None) -> Network:
     """Read a ``from,to`` edge list with 1-based node ids.
 
     The node count comes from one ``# d: N`` comment (a second is refused) or
-    the ``d`` argument, which wins.  A pair that :class:`Network` rejects
-    raises :class:`DataError` naming its line.
+    the ``d`` argument, which wins.  What :class:`Network` rejects raises
+    :class:`DataError` naming the file, and a pair's line.
     """
     comments, rows = read_rows(path)
     meta_d = meta_ln = None
@@ -201,12 +201,8 @@ def read_edge_list(path: str | Path, d: int | None = None) -> Network:
     n = d if d is not None else meta_d
     if n is None:
         raise DataError(f"{path}: node count missing (no '# d: N' line and no override)")
-    try:
-        return build_network(n, [e for _, e in pairs])
-    except NetworkError as exc:
-        if exc.at is None:
-            raise
-        raise DataError(f"{path}:{pairs[exc.at][0]}: {exc}") from None
+    return located(path, lambda: build_network(n, [e for _, e in pairs]),
+                   lambda at: pairs[at[1]][0])
 
 
 def format_edge_list(net: Network) -> str:

@@ -9,18 +9,25 @@ the RNG identity and seed lives there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, GnarError
-from .textfile import check_cell, read_rows, write_text_atomic
+from .textfile import check_cell, located, read_rows, write_text_atomic
+
+#: Each label field's complaint at an empty and at a repeated label, i counting from 1.
+_LABEL_RULES = {"node_labels": ("node column {i} has no label",
+                                "node column {i} repeats the label {x!r} of node column {j}"),
+                "time_labels": ("empty time label at step {i}",
+                                "step {i} repeats the time label {x!r} of step {j}")}
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesPanel:
-    """d x T observation matrix with node and time labels."""
+    """d x T observation matrix with nonempty, distinct node and time labels and finite
+    values; the first fault (node labels, time labels, values by step) raises GnarError."""
 
     values: np.ndarray
     node_labels: tuple[str, ...]
@@ -41,8 +48,17 @@ class TimeSeriesPanel:
             raise GnarError(f"{len(self.node_labels)} node labels for {d} rows")
         if len(self.time_labels) != T:
             raise GnarError(f"{len(self.time_labels)} time labels for {T} columns")
-        if not np.all(np.isfinite(values)):
-            raise GnarError("panel contains non-finite values")
+        for name, (empty, repeat) in _LABEL_RULES.items():
+            labels, first = getattr(self, name), {}
+            if "" in labels or len(set(labels)) < len(labels):  # scan only to find the fault
+                for i, x in enumerate(labels, start=1):
+                    if not x or first.setdefault(x, i) != i:
+                        raise GnarError((repeat if x else empty).format(i=i, x=x, j=first.get(x)),
+                                        (name, i - 1))
+        if not np.isfinite(values).all():
+            t, j = map(int, np.argwhere(~np.isfinite(values.T))[0])
+            raise GnarError(f"node {self.node_labels[j]!r} is {values[j, t]}, "
+                            "not a finite number", ("values", j, t))
 
     @property
     def d(self) -> int:
@@ -54,12 +70,8 @@ class TimeSeriesPanel:
 
     def with_values(self, values: np.ndarray, time_labels=None) -> "TimeSeriesPanel":
         """Same labels/metadata, new observation matrix."""
-        return TimeSeriesPanel(
-            values=values,
-            node_labels=self.node_labels,
-            time_labels=self.time_labels if time_labels is None else time_labels,
-            meta=dict(self.meta),
-        )
+        return replace(self, values=values, meta=dict(self.meta),
+                       time_labels=self.time_labels if time_labels is None else time_labels)
 
 
 def default_node_labels(d: int) -> tuple[str, ...]:
@@ -70,9 +82,8 @@ def format_panel(panel: TimeSeriesPanel) -> str:
     """The shared panel format; floats use repr for exact round-trips.
 
     A label or metadata entry that would not read back as written raises
-    GnarError: an empty label, a line break, a comma or surrounding
-    whitespace, a time label starting with ``#``, a metadata key with ``:``,
-    a node label that names a second column.
+    GnarError: a line break, a comma or surrounding whitespace, a time label
+    starting with ``#``, a metadata key with ``:``.
     """
     for key, value in panel.meta.items():
         check_cell("metadata key", str(key), ":")
@@ -80,9 +91,6 @@ def format_panel(panel: TimeSeriesPanel) -> str:
     for kind, labels in (("node label", panel.node_labels), ("time label", panel.time_labels)):
         for label in labels:
             check_cell(kind, label)
-    if len(set(panel.node_labels)) < panel.d:
-        label = next(x for x in panel.node_labels if panel.node_labels.count(x) > 1)
-        raise GnarError(f"node label {label!r} is repeated, so a gnar file cannot hold it")
     lines = [f"# {k}: {v}" for k, v in panel.meta.items()]
     lines.append(",".join(("time",) + panel.node_labels))
     for label, row in zip(panel.time_labels, panel.values.T.tolist()):
@@ -108,35 +116,23 @@ def read_panel(path: str | Path) -> TimeSeriesPanel:
         raise DataError(f"{path}: no panel data found")
     if cells[0].strip().lower() != "time":
         raise DataError(f"{path}:{ln}: first header column must be 'time'")
-    header = [c.strip() for c in cells[1:]]
+    header_line, header = ln, tuple(c.strip() for c in cells[1:])
     if not header:
         raise DataError(f"{path}:{ln}: no node columns")
-    if "" in header:
-        raise DataError(f"{path}:{ln}: node column {header.index('') + 1} has no label")
-    if len(set(header)) < len(header):
-        j = next(j for j, label in enumerate(header) if label in header[:j])
-        raise DataError(f"{path}:{ln}: node column {j + 1} repeats the label {header[j]!r} "
-                        f"of node column {header.index(header[j]) + 1}")
     times: list[str] = []
     rows: list[np.ndarray] = []
     row_lines: list[int] = []
     for ln, cells in lines:
         if len(cells) != len(header) + 1:
             raise DataError(f"{path}:{ln}: expected {len(header) + 1} cells, got {len(cells)}")
-        times.append(cells[0].strip())
-        if not times[-1]:
-            raise DataError(f"{path}:{ln}: empty time label")
         try:  # numpy converts each str cell through float(), so syntax and message match it
             rows.append(np.array(cells[1:], dtype=float))
         except ValueError as exc:
             raise DataError(f"{path}:{ln}: non-numeric cell ({exc})") from None
+        times.append(cells[0].strip())
         row_lines.append(ln)
     if not rows:
         raise DataError(f"{path}: no panel data found")
     values = np.stack(rows).T  # (T, d) in C order seen as d x T: BLAS results follow layout
-    if not np.isfinite(values).all():
-        t, node = np.argwhere(~np.isfinite(values.T))[0]
-        raise DataError(f"{path}:{row_lines[t]}: node {header[node]!r} is {values[node, t]}, "
-                        "not a finite number")
-    return TimeSeriesPanel(values=values, node_labels=tuple(header),
-                           time_labels=tuple(times), meta=meta)
+    return located(path, lambda: TimeSeriesPanel(values, header, tuple(times), meta),
+                   lambda at: header_line if at[0] == "node_labels" else row_lines[at[-1]])

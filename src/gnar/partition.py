@@ -8,7 +8,7 @@ from itertools import islice
 from pathlib import Path
 
 from .errors import DataError, GnarError
-from .textfile import check_cell, fixed_rows, read_rows, write_text_atomic
+from .textfile import check_cell, fixed_rows, located, read_rows, write_text_atomic
 
 #: Names of the across-community rows of a grid file, so no community may take them.
 RESERVED_LABELS = ("all", "mean")
@@ -25,8 +25,9 @@ class CommunityPartition:
     """Assignment of nodes 1..d to communities 1..C.
 
     Every node belongs to exactly one community and every community id in
-    1..C is nonempty.  ``labels`` are distinct display names in community
-    order; none is one of :data:`RESERVED_LABELS`.
+    1..C is nonempty.  ``labels`` are distinct, nonempty display names in
+    community order; none is one of :data:`RESERVED_LABELS`.  A node or label
+    breaking these rules raises GnarError ``at`` its index in ``assignment`` or ``labels``.
     """
 
     assignment: tuple[int, ...]
@@ -37,21 +38,25 @@ class CommunityPartition:
         C = self.n_communities
         if C < 1:
             raise GnarError(f"community count must be >= 1, got {C}")
-        used = set()
-        for i, c in enumerate(self.assignment, start=1):
+        for i, c in enumerate(self.assignment):
             if not (1 <= c <= C):
-                raise GnarError(f"node {i} assigned to community {c}, outside 1..{C}")
-            used.add(c)
-        if len(used) != C:
+                raise GnarError(f"node {i + 1} assigned to community {c}, outside 1..{C}",
+                                ("assignment", i))
+        if len(used := set(self.assignment)) != C:
             raise GnarError(f"empty communities: {_absent(used, C)}")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(c) for c in range(1, C + 1)))
         elif len(self.labels) != C:
             raise GnarError("labels length must equal the community count")
-        if reserved := set(self.labels) & set(RESERVED_LABELS):
-            raise GnarError(f"community label {min(reserved)!r} is reserved for grid rows")
-        if repeated := {label for label in self.labels if self.labels.count(label) > 1}:
-            raise GnarError(f"community label {min(repeated)!r} names more than one community")
+        # Of two communities sharing a label, one whose id it is keeps it, else the earlier.
+        owner = {label: c for c, label in enumerate(self.labels, start=1) if label == str(c)}
+        for c, label in enumerate(self.labels, start=1):
+            for bad, why in ((not label, "is empty"),
+                             (label in RESERVED_LABELS, "is reserved for grid rows"),
+                             (owner.setdefault(label, c) != c,
+                              f"is community {owner[label]}'s label too")):
+                if bad:
+                    raise GnarError(f"community {c} label {label!r} {why}", ("labels", c - 1))
 
     @property
     def d(self) -> int:
@@ -83,61 +88,50 @@ def single_community(d: int) -> CommunityPartition:
 def read_partition(path: str | Path) -> CommunityPartition:
     """Read a ``node,community`` CSV; optional ``# label c: name`` comments.
 
-    A community without a comment is labelled by its id; labels are distinct.
+    A community without a comment is labelled by its id.  What :class:`CommunityPartition`
+    refuses raises :class:`DataError` at the node's row or the community's comment.
     """
     comments, rows = read_rows(path)
     pairs: dict[int, int] = {}
+    labels: dict[int, str] = {}
     first_on: dict[int, int] = {}
-    labels: dict[int, tuple[int, str]] = {}
+    label_on: dict[int, int] = {}
     for ln, text in comments:
         if text.lower().startswith("label "):
             if not (match := re.fullmatch(r"label\s+(-?\d+)\s*:(.*)", text, re.I)):
                 raise DataError(f"{path}:{ln}: expected '# label C: name', got {text!r}")
             c, name = int(match[1]), match[2].strip()
-            why = ("is empty" if not name else "holds a comma" if "," in name
-                   else "is reserved for grid rows" if name in RESERVED_LABELS
-                   else f"repeats line {labels[c][0]}'s label" if c in labels else "")
+            why = ("holds a comma" if "," in name
+                   else f"repeats line {label_on[c]}'s label" if c in labels else "")
             if why:
                 raise DataError(f"{path}:{ln}: community {c} label {name!r} {why}")
-            labels[c] = ln, name
+            labels[c], label_on[c] = name, ln
     for ln, (node, c) in fixed_rows(path, rows, "node,community", lambda n, c: (int(n), int(c))):
         if node in pairs:
             raise DataError(f"{path}:{ln}: node {node} assigned twice, "
                             f"first on line {first_on[node]}")
-        if c < 1:
-            raise DataError(f"{path}:{ln}: node {node} assigned to community {c}, below 1")
         pairs[node], first_on[node] = c, ln
     if not pairs:
         raise DataError(f"{path}: empty partition file")
     d = len(pairs)
     if missing := _absent(pairs, max(d, max(pairs))):
         raise DataError(f"{path}: nodes without assignment: {missing}")
-    C = max(pairs.values())
-    if C > d:
+    C = max(*pairs.values(), 1)
+    if C > d:  # so a huge id never reaches the record's O(C) labels
         raise DataError(f"{path}: community {C} but only {d} nodes to fill it")
-    if empty := _absent(set(pairs.values()), C):
-        raise DataError(f"{path}: empty communities: {empty}")
-    owner = {str(c): c for c in range(1, C + 1) if c not in labels}
-    for c, (ln, name) in labels.items():
+    for c, ln in label_on.items():
         if not 1 <= c <= C:
             raise DataError(f"{path}:{ln}: label for community {c}, outside 1..{C}")
-        if name in owner:
-            raise DataError(f"{path}:{ln}: community {c} label {name!r} "
-                            f"is community {owner[name]}'s label too")
-        owner[name] = c
-    label_tuple = tuple(labels[c][1] if c in labels else str(c)
-                        for c in range(1, C + 1)) if labels else ()
-    return CommunityPartition(
-        assignment=tuple(pairs[i] for i in range(1, d + 1)),
-        n_communities=C,
-        labels=label_tuple,
-    )
+    return located(path, lambda: CommunityPartition(  # a community's line is its comment's
+        tuple(pairs[i] for i in range(1, d + 1)), C,
+        tuple(labels.get(c, str(c)) for c in range(1, C + 1))),
+        lambda at: (first_on if at[0] == "assignment" else label_on).get(at[1] + 1))
 
 
 def format_partition(part: CommunityPartition) -> str:
     """The partition file; a label that would not read back as written raises GnarError."""
-    for label in part.labels:
-        check_cell("community label", label)
+    for c, label in enumerate(part.labels, start=1):
+        check_cell(f"community {c} label", label)
     lines = [f"# label {c}: {part.labels[c - 1]}" for c in range(1, part.n_communities + 1)]
     lines.append("node,community")
     lines += [f"{i},{c}" for i, c in enumerate(part.assignment, start=1)]

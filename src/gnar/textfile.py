@@ -3,7 +3,7 @@
 Every gnar input file is UTF-8 text, read by :func:`read_text`.  In edge lists,
 weights, partitions, panels and model files, a line (as :meth:`str.splitlines` splits)
 is stripped; blank lines are skipped, ``#`` starts a comment and other lines are rows.
-Errors read ``path:line``.
+Errors read ``path:line``; :func:`located` adds the line to a record's complaint.
 :func:`check_cell` is the writers' side: what a written cell may hold;
 :func:`write_text_atomic` writes every gnar file.
 """
@@ -11,8 +11,11 @@ Errors read ``path:line``.
 import os
 from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import DataError, GnarError
+
+R = TypeVar("R")
 
 
 def read_text(path: str | Path) -> str:
@@ -49,6 +52,17 @@ def fixed_rows(path: str | Path, rows: Iterator[tuple[int, list[str]]], header: 
             raise DataError(f"{path}:{ln}: expected {header!r} with numeric cells, "
                             f"got {line!r}") from None
         yield ln, values
+
+
+def located(path: str | Path, make: Callable[[], R],
+            line_of: Callable[[tuple], int | None] = lambda at: None) -> R:
+    """``make()``, whose GnarError becomes a DataError reading ``path:line: message`` when
+    ``line_of`` finds the line holding the item ``at`` blames, else ``path: message``."""
+    try:
+        return make()
+    except GnarError as exc:
+        line = None if exc.at is None else line_of(exc.at)
+        raise DataError(f"{path}:{line}: {exc}" if line else f"{path}: {exc}") from None
 
 
 def check_cell(kind: str, text: str, forbidden: str = ",") -> None:

@@ -166,7 +166,7 @@ def test_elections_external_without_name_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--max-stage", "30"), ("--max-lag", "0"),
-                                         ("--holdout", "50")])
+                                         ("--holdout", "50"), ("--max-lag", "11")])
 def test_elections_bad_argument_writes_nothing(tmp_path, capsys, flag, value):
     out_dir = tmp_path / "study"
     code = run("elections", "--returns", RETURNS, flag, value, "--out-dir", str(out_dir))
@@ -208,6 +208,22 @@ def test_panel_network_size_mismatch_exits_one(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "panel has 4 nodes, network has 5" in err[0]
+
+
+def test_fit_refuses_repeated_time_labels_in_one_line(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    times = [str(t) for t in range(20)]
+    times[7] = "6"
+    values = np.random.default_rng(0).normal(size=(20, 5)).tolist()
+    panel_path.write_text("time,n1,n2,n3,n4,n5\n" + "".join(
+        ",".join([t, *map(repr, row)]) + "\n" for t, row in zip(times, values)))
+    out_dir = tmp_path / "fit"
+    code = run("fit", "--network", EDGES, "--panel", str(panel_path), "--order", "global:1;[1]",
+               "--out-dir", str(out_dir))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {panel_path}:9: step 8 repeats the time label '6' of step 7"]
+    assert not (out_dir / "residuals.csv").exists()
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -279,7 +295,7 @@ def test_unsizable_node_count_is_one_error_line(tmp_path, capsys, command):
              if command == "nacf" else ("--model", MODEL, "--length", "20"))
     assert run(command, "--network", str(edges), *extra, "--out", str(out)) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: node count d = 99999999999 is too large for a d x d matrix"]
+    assert err == [f"error: {edges}: node count d = 99999999999 is too large for a d x d matrix"]
     assert not out.parent.exists()
 
 

@@ -158,15 +158,15 @@ def test_external_forecast_round_trip(tmp_path):
         load_external_forecast("other", path, 5)
 
 
-@pytest.mark.parametrize("rows, why", [
-    (("raw", "raw", "centred"), "'raw' appears twice"),
-    (("raw", "centred", "centred"), "'centred' appears twice"),
-    (("raw", "centered"), "'centered' is neither 'raw' nor 'centred'"),
+@pytest.mark.parametrize("rows, where", [
+    (("raw", "raw", "centred"), ":3: step 2 repeats the time label 'raw' of step 1"),
+    (("raw", "centred", "centred"), ":4: step 3 repeats the time label 'centred' of step 2"),
+    (("raw", "centered"), ": row 'centered' is neither 'raw' nor 'centred'"),
 ], ids=["raw-twice", "centred-twice", "misspelt"])
-def test_external_forecast_refuses_rows_it_cannot_use(tmp_path, rows, why):
+def test_external_forecast_refuses_rows_it_cannot_use(tmp_path, rows, where):
     path = tmp_path / "ext.csv"
-    write_panel(TimeSeriesPanel(np.ones((3, len(rows))), ("a", "b", "c"), rows), path)
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: row {why}$"):
+    path.write_text("time,a,b,c\n" + "".join(f"{row},1.0,1.0,1.0\n" for row in rows))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path) + where)}$"):
         load_external_forecast("other", path, 3)
 
 

@@ -56,6 +56,24 @@ def test_panel_refuses_no_steps_and_a_wrong_time_label_count(values, times, mess
         TimeSeriesPanel(values, ("a", "b"), times)
 
 
+@pytest.mark.parametrize("nodes, times, cell, message, at", [
+    (("", "b"), ("1", "2"), 1.0, "node column 1 has no label", ("node_labels", 0)),
+    (("a", "a"), ("1", "2"), 1.0, "node column 2 repeats the label 'a' of node column 1",
+     ("node_labels", 1)),
+    (("a", "b"), ("1", ""), 1.0, "empty time label at step 2", ("time_labels", 1)),
+    (("a", "b"), ("1", "1"), 1.0, "step 2 repeats the time label '1' of step 1",
+     ("time_labels", 1)),
+    (("a", "b"), ("1", "2"), -np.inf, "node 'b' is -inf, not a finite number", ("values", 1, 0)),
+], ids=["node-empty", "node-repeated", "time-empty", "time-repeated", "non-finite"])
+def test_panel_refuses_empty_or_repeated_labels_and_non_finite_values(nodes, times, cell,
+                                                                      message, at):
+    values = np.ones((2, 2))
+    values[1, 0] = cell
+    with pytest.raises(GnarError, match=f"^{re.escape(message)}$") as exc:
+        TimeSeriesPanel(values, nodes, times)
+    assert exc.value.at == at
+
+
 def test_panel_read_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,a\n1,2,3\n")
@@ -133,8 +151,8 @@ def test_partition_read_rejects_gaps(tmp_path):
 
 
 @pytest.mark.parametrize("text, where", [
-    ("node,community\n1,0\n2,1\n", ":2: node 1 assigned to community 0, below 1"),
-    ("1,1\n2,-2\n3,1\n", ":2: node 2 assigned to community -2, below 1"),
+    ("node,community\n1,0\n2,1\n", ":2: node 1 assigned to community 0, outside 1..1"),
+    ("1,1\n2,-2\n3,1\n", ":2: node 2 assigned to community -2, outside 1..1"),
     ("1,1\n2,3\n3,3\n", ": empty communities: 2"),
     ("# label 1: Red\n# no rows follow\n", ": empty partition file"),
     ("1,1\n2,3\n", ": community 3 but only 2 nodes to fill it"),
@@ -230,8 +248,8 @@ def test_fixed_rows_reject_a_wrong_cell_count(tmp_path, read, text, line, got):
 
 
 @pytest.mark.parametrize("nodes, times, meta, named", [
-    (("", "b"), ("1", "2"), {}, "node label ''"),
-    (("a", "b"), ("1", ""), {}, "time label ''"),
+    (("a", "b"), ("1", "2"), {" seed": "1"}, "metadata key ' seed'"),
+    (("a", "b"), ("1", "2"), {"seed": "1 "}, "metadata value '1 '"),
     (("a,b", "c"), ("1", "2"), {}, "node label 'a,b'"),
     (("a", "b"), ("1,5", "2"), {}, "time label '1,5'"),
     (("a\nb", "c"), ("1", "2"), {}, "node label 'a\\nb'"),
@@ -243,7 +261,6 @@ def test_fixed_rows_reject_a_wrong_cell_count(tmp_path, read, text, line, got):
     (("a", "b"), ("1", "2"), {"seed\nx": "1"}, "metadata key 'seed\\nx'"),
     (("a", "b"), ("1", "2"), {"seed": "1\n2"}, "metadata value '1\\n2'"),
     (("a", "b"), ("1", "2"), {"a:b": "1"}, "metadata key 'a:b'"),
-    (("a", "a"), ("1", "2"), {}, "node label 'a' is repeated"),
 ])
 def test_format_panel_refuses_what_would_not_read_back(nodes, times, meta, named):
     panel = TimeSeriesPanel(np.ones((2, 2)), nodes, times, meta=meta)
@@ -265,6 +282,8 @@ def test_panel_labels_that_read_back_are_written(tmp_path):
     ("# seed: 1\ntime,a\n1,0.5\n ,0.25\n", "bad.csv:4: empty time label"),
     ("# seed: 1\ntime,n1,n1,n3\n1,1,2,3\n",
      "bad.csv:2: node column 2 repeats the label 'n1' of node column 1"),
+    ("time,a\n1,0.5\n2,0.25\n1,0.125\n",
+     "bad.csv:4: step 3 repeats the time label '1' of step 1"),
 ])
 def test_panel_read_refuses_empty_labels(tmp_path, text, where):
     path = tmp_path / "bad.csv"
@@ -282,9 +301,9 @@ def test_panel_read_refuses_empty_labels(tmp_path, text, where):
     ("b\t", "has leading or trailing whitespace"),
 ])
 def test_format_partition_refuses_labels_that_would_not_read_back(label, why):
-    part = CommunityPartition(assignment=(1, 2), n_communities=2, labels=("ok", label))
-    with pytest.raises(GnarError, match=re.escape(f"community label {label!r} {why}")):
-        format_partition(part)
+    with pytest.raises(GnarError, match=re.escape(f"community 2 label {label!r} {why}")):
+        format_partition(CommunityPartition(assignment=(1, 2), n_communities=2,
+                                            labels=("ok", label)))
 
 
 @pytest.mark.parametrize("line, why", [
@@ -309,7 +328,7 @@ def test_partition_labels_that_read_back_are_written(tmp_path):
 
 @pytest.mark.parametrize("label", ["all", "mean"])
 def test_partition_refuses_a_grid_row_name_as_label(tmp_path, label):
-    with pytest.raises(GnarError, match=f"^community label '{label}' is reserved for grid rows$"):
+    with pytest.raises(GnarError, match=f"^community 2 label '{label}' is reserved for grid rows$"):
         CommunityPartition(assignment=(1, 2), n_communities=2, labels=("x", label))
     path = tmp_path / "part.csv"
     path.write_text(f"node,community\n1,1\n# label 2: {label}\n2,2\n")
@@ -319,14 +338,16 @@ def test_partition_refuses_a_grid_row_name_as_label(tmp_path, label):
 
 
 def test_partition_refuses_a_label_on_two_communities(tmp_path):
-    with pytest.raises(GnarError, match="^community label 'a' names more than one community$"):
+    with pytest.raises(GnarError, match="^community 2 label 'a' is community 1's label too$"):
         CommunityPartition(assignment=(1, 1, 2, 2, 2), n_communities=2, labels=("a", "a"))
     path = tmp_path / "part.csv"
     for body, ln, why in [
             ("# label 1: 2\nnode,community\n1,1\n2,2\n", 1,
              "community 1 label '2' is community 2's label too"),
-            ("# label 2: a\nnode,community\n1,1\n# label 1: a\n2,2\n", 4,
-             "community 1 label 'a' is community 2's label too")]:
+            ("# label 2: a\nnode,community\n1,1\n# label 1: a\n2,2\n", 1,
+             "community 2 label 'a' is community 1's label too"),
+            ("# label 2: 1\nnode,community\n1,1\n2,2\n", 1,
+             "community 2 label '1' is community 1's label too")]:
         path.write_text(body)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{ln}: {why}$"):
             read_partition(path)

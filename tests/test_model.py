@@ -432,7 +432,7 @@ def test_model_file_rejects_repeated_header_lines(tmp_path, text, line, key, fir
     (COMMUNITY_HEADER + "s 1 1\n", ": no 's' line for community 2"),
     ("gnar-model v1\nvariant local\nsigma 1.0\nd -1\np 1\ns 1\n", ":4: 'd' value -1 is below 1"),
     ("gnar-model v1\nvariant local\nsigma 1.0\nd 0\np 1\ns 1\n", ":4: 'd' value 0 is below 1"),
-    (GLOBAL_HEADER + "p 2\ns 1\n", ":5: 1 stage orders for 2 lags"),
+    (GLOBAL_HEADER + "p 2\ns 1\n", ":5: group 1: 1 stage orders for 2 lags"),
     (GLOBAL_HEADER + "p 1\ns -1\n", ":5: 's' value -1 is below 0"),
     ("gnar-model v1\nvariant global\nsigma -1\np 1\ns 1\n",
      ":3: 'sigma' value -1.0 is not above 0"),
@@ -522,6 +522,8 @@ def test_coefficients_and_orders_have_one_constructor_each():
     with pytest.raises(TypeError):
         GnarCoefficients(variant="global", alpha=(np.array([0.1]),),
                          beta=((np.array([0.1]),),), noise_sd=1.0)
+    with pytest.raises(TypeError, match="from_theta"):
+        GnarCoefficients()
     for name in ("global_order", "community_order", "local_order"):
         assert not hasattr(GnarOrder, name)
     params = inspect.signature(GnarCoefficients.from_theta).parameters.values()

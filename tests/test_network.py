@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -298,7 +299,8 @@ def test_node_count_is_capped_before_any_matrix(tmp_path):
         Network(d=MAX_NODES + 1, edges=frozenset())
     path = tmp_path / "edges.csv"
     path.write_text("# d: 100000\nfrom,to\n1,2\n")
-    with pytest.raises(NetworkError, match="^node count d = 100000 is too large"):
+    with pytest.raises(DataError,
+                       match=f"^{re.escape(str(path))}: node count d = 100000 is too large"):
         read_edge_list(path)
 
 

@@ -577,15 +577,17 @@ CELL_SPELLINGS = ("-0.0", "5e-324", "2.225073858507201e-308", "1.797693134862315
                  st.tuples(PADDING, st.floats().map(repr), PADDING).map("".join),
                  st.text("0123456789_.eE+-", max_size=12), st.sampled_from(CELL_SPELLINGS),
                  st.text(st.characters(blacklist_categories=("Cs",),
-                                       blacklist_characters=NOT_IN_A_CELL), max_size=8)))
-def test_panel_cells_read_as_float_reads_them(cell):
+                                       blacklist_characters=NOT_IN_A_CELL), max_size=8)),
+       st.sampled_from(["2", "02", " 2", "1", "1 ", "", " "]))
+def test_panel_cells_read_as_float_reads_them(cell, label):
     """A cell inside a row reads to the bits of ``float(cell)``: float reprs (``-0.0``,
     subnormals, large exponents), padding, underscores and other spellings alike.  A cell
-    ``float`` refuses raises its message at the cell's line, and a ``nan`` or ``inf`` the
-    non-finite error naming the node.  The values are a (T, d) C-order array seen as d x T."""
+    ``float`` refuses raises its message at the cell's line.  Then an empty or repeated
+    time label raises at that line, and a ``nan`` or ``inf`` the non-finite error naming
+    the node.  The values are a (T, d) C-order array seen as d x T."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
-        path.write_text(f"# seed: 0\ntime,a,b,c\n1,0.25,-1.5,2\n2,0.5,{cell},4e-3\n",
+        path.write_text(f"# seed: 0\ntime,a,b,c\n1,0.25,-1.5,2\n{label},0.5,{cell},4e-3\n",
                         encoding="utf-8")
         try:
             got = read_panel(path).values
@@ -595,6 +597,10 @@ def test_panel_cells_read_as_float_reads_them(cell):
         value = float(cell)
     except ValueError as exc:
         assert got == f"{path}:4: non-numeric cell ({exc})"
+        return
+    if label.strip() in ("", "1"):
+        assert got == f"{path}:4: " + ("step 2 repeats the time label '1' of step 1"
+                                       if label.strip() else "empty time label at step 2")
         return
     if not np.isfinite(value):
         assert got == f"{path}:4: node 'b' is {value}, not a finite number"
