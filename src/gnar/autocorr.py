@@ -69,19 +69,20 @@ def _subset_indices(d: int, nodes) -> list[int]:
 
 
 def _inputs(panel: TimeSeriesPanel, net: Network, W: np.ndarray, max_lag: int,
-            r: int, nodes) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Checked kernel inputs: the centred panel and B_1..B_r, cut to ``nodes``."""
+            r: int, nodes=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Checked kernel inputs: the centred panel and B_1..B_r, cut to the checked ``nodes``."""
     check_size("panel", panel.d, "network", net.d)
     if not 1 <= max_lag < panel.T:
         raise GnarError(f"lag {max_lag} outside 1..{panel.T - 1} "
                         f"(panel has {panel.T} time steps)")
-    E = panel.values - panel.values.mean(axis=1, keepdims=True)
-    Bs = stage_weights(net, W, r)
-    if nodes is not None:
-        idx = _subset_indices(panel.d, nodes)
-        E = E[idx]
-        Bs = [B[np.ix_(idx, idx)] for B in Bs]
-    return E, Bs
+    E, Bs = panel.values - panel.values.mean(axis=1, keepdims=True), stage_weights(net, W, r)
+    return (E, Bs) if nodes is None else _cut(E, Bs, _subset_indices(panel.d, nodes))
+
+
+def _cut(E: np.ndarray, Bs: list[np.ndarray], idx: list[int]
+         ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The kernel inputs of the 0-based nodes ``idx``, with within-subset weights."""
+    return E[idx], [B[np.ix_(idx, idx)] for B in Bs]
 
 
 def _lambda(Bs: list[np.ndarray]) -> float:
@@ -231,25 +232,50 @@ class CorbitGrid:
     """(P)NACF values over lags 1..H and stages 1..R, optionally per community.
 
     Without communities ``values`` has shape (H, R); with communities it has
-    shape (C, H, R) and ``mean_values`` averages each cell's non-degenerate
-    community values (0, and degenerate, when every community cell is).
-    ``notes`` has the shape of ``values`` and holds each degenerate cell's
-    reason, "" for regular cells.
+    shape (C, H, R), one label per community, and ``mean_values`` averages each
+    cell's non-degenerate community values (0, and degenerate, when every
+    community cell is).  ``degenerate`` and ``notes`` have the shape of ``values``;
+    ``notes`` holds each degenerate cell's reason, "" for regular cells.
     """
 
     kind: str
-    max_lag: int
-    max_stage: int
     values: np.ndarray
     degenerate: np.ndarray
     communities: tuple[str, ...] | None = None
-    mean_values: np.ndarray | None = None
-    mean_degenerate: np.ndarray | None = None
     notes: np.ndarray | None = None
+
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        labels = () if self.communities is None else (len(self.communities),)
+        if len(shape) != 2 + len(labels) or shape[:len(labels)] != labels:
+            raise GnarError(f"grid values have shape {shape}; expected ("
+                            + "".join(f"{c} communities, " for c in labels) + "lags, stages)")
+        for name in ("degenerate", "notes"):
+            if (got := getattr(self, name)) is not None and np.shape(got) != shape:
+                raise GnarError(f"grid {name} has shape {np.shape(got)}, values have {shape}")
 
     @property
     def has_communities(self) -> bool:
         return self.communities is not None
+
+    @property
+    def max_lag(self) -> int:
+        return self.values.shape[-2]
+
+    @property
+    def max_stage(self) -> int:
+        return self.values.shape[-1]
+
+    @functools.cached_property
+    def mean_values(self) -> np.ndarray | None:
+        if not self.has_communities:
+            return None
+        count = np.maximum(np.sum(~self.degenerate, axis=0), 1)  # all-degenerate cells: 0 / 1
+        return np.where(self.degenerate, 0.0, self.values).sum(axis=0) / count
+
+    @functools.cached_property
+    def mean_degenerate(self) -> np.ndarray | None:
+        return self.degenerate.all(axis=0) if self.has_communities else None
 
     def to_csv_text(self) -> str:
         lines = ["kind,community,lag,stage,value,degenerate"]
@@ -281,8 +307,9 @@ def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
     H, R, subset = max_lag, max_stage, part is not None
     if subset:
         check_size("partition", part.d, "panel", panel.d)
-    inputs = [_inputs(panel, net, W, H, R, nodes) for nodes in
-              ([None] if part is None else map(part.members, range(1, part.n_communities + 1)))]
+    E, Bs = _inputs(panel, net, W, H, R)  # one geometry, cut per community
+    inputs = [(E, Bs)] if part is None else [
+        _cut(E, Bs, [i - 1 for i in part.members(g)]) for g in range(1, part.n_communities + 1)]
     lams = [[_lambda(Bs[:r]) for r in range(1, R + 1)] for _, Bs in inputs]
     if kind == "nacf":
         AEs = [[_apply_A(Bs[:r], E) for r in range(1, R + 1)] for E, Bs in inputs]
@@ -302,10 +329,5 @@ def corbit_grid(panel: TimeSeriesPanel, net: Network, W: np.ndarray,
                                      for k in range(len(inputs))])
                            for f in ("value", "degenerate", "note"))
     if part is None:
-        return CorbitGrid(kind=kind, max_lag=H, max_stage=R, values=values[0],
-                          degenerate=degs[0], notes=notes[0])
-    count = np.maximum(np.sum(~degs, axis=0), 1)  # all-degenerate cells: 0 / 1
-    return CorbitGrid(kind=kind, max_lag=H, max_stage=R, values=values,
-                      degenerate=degs, communities=part.labels,
-                      mean_values=np.where(degs, 0.0, values).sum(axis=0) / count,
-                      mean_degenerate=degs.all(axis=0), notes=notes)
+        return CorbitGrid(kind, values[0], degs[0], notes=notes[0])
+    return CorbitGrid(kind, values, degs, part.labels, notes)

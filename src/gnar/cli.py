@@ -46,8 +46,8 @@ def _split_named(item: str, flag: str, what: str) -> list[str]:
     return item.split("=", 1)
 
 
-def _load_externals(args, d: int):
-    return [load_external_forecast(*_split_named(item, "--external", "FILE"), d)
+def _load_externals(args):
+    return [load_external_forecast(*_split_named(item, "--external", "FILE"))
             for item in args.external or []]
 
 
@@ -121,14 +121,14 @@ def _cmd_compare(args):
     specs = [ModelSpec(name, parse_order(text)) for name, text in
              (_split_named(item, "--spec", "ORDER") for item in args.spec or [])]
     report = compare(panel, net, W, specs, part, holdout=args.holdout,
-                     external=_load_externals(args, panel.d))
+                     external=_load_externals(args))
     return ({args.out: report.to_csv_text()},
             f"wrote {args.out} (hold-out step {report.holdout_label})")
 
 
 def _cmd_elections(args):
     data = elections.load_returns(args.returns)
-    externals = _load_externals(args, data.panel.d)
+    externals = _load_externals(args)
     classification = elections.classify(data)
     part = classification.partition
     net = elections.us_border_network()

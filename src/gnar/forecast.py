@@ -22,7 +22,7 @@ from .network import Network
 from .panel import TimeSeriesPanel, read_panel
 from .partition import CommunityPartition
 from .simulate import var_recursion
-from .textfile import check_cell, located
+from .textfile import check_cell
 
 
 def forecast(coeffs: GnarCoefficients, net: Network, W: np.ndarray,
@@ -86,10 +86,10 @@ class ExternalForecast:
         check_cell("external forecast label", self.name)
 
 
-def load_external_forecast(name: str, path: str | Path, d: int) -> ExternalForecast:
-    """Read an external forecast file (panel format, rows 'raw' and optionally 'centred')."""
+def load_external_forecast(name: str, path: str | Path) -> ExternalForecast:
+    """Read an external forecast file (panel format, rows 'raw' and optionally 'centred');
+    :func:`compare` checks its node count against the panel's."""
     panel = read_panel(path)
-    located(path, lambda: check_size("forecast", panel.d, "panel", d))
     rows: dict[str, np.ndarray] = {}
     for t, label in enumerate(panel.time_labels):
         if label not in ("raw", "centred"):

@@ -61,7 +61,7 @@ class GnarOrder:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise OrderError(f"unknown variant {self.variant!r}")
+            raise OrderError(f"unknown variant {self.variant!r}", ("variant",))
         if self.variant in ("global", "local") and len(self.lags) != 1:
             raise OrderError(f"{self.variant} orders have a single group")
         if len(self.lags) != len(self.stages):
@@ -70,12 +70,13 @@ class GnarOrder:
             raise OrderError("order needs at least one group")
         for g, (p, s) in enumerate(zip(self.lags, self.stages), start=1):
             if p < 1:
-                raise OrderError(f"group {g}: maximum lag must be >= 1, got {p}")
+                raise OrderError(f"group {g}: maximum lag must be >= 1, got {p}", ("lags", g - 1))
             if len(s) != p:
                 raise OrderError(f"group {g}: {len(s)} stage orders for {p} lags",
                                  ("stages", g - 1))
             if any(int(sk) != sk or sk < 0 for sk in s):
-                raise OrderError(f"group {g}: stage orders must be nonnegative integers")
+                raise OrderError(f"group {g}: stage orders must be nonnegative integers",
+                                 ("stages", g - 1))
 
     @property
     def n_groups(self) -> int:
@@ -117,9 +118,9 @@ class ThetaEntry(NamedTuple):
 
 def _blocks(order: GnarOrder, d: int | None = None) -> list[list[tuple[int, int, int]]]:
     """``[g-1][k-1]``: (first slot, alpha count, stage count) of group g's lag-k block of
-    theta, which holds its alphas (one, or a local order's d) and then its betas."""
-    if order.variant == "local" and d is None:
-        raise OrderError("local orders need the node count to lay out parameters")
+    theta, which holds its alphas (one, or a local order's d >= 1) and then its betas."""
+    if order.variant == "local" and (d is None or d < 1):
+        raise OrderError(f"local orders need a node count d >= 1, got {d}", ("d",))
     n_alpha = d if order.variant == "local" else 1
     starts = accumulate((n_alpha + sk for s in order.stages for sk in s), initial=0)
     return [[(next(starts), n_alpha, sk) for sk in s] for s in order.stages]
@@ -156,12 +157,15 @@ class GnarCoefficients:
     @classmethod
     def from_theta(cls, theta: np.ndarray, order: GnarOrder,
                    noise_sd: float = 1.0, d: int | None = None) -> "GnarCoefficients":
-        """Coefficients holding a read-only copy of ``theta``, after checking its length."""
-        if not noise_sd > 0:
-            raise OrderError(f"noise sd must be positive, got {noise_sd}")
+        """Coefficients holding a read-only copy of ``theta``, after checking it and the sd."""
         theta = np.array(theta, dtype=float)
         if theta.shape != (size := order.param_count(d),):
             raise OrderError(f"theta length {theta.shape} does not match {size}")
+        if (bad := np.flatnonzero(~np.isfinite(theta))).size:
+            raise OrderError(f"coefficient {theta_index(order, d)[bad[0]].name(order.variant)}"
+                             f" is {theta[bad[0]]}, not a finite number", ("theta", int(bad[0])))
+        if not 0 < noise_sd < np.inf:
+            raise OrderError(f"noise sd {noise_sd} is not positive and finite", ("noise_sd",))
         theta.flags.writeable = False
         coeffs = cls.__new__(cls)
         vars(coeffs).update(order=order, theta=theta, noise_sd=noise_sd,
@@ -405,36 +409,25 @@ def write_model(coeffs: GnarCoefficients, path: str | Path) -> None:
     write_text_atomic(path, format_model(coeffs))
 
 
-def _finite(text: str) -> float:
-    """``float(text)``; inf and nan raise ValueError too."""
-    if not np.isfinite(value := float(text)):
-        raise ValueError(text)
-    return value
-
-
-#: Each header key's value type, least value and greatest (None: unbounded).  An
-#: integer may equal its least; a number (``sigma``) must lie above it.
-_HEADER = {"variant": (str, None, None), "C": (int, 1, None), "p": (int, 1, None),
-           "s": (int, 0, MAX_NODES - 1), "d": (int, 1, MAX_NODES), "sigma": (_finite, 0, None)}
+#: Each header key's value type and greatest value (None: unbounded): bounds that stop a
+#: file sizing theta past any network.  The records hold every other rule on a value.
+_HEADER = {"variant": (str, None), "C": (int, None), "p": (int, None),
+           "s": (int, MAX_NODES - 1), "d": (int, MAX_NODES), "sigma": (float, None)}
 
 
 def _values(path, ln: int, key: str, row: list[str]) -> list:
-    """The values ``row`` of ``key`` on line ``ln``, converted and checked against ``_HEADER``."""
-    convert, least, most = _HEADER[key]
+    """The values ``row`` of ``key`` on line ``ln``, converted and bounded by ``_HEADER``."""
+    convert, most = _HEADER[key]
     if not row:
         raise DataError(f"{path}:{ln}: {key!r} needs a value")
     try:
         values = [convert(x) for x in row]
     except ValueError:
-        kind = {int: "an integer", _finite: "a number"}[convert]
+        kind = {int: "an integer", float: "a number"}[convert]
         raise DataError(f"{path}:{ln}: {key!r} needs {kind}, got {' '.join(row)!r}") from None
     if most is not None and max(values) > most:
         raise DataError(f"{path}:{ln}: {key!r} value {max(values)} exceeds {most} "
                         f"(networks have at most {MAX_NODES} nodes)")
-    strict = convert is _finite
-    if least is not None and (min(values) < least or strict and min(values) == least):
-        raise DataError(f"{path}:{ln}: {key!r} value {min(values)} is "
-                        f"{'not above' if strict else 'below'} {least}")
     return values
 
 
@@ -454,17 +447,15 @@ def _header(path, rows: dict, key: str | int, one: bool = True):
 def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     """Read a model file; every other line than the header keys sets one coefficient.
 
-    Each line is keyed by its header key, its community id (a community ``s``
-    line, whose id is checked first) or its coefficient name.  The earliest
-    line that repeats a key raises :class:`DataError`; then, in this order, so
-    does a ``variant`` line that ``_HEADER`` refuses (no value, one that does not
-    convert or is out of range, or a second where the key takes one) or whose
-    variant is unknown, a ``C`` or ``d`` line in a file of another variant, a
-    refused ``sigma``, ``p`` or ``C`` line, a ``C`` other than the count of lags, a
-    community id outside 1..C, refused ``s`` lines, then one that :class:`GnarOrder`
-    refuses (not one stage order per lag), a refused ``d`` line and a coefficient line
-    that names no slot of the order or holds no finite value, each with its line number.  A missing
-    header line, or community ``s`` line, is named.  Slots without a line are zero.
+    Each line is keyed by its header key, its community id (a community ``s`` line, whose
+    id is read first) or its coefficient name.  The earliest line that repeats a key raises
+    :class:`DataError`; then, in this order, a ``variant`` line without one value, a ``C``
+    or ``d`` line of another variant, a ``sigma``, ``p`` or ``C`` line that does not
+    convert, a ``C`` other than the count of lags, a community id outside 1..C and ``s``
+    lines that do not convert or pass ``_HEADER``'s bound.  Value faults follow in record
+    order at the value's line: the order, ``d``, coefficient lines (naming no slot or
+    holding no number, then not finite) and ``sigma``.  A missing header line, or community
+    ``s`` line, is named.  Slots without a line are zero.
     """
     lines = list(read_rows(path, sep=None)[1])
     if not lines or lines[0][1] != ["gnar-model", "v1"]:
@@ -480,8 +471,6 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
             raise DataError(f"{path}:{ln}: {what} already set on line {rows[key][0]}")
         rows[key] = ln, parts
     variant = _header(path, rows, "variant")
-    if variant not in VARIANTS:
-        raise DataError(f"{path}:{rows['variant'][0]}: unknown variant {variant!r}")
     for key, owner in (("C", "community"), ("d", "local")):
         if key in rows and variant != owner:
             raise DataError(f"{path}:{rows[key][0]}: {key!r} belongs to {owner} models, "
@@ -498,10 +487,18 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     else:
         lags, keys = [_header(path, rows, "p")], ["s"]
     stages = tuple(tuple(_header(path, rows, key, one=False)) for key in keys)
-    order = located(path, lambda: GnarOrder(variant, tuple(lags), stages),
-                    lambda at: rows[keys[at[1]]][0])
+    slots: dict[int, int] = {}  # theta position -> the line setting it
+
+    def line_of(at: tuple) -> int | None:
+        if at[0] == "theta":
+            return slots.get(at[1])
+        return rows[keys[at[1]] if at[0] == "stages" else
+                    {"lags": "p", "noise_sd": "sigma"}.get(at[0], at[0])][0]
+
+    order = located(path, lambda: GnarOrder(variant, tuple(lags), stages), line_of)
     d = _header(path, rows, "d") if variant == "local" else None
-    blocks, theta = _blocks(order, d), np.zeros(order.param_count(d))
+    blocks = located(path, lambda: _blocks(order, d), line_of)
+    theta = np.zeros(order.param_count(d))
     for key, (ln, parts) in rows.items():
         if isinstance(key, int) or key in _HEADER:
             continue
@@ -509,8 +506,10 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
             raise DataError(f"{path}:{ln}: {' '.join(parts)!r} sets no coefficient of "
                             f"the order {format_order(order)}")
         try:
-            theta[slot] = _finite(parts[-1])
+            theta[slot] = float(parts[-1])
         except ValueError:
-            raise DataError(f"{path}:{ln}: coefficient value must be a finite number, "
+            raise DataError(f"{path}:{ln}: coefficient value must be a number, "
                             f"got {parts[-1]!r}") from None
-    return GnarCoefficients.from_theta(theta, order, sigma, d), order
+        slots[slot] = ln
+    return located(path, lambda: GnarCoefficients.from_theta(theta, order, sigma, d),
+                   line_of), order

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gnar.autocorr import AcfCell, corbit_grid, nacf, pnacf
+import gnar.autocorr
+from gnar.autocorr import AcfCell, CorbitGrid, corbit_grid, nacf, pnacf
 from gnar.corbit_svg import render_rcorbit
 from gnar.errors import GnarError
 from gnar.network import bfs_distances, build_network, default_weights
@@ -263,6 +264,45 @@ def test_grid_shapes_and_mean_layer(fivenet, fivenet_weights, fivenet_partition)
     assert np.allclose(grid.mean_values, grid.values.mean(axis=0))
     # mean cell degenerate only when every community cell is
     assert np.array_equal(grid.mean_degenerate, grid.degenerate.all(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["nacf", "pnacf"])
+def test_community_grid_derives_its_geometry_once(fivenet, fivenet_weights, fivenet_partition,
+                                                  monkeypatch, kind):
+    """One ``stage_weights`` call per grid, cut per community, whatever the community count."""
+    calls, stage_weights = [], gnar.autocorr.stage_weights
+
+    def counted(*args):
+        calls.append(args)
+        return stage_weights(*args)
+
+    monkeypatch.setattr(gnar.autocorr, "stage_weights", counted)
+    panel = noise_panel(np.random.default_rng(14), T=20)
+    for part in (fivenet_partition, CommunityPartition((1, 2, 3, 1, 2), 3)):
+        calls.clear()
+        corbit_grid(panel, fivenet, fivenet_weights, 3, 2, kind, part)
+        assert len(calls) == 1
+
+
+def test_grid_record_derives_its_extent_and_means_and_refuses_shapes_that_disagree():
+    values = np.random.default_rng(15).uniform(-1, 1, size=(2, 8, 3))
+    degenerate = np.zeros(values.shape, dtype=bool)
+    degenerate[0, 0, 0] = True
+    grid = CorbitGrid("nacf", values, degenerate, ("a", "b"))
+    assert (grid.max_lag, grid.max_stage) == (8, 3)
+    assert grid.mean_values[0, 0] == values[1, 0, 0] and not grid.mean_degenerate.any()
+    assert grid.to_csv_text().count("\n") == 1 + 3 * 8 * 3
+    plain = CorbitGrid("nacf", values[0], degenerate[0])
+    assert plain.mean_values is None and plain.to_csv_text().count("\n") == 1 + 8 * 3
+    for args, message in [
+        ((values, degenerate, ("a",)), r"shape \(2, 8, 3\); expected \(1 communities, lags"),
+        ((values, degenerate), r"shape \(2, 8, 3\); expected \(lags, stages\)"),
+        ((values[0], degenerate[0], ("a",)), r"shape \(8, 3\); expected \(1 communities"),
+        ((values, degenerate[:, :2], ("a", "b")), "degenerate has shape"),
+        ((values, degenerate, ("a", "b"), np.full((2, 8), "")), "notes has shape"),
+    ]:
+        with pytest.raises(GnarError, match=message):
+            CorbitGrid("nacf", *args)
 
 
 def test_grid_mean_skips_degenerate_community_cells(fivenet, fivenet_weights,

@@ -24,18 +24,13 @@ def plain_grid(values, degenerate=None):
     H, R = values.shape
     if degenerate is None:
         degenerate = np.zeros((H, R), dtype=bool)
-    return CorbitGrid(kind="nacf", max_lag=H, max_stage=R, values=values,
-                      degenerate=degenerate)
+    return CorbitGrid(kind="nacf", values=values, degenerate=degenerate)
 
 
 def community_grid(values, labels):
     values = np.asarray(values, dtype=float)
-    C, H, R = values.shape
-    deg = np.zeros((C, H, R), dtype=bool)
-    return CorbitGrid(kind="pnacf", max_lag=H, max_stage=R, values=values,
-                      degenerate=deg, communities=tuple(labels),
-                      mean_values=values.mean(axis=0),
-                      mean_degenerate=deg.all(axis=0))
+    return CorbitGrid(kind="pnacf", values=values, degenerate=np.zeros(values.shape, dtype=bool),
+                      communities=tuple(labels))
 
 
 def test_corbit_counting_contract():

@@ -146,16 +146,16 @@ def test_holdout_error_concentrates_at_noise_sd(fivenet, fivenet_weights,
     assert abs(mean_error - sd) < 0.3 * sd
 
 
-def test_external_forecast_round_trip(tmp_path):
+def test_external_forecast_round_trip(tmp_path, fivenet, fivenet_weights):
     values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # d=3, rows raw/centred
     panel = TimeSeriesPanel(values, ("a", "b", "c"), ("raw", "centred"))
     path = tmp_path / "ext.csv"
     write_panel(panel, path)
-    ext = load_external_forecast("other", path, 3)
+    ext = load_external_forecast("other", path)
     assert np.array_equal(ext.raw, values[:, 0])
     assert np.array_equal(ext.centred, values[:, 1])
-    with pytest.raises(DataError, match="nodes"):
-        load_external_forecast("other", path, 5)
+    with pytest.raises(DataError, match="^external forecast 'other' has 3 nodes, panel has 5$"):
+        compare(make_panel(np.zeros((5, 10))), fivenet, fivenet_weights, [], external=[ext])
 
 
 @pytest.mark.parametrize("rows, where", [
@@ -167,14 +167,14 @@ def test_external_forecast_refuses_rows_it_cannot_use(tmp_path, rows, where):
     path = tmp_path / "ext.csv"
     path.write_text("time,a,b,c\n" + "".join(f"{row},1.0,1.0,1.0\n" for row in rows))
     with pytest.raises(DataError, match=f"^{re.escape(str(path) + where)}$"):
-        load_external_forecast("other", path, 3)
+        load_external_forecast("other", path)
 
 
 def test_external_forecast_needs_a_raw_row(tmp_path):
     path = tmp_path / "ext.csv"
     write_panel(TimeSeriesPanel(np.ones((3, 1)), ("a", "b", "c"), ("centred",)), path)
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no row labelled 'raw'$"):
-        load_external_forecast("other", path, 3)
+        load_external_forecast("other", path)
 
 
 def test_compare_scores_externals(fivenet, fivenet_weights):

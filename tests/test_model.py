@@ -430,17 +430,23 @@ def test_model_file_rejects_repeated_header_lines(tmp_path, text, line, key, fir
      ":3: 'sigma' takes one value, got '1.0 2.0'"),
     (COMMUNITY_HEADER, ": no 's' line for community 1"),
     (COMMUNITY_HEADER + "s 1 1\n", ": no 's' line for community 2"),
-    ("gnar-model v1\nvariant local\nsigma 1.0\nd -1\np 1\ns 1\n", ":4: 'd' value -1 is below 1"),
-    ("gnar-model v1\nvariant local\nsigma 1.0\nd 0\np 1\ns 1\n", ":4: 'd' value 0 is below 1"),
+    ("gnar-model v1\nvariant local\nsigma 1.0\nd -1\np 1\ns 1\n",
+     ":4: local orders need a node count d >= 1, got -1"),
+    ("gnar-model v1\nvariant local\nsigma 1.0\nd 0\np 1\ns 1\n",
+     ":4: local orders need a node count d >= 1, got 0"),
     (GLOBAL_HEADER + "p 2\ns 1\n", ":5: group 1: 1 stage orders for 2 lags"),
-    (GLOBAL_HEADER + "p 1\ns -1\n", ":5: 's' value -1 is below 0"),
+    (GLOBAL_HEADER + "p 0\ns 1\n", ":4: group 1: maximum lag must be >= 1, got 0"),
+    ("gnar-model v1\nvariant community\nC 2\np 1 -1\nsigma 1.0\ns 1 1\ns 2 0\n",
+     ":4: group 2: maximum lag must be >= 1, got -1"),
+    (GLOBAL_HEADER + "p 1\ns -1\n", ":5: group 1: stage orders must be nonnegative integers"),
     ("gnar-model v1\nvariant global\nsigma -1\np 1\ns 1\n",
-     ":3: 'sigma' value -1.0 is not above 0"),
+     ":3: noise sd -1.0 is not positive and finite"),
     ("gnar-model v1\nvariant foo\nsigma 1.0\np 1\ns 1\n", ":2: unknown variant 'foo'"),
 ], ids=["sigma-empty", "sigma-word", "p-word", "s-word", "C-fraction", "variant-empty",
         "no-sigma", "no-d", "variant-extra", "global-p-extra", "local-p-extra", "C-extra",
         "d-extra", "sigma-extra", "community-no-s", "community-one-s-of-two", "d-negative",
-        "d-zero", "s-shorter-than-p", "s-negative", "sigma-negative", "variant-unknown"])
+        "d-zero", "s-shorter-than-p", "p-zero", "community-p-negative", "s-negative",
+        "sigma-negative", "variant-unknown"])
 def test_model_file_rejects_bad_header_values(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -454,6 +460,37 @@ def test_coefficients_reject_bad_shapes():
         GnarCoefficients.from_theta(np.zeros((1, 2)), order)
     with pytest.raises(OrderError, match="positive"):
         GnarCoefficients.from_theta([0.1, 0.1], order, noise_sd=0.0)
+
+
+LOCAL = parse_order("local:1;[1]")
+
+
+@pytest.mark.parametrize("make, at, message", [
+    (lambda: GnarOrder("foo", (1,), ((1,),)), ("variant",), "unknown variant 'foo'"),
+    (lambda: GnarOrder("community", (1, 0), ((1,), ())), ("lags", 1),
+     "group 2: maximum lag must be >= 1, got 0"),
+    (lambda: GnarOrder("global", (2,), ((1,),)), ("stages", 0),
+     "group 1: 1 stage orders for 2 lags"),
+    (lambda: GnarOrder("community", (1, 1), ((1,), (-1,))), ("stages", 1),
+     "group 2: stage orders must be nonnegative integers"),
+    (lambda: GnarCoefficients.from_theta(np.zeros(1), LOCAL, d=0), ("d",),
+     "local orders need a node count d >= 1, got 0"),
+    (lambda: GnarCoefficients.from_theta(np.zeros(0), LOCAL, d=-1), ("d",),
+     "local orders need a node count d >= 1, got -1"),
+    (lambda: GnarCoefficients.from_theta([0.1, np.nan], parse_order("global:1;[1]")),
+     ("theta", 1), "coefficient beta.1.1 is nan, not a finite number"),
+    (lambda: GnarCoefficients.from_theta([0.1, np.inf, 0.2], LOCAL, d=2), ("theta", 1),
+     "coefficient alpha.node2.1 is inf, not a finite number"),
+    (lambda: GnarCoefficients.from_theta([0.1, 0.1], parse_order("global:1;[1]"),
+                                         noise_sd=np.inf), ("noise_sd",),
+     "noise sd inf is not positive and finite"),
+], ids=["variant", "lags", "stage-count", "stage-negative", "local-d-zero", "local-d-negative",
+        "theta-nan", "theta-inf", "noise-sd-inf"])
+def test_each_model_value_rule_raises_in_its_record_with_at(make, at, message):
+    """``read_model`` turns ``at`` into the line holding the value (see the file tables)."""
+    with pytest.raises(OrderError, match=f"^{re.escape(message)}$") as got:
+        make()
+    assert got.value.at == at
 
 
 def test_from_theta_refuses_a_theta_of_the_wrong_length():
@@ -484,14 +521,16 @@ def test_model_file_bounds_sizes_before_allocating(tmp_path, text, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("gnar-model v1\nvariant global\nsigma nan\np 1\ns 1\n", ":3: 'sigma' needs a number, got 'nan'"),
-    ("gnar-model v1\nvariant global\nsigma inf\np 1\ns 1\n", ":3: 'sigma' needs a number, got 'inf'"),
+    ("gnar-model v1\nvariant global\nsigma nan\np 1\ns 1\n",
+     ":3: noise sd nan is not positive and finite"),
+    ("gnar-model v1\nvariant global\nsigma inf\np 1\ns 1\n",
+     ":3: noise sd inf is not positive and finite"),
     (GLOBAL_HEADER + "p 1\ns 1\nalpha 1 inf\n",
-     ":6: coefficient value must be a finite number, got 'inf'"),
+     ":6: coefficient alpha.1 is inf, not a finite number"),
     (GLOBAL_HEADER + "p 1\ns 1\nbeta 1 1 -inf\n",
-     ":6: coefficient value must be a finite number, got '-inf'"),
+     ":6: coefficient beta.1.1 is -inf, not a finite number"),
     ("gnar-model v1\nvariant community\nC 1\np 1\nsigma 1.0\ns 1 1\nalpha 1 1 nan\n",
-     ":7: coefficient value must be a finite number, got 'nan'"),
+     ":7: coefficient alpha.1.1 is nan, not a finite number"),
 ], ids=["sigma-nan", "sigma-inf", "alpha-inf", "beta-inf", "community-alpha-nan"])
 def test_model_file_rejects_non_finite_values(tmp_path, text, message):
     path = tmp_path / "bad.txt"

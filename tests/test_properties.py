@@ -41,7 +41,7 @@ from gnar.autocorr import KINDS, CorbitGrid, corbit_grid, nacf, pnacf
 from gnar.cli import build_parser, main
 from gnar.corbit_svg import RenderOptions, render_corbit, render_rcorbit
 from gnar.elections import ELECTION_YEARS, STATE_NAMES, load_returns
-from gnar.errors import DataError, GnarError, SizeError
+from gnar.errors import DataError, GnarError, OrderError, SizeError
 from gnar.estimate import (KroneckerCovariance, build_community_design, build_design, fit_gls,
                            fit_ols, fit_per_community)
 from gnar.forecast import ModelSpec, compare, forecast
@@ -267,6 +267,43 @@ def test_theta_and_model_file_round_trips_are_exact(data, graph, noise_sd):
     assert order_again == order
     assert again.theta.tobytes() == theta.tobytes()
     assert format_model(again) == text
+
+
+@PROPERTY
+@given(st.data(), graphs())
+def test_non_finite_theta_and_bad_noise_sd_are_refused_in_code_and_at_their_line(data, graph):
+    """One theta slot set to nan or +-inf, or a noise sd of 0, a negative, nan or inf:
+    ``from_theta`` refuses it naming the slot or the noise sd, and ``read_model`` refuses
+    the file ``format_model`` wrote with that value at the slot's line or the sigma line."""
+    net, part = graph
+    order = data.draw(orders(net.r_max, part.n_communities))
+    entries = theta_index(order, d=net.d)
+    theta = np.asarray(data.draw(st.lists(FINITE, min_size=len(entries),
+                                          max_size=len(entries))), dtype=float)
+    text = format_model(GnarCoefficients.from_theta(theta, order, d=net.d)).splitlines()
+    bad_theta = bool(entries) and data.draw(st.booleans())
+    if bad_theta:
+        j = data.draw(st.integers(0, len(entries) - 1))
+        theta[j], noise_sd = data.draw(st.sampled_from([np.nan, np.inf, -np.inf])), 1.0
+        line, message = len(text) - len(entries) + j + 1, (
+            f"coefficient {entries[j].name(order.variant)} is {theta[j]}, not a finite number")
+    else:
+        noise_sd = data.draw(st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf]),
+                                       st.floats(max_value=-1e-300)))
+        line = text.index("sigma 1.0") + 1
+        message = f"noise sd {noise_sd} is not positive and finite"
+    with pytest.raises(OrderError) as got:
+        GnarCoefficients.from_theta(theta, order, noise_sd, d=net.d)
+    assert str(got.value) == message
+    assert got.value.at == (("theta", j) if bad_theta else ("noise_sd",))
+    key, _ = text[line - 1].rsplit(" ", 1)
+    text[line - 1] = f"{key} {float(theta[j] if bad_theta else noise_sd)!r}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(DataError) as got:
+            read_model(path)
+    assert str(got.value) == f"{path}:{line}: {message}"
 
 
 @PROPERTY
@@ -742,11 +779,10 @@ def corbit_grids(draw):
     shape, kind = ((C, H, R) if C else (H, R)), draw(st.sampled_from(KINDS))
     values, degenerate = cells(shape, value), cells(shape, st.booleans())
     if not C:
-        return CorbitGrid(kind, H, R, values, degenerate)
+        return CorbitGrid(kind, values, degenerate)
     labels = draw(st.lists(st.text(string.ascii_letters, min_size=1, max_size=6),
                            min_size=C, max_size=C))
-    return CorbitGrid(kind, H, R, values, degenerate, tuple(labels),
-                      cells((H, R), value), cells((H, R), st.booleans()))
+    return CorbitGrid(kind, values, degenerate, tuple(labels))
 
 
 @PROPERTY

@@ -1,11 +1,11 @@
 """Print the sha256 of every input and output file of benchmark workloads.
 
 Runs ``bench/workloads.py``'s ``setup`` and one pass of its ``ops`` for each
-workload and seed, from the checkout given by ``--root`` (default: this
-one), and prints one ``sha256  workload/seed/{inputs,out}/file`` line per
-file and one ``sha256  workload/seed/console/op`` line per operation, for
-what it printed on stdout and stderr with the work directory replaced by
-``<work>``; sorted.  Diffing the output of two checkouts shows which files
+workload (default: every one in ``workloads.WORKLOADS``) and seed, from the
+checkout given by ``--root`` (default: this one), and prints one
+``sha256  workload/seed/{inputs,out}/file`` line per file and one
+``sha256  workload/seed/console/op`` line per operation, for what it printed
+on stdout and stderr with the work directory replaced by ``<work>``; sorted.  Diffing the output of two checkouts shows which files
 and messages a change moved.  From the repository root:
 
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
@@ -31,14 +31,11 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-GATED = ("election-study", "fit-forecast-d200")
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
                    help="checkout whose src/ and bench/ are run")
-    p.add_argument("--workload", action="append", help=f"default: {' and '.join(GATED)}")
+    p.add_argument("--workload", action="append", help="default: every benchmark workload")
     p.add_argument("--seed", type=int, action="append", help="default: 1 and 7")
     p.add_argument("--keep", metavar="DIR",
                    help="write the files under DIR (not holding an earlier run) and keep them")
@@ -52,7 +49,7 @@ def main(argv=None) -> int:
         sys.exit(f"output_hashes: imported gnar from {gnar.__file__}, not from {root}")
     size = workloads.SIZES["full"]
     failed = 0
-    for name in args.workload or GATED:
+    for name in args.workload or workloads.WORKLOADS:
         for seed in args.seed or (1, 7):
             with tempfile.TemporaryDirectory() as tmp:
                 work = Path(args.keep) / name / str(seed) if args.keep else Path(tmp)
