@@ -74,8 +74,8 @@ def _cmd_fit(args):
                                     ("residuals", format_panel(fit.residuals)))}
         return files, f"wrote per-community fits for {len(fits)} communities to {out_dir}"
     fit = estimate.fit_ols(estimate.build_design(panel, order, net, W, part))
-    if not fit.stationary:
-        print("warning: " + unmet_stationarity("estimates do not meet", fit.stationarity_sums),
+    if not (stationarity := fit.stationarity).stationary:
+        print("warning: " + unmet_stationarity("estimates do not meet", stationarity.sums),
               file=sys.stderr)
     return ({out_dir / "coefficients.csv": estimate.coefficient_table(fit),
              out_dir / "residuals.csv": format_panel(fit.residuals),
@@ -133,8 +133,13 @@ def _cmd_elections(args):
     part = classification.partition
     net = elections.us_border_network()
     W = default_weights(net.distances)
-    std = elections.standardize(data.panel)
     order_std = parse_order("community:[2,2,2];{[1,0],[1,0],[1,0]}")
+    specs = [ModelSpec("GNAR", order_std), ModelSpec("GNAR*", parse_order("global:2;[1,0]")),
+             ModelSpec("GNAR+", parse_order("local:2;[1,0]"))]
+    # First: it refuses an external forecast of the wrong size before any study work.
+    report = compare(data.panel, net, W, specs, part, holdout=args.holdout,
+                     external=externals)
+    std = elections.standardize(data.panel)
     fit_std = estimate.fit_ols(estimate.build_design(std, order_std, net, W, part))
     grid_std = autocorr.corbit_grid(std, net, W, args.max_lag, args.max_stage,
                                     "pnacf", part)
@@ -142,10 +147,6 @@ def _cmd_elections(args):
     order_diff = parse_order("community:[3,3,3];{[0,0,0],[0,0,0],[0,0,0]}")
     fit_diff = estimate.fit_ols(estimate.build_design(diff, order_diff, net, W, part))
     grid_diff = autocorr.corbit_grid(diff, net, W, args.max_lag, args.max_stage, "pnacf", part)
-    specs = [ModelSpec("GNAR", order_std), ModelSpec("GNAR*", parse_order("global:2;[1,0]")),
-             ModelSpec("GNAR+", parse_order("local:2;[1,0]"))]
-    report = compare(data.panel, net, W, specs, part, holdout=args.holdout,
-                     external=externals)
     outputs = {
         "panel_raw.csv": format_panel(data.panel),
         "classification.csv": classification.to_csv_text(),
@@ -163,9 +164,8 @@ def _cmd_elections(args):
         "rcorbit_pnacf_differenced.svg": corbit_svg.render_rcorbit(grid_diff),
         "comparison.csv": report.to_csv_text(),
     }
-    if not fit_std.stationary:
-        print("note: " + unmet_stationarity("standardised fit does not meet",
-                                            fit_std.stationarity_sums)
+    if not (stationarity := fit_std.stationarity).stationary:
+        print("note: " + unmet_stationarity("standardised fit does not meet", stationarity.sums)
               + "; see the differenced fit", file=sys.stderr)
     out_dir = Path(args.out_dir)
     return ({out_dir / name: text for name, text in outputs.items()},

@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CovarianceError, DesignError, RankDeficiencyError, check_size
-from .model import (GnarCoefficients, GnarOrder, ThetaEntry, _group_bases, abs_sums,
-                    theta_index)
+from .model import (GnarCoefficients, GnarOrder, StationarityReport, ThetaEntry, _group_bases,
+                    abs_sums, theta_index)
 from .network import Network, stage_weights
 from .panel import TimeSeriesPanel
 from .partition import CommunityPartition
@@ -88,24 +88,36 @@ class DesignSystem:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Estimates, uncertainty and residuals from one least-squares fit."""
+    """Estimates, uncertainty and residuals from one least-squares fit; the names, standard
+    errors, residual degrees of freedom and stationarity report derive from them."""
 
     theta: np.ndarray
     columns: tuple[ThetaEntry, ...]
-    names: tuple[str, ...]
     sigma2: float
     cov: np.ndarray
-    se: np.ndarray
     residuals: TimeSeriesPanel
-    df_resid: int
-    stationary: bool
-    stationarity_sums: np.ndarray
     order: GnarOrder
     group: int | None = None
 
     @property
     def variant(self) -> str:
         return self.order.variant
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(e.name(self.variant) for e in self.columns)
+
+    @property
+    def se(self) -> np.ndarray:
+        return np.sqrt(np.diag(self.cov))
+
+    @property
+    def df_resid(self) -> int:
+        return self.residuals.values.size - len(self.theta)
+
+    @property
+    def stationarity(self) -> StationarityReport:
+        return abs_sums(self.columns, self.theta)
 
     def to_coefficients(self) -> GnarCoefficients:
         """Rebuild a coefficient container from the estimates (joint fits only)."""
@@ -276,12 +288,8 @@ def _finish_fit(ds: DesignSystem, theta: np.ndarray, cov: np.ndarray,
     resid_panel = TimeSeriesPanel(values=resid.reshape(-1, m).T,
                                   node_labels=ds.node_labels,
                                   time_labels=ds.time_labels)
-    report = abs_sums(ds.columns, theta)
-    return FitResult(theta=theta, columns=ds.columns, names=ds.column_names(),
-                     sigma2=sigma2, cov=cov, se=np.sqrt(np.diag(cov)),
-                     residuals=resid_panel, df_resid=ds.n - ds.q,
-                     stationary=report.stationary, stationarity_sums=report.sums,
-                     order=ds.order, group=ds.group)
+    return FitResult(theta=theta, columns=ds.columns, sigma2=sigma2, cov=cov,
+                     residuals=resid_panel, order=ds.order, group=ds.group)
 
 
 def fit_ols(ds: DesignSystem) -> FitResult:

@@ -194,9 +194,14 @@ class GnarCoefficients:
                          for start, a, _ in _blocks(self.order, self.d)[0]], axis=1)
 
 
-class _Stationarity:
-    """The strict sufficient condition on ``self.sums``: every sum below 1.  ``margin``
-    is 1 minus the largest sum: positive certifies it, small warns of the boundary."""
+@dataclass(frozen=True, eq=False)
+class StationarityReport:
+    """Per-group (or per-node) absolute-coefficient sums and their labels, against the strict
+    sufficient condition: every sum below 1.  ``margin`` is 1 minus the largest sum: positive
+    certifies it, small warns of the boundary."""
+
+    sums: np.ndarray
+    labels: tuple[str, ...]
 
     @property
     def stationary(self) -> bool:
@@ -205,14 +210,6 @@ class _Stationarity:
     @property
     def margin(self) -> float:
         return float(1.0 - np.max(self.sums))
-
-
-@dataclass(frozen=True, eq=False)
-class StationarityReport(_Stationarity):
-    """Per-group (or per-node) absolute-coefficient sums and their labels."""
-
-    sums: np.ndarray
-    labels: tuple[str, ...]
 
 
 def abs_sums(entries: Sequence[ThetaEntry], theta: np.ndarray) -> StationarityReport:
@@ -288,7 +285,7 @@ def _group_bases(order: GnarOrder, d: int, part: CommunityPartition | None,
 
 
 @dataclass(frozen=True, eq=False)
-class NodewiseCoefficients(_Stationarity):
+class NodewiseCoefficients:
     """Node-wise representation of any model: what each node's equation uses.
 
     ``alpha[i-1, k-1]`` and ``beta[i-1, k-1, r-1]`` carry node i's
@@ -298,11 +295,6 @@ class NodewiseCoefficients(_Stationarity):
 
     alpha: np.ndarray
     beta: np.ndarray
-
-    @property
-    def sums(self) -> np.ndarray:
-        """Each node's sum of absolute coefficients."""
-        return np.sum(np.abs(self.alpha), axis=1) + np.sum(np.abs(self.beta), axis=(1, 2))
 
 
 def _nodewise(coeffs: GnarCoefficients, group: np.ndarray) -> NodewiseCoefficients:
@@ -416,29 +408,28 @@ _HEADER = {"variant": (str, None), "C": (int, None), "p": (int, None),
 
 
 def _values(path, ln: int, key: str, row: list[str]) -> list:
-    """The values ``row`` of ``key`` on line ``ln``, converted and bounded by ``_HEADER``."""
-    convert, most = _HEADER[key]
+    """The values ``row`` of ``key`` on line ``ln``, converted to ``_HEADER``'s type."""
+    convert = _HEADER[key][0]
     if not row:
         raise DataError(f"{path}:{ln}: {key!r} needs a value")
     try:
-        values = [convert(x) for x in row]
+        return [convert(x) for x in row]
     except ValueError:
         kind = {int: "an integer", float: "a number"}[convert]
         raise DataError(f"{path}:{ln}: {key!r} needs {kind}, got {' '.join(row)!r}") from None
-    if most is not None and max(values) > most:
-        raise DataError(f"{path}:{ln}: {key!r} value {max(values)} exceeds {most} "
-                        f"(networks have at most {MAX_NODES} nodes)")
-    return values
 
 
 def _header(path, rows: dict, key: str | int, one: bool = True):
-    """The checked values on ``key``'s line (a community's ``s`` line if ``key`` is its
-    id); with ``one``, the one value that line must hold."""
+    """The values on ``key``'s line (a community's ``s`` line if ``key`` is its id),
+    converted and bounded by ``_HEADER``; with ``one``, the one value that line must hold."""
     if key not in rows:
         raise DataError(f"{path}: no 's' line for community {key}" if isinstance(key, int)
                         else f"{path}: malformed model file (no {key!r} line)")
     ln, (name, *row) = rows[key]
     values = _values(path, ln, name, row)
+    if (most := _HEADER[name][1]) is not None and max(values) > most:
+        raise DataError(f"{path}:{ln}: {name!r} value {max(values)} exceeds {most} "
+                        f"(networks have at most {MAX_NODES} nodes)")
     if one and len(values) > 1:
         raise DataError(f"{path}:{ln}: {name!r} takes one value, got {' '.join(row)!r}")
     return values[0] if one else values
@@ -464,7 +455,7 @@ def read_model(path: str | Path) -> tuple[GnarCoefficients, GnarOrder]:
     rows: dict[str | int, tuple[int, list[str]]] = {}
     for ln, parts in lines[1:]:
         key = parts[0] if parts[0] in _HEADER else " ".join(parts[:-1]) or parts[0]
-        if key == "s" and community:
+        if key == "s" and community:  # the id, unbounded: the range check below names it
             key, parts = _values(path, ln, "s", parts[1:2])[0], ["s", *parts[2:]]
         if key in rows:
             what = f"stages of community {key} were" if isinstance(key, int) else f"{key!r} was"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnar import cli
+from gnar import autocorr, cli, estimate
 from gnar.cli import build_parser, main
 from gnar.panel import TimeSeriesPanel, default_node_labels, read_panel, write_panel
 
@@ -162,6 +162,28 @@ def test_elections_external_without_name_writes_nothing(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "name=FILE" in err[0]
+    assert not out_dir.exists()
+
+
+def test_elections_refuses_a_wrong_size_external_before_any_study_work(tmp_path, capsys,
+                                                                      monkeypatch):
+    """A 3-node external forecast for the 51-state study is refused by ``compare``'s size
+    check before the study fits a model or computes a grid, and nothing is written."""
+    external = tmp_path / "ext.csv"
+    write_panel(TimeSeriesPanel(np.zeros((3, 1)), default_node_labels(3), ("raw",)), external)
+    calls = []
+    for module, name in ((estimate, "fit_ols"), (autocorr, "corbit_grid")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    out_dir = tmp_path / "study"
+    code = run("elections", "--returns", RETURNS, "--external", f"ext={external}",
+               "--out-dir", str(out_dir))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: external forecast 'ext' has 3 nodes, panel has 51"]
+    assert calls == []
     assert not out_dir.exists()
 
 

@@ -486,7 +486,7 @@ def test_real_standardised_fit_coefficients():
     estimates = dict(zip(fit.names, fit.theta))
     for name, value in reference.items():
         assert estimates[name] == pytest.approx(value, abs=0.02), name
-    assert not fit.stationary  # the swing-state sum exceeds one
+    assert not fit.stationarity.stationary  # the swing-state sum exceeds one
 
 
 @needs_real_data
@@ -506,7 +506,7 @@ def test_real_differenced_fit_coefficients():
     estimates = dict(zip(fit.names, fit.theta))
     for name, value in reference.items():
         assert estimates[name] == pytest.approx(value, abs=0.02), name
-    assert fit.stationary
+    assert fit.stationarity.stationary
 
 
 @needs_real_data

@@ -153,7 +153,8 @@ def test_fit_result_contract(table1_model, fivenet, fivenet_weights,
     assert fit.residuals.values.size == ds.n
     assert fit.df_resid == ds.n - ds.q
     # the advisory flag mirrors the absolute-coefficient sums exactly
-    assert fit.stationary == bool(np.all(fit.stationarity_sums < 1.0))
+    report = fit.stationarity
+    assert report.stationary == bool(np.all(report.sums < 1.0))
     table = coefficient_table(fit)
     assert table.splitlines()[0] == "name,estimate,std_error"
     assert len(table.strip().splitlines()) == 7

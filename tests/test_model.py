@@ -234,14 +234,13 @@ def test_to_local_alpha_values(table1_model, fivenet_partition):
 def test_to_local_alpha_stationarity_equivalence(fivenet_partition):
     order = parse_order("community:[1,2];{[1],[1,1]}")
     rng = np.random.default_rng(99)
-    agree = 0
+    group = np.asarray(fivenet_partition.assignment)
     for _ in range(100):
         coeffs = random_community_coeffs(rng, order, scale=0.45)
-        report = stationarity_margin(coeffs)
         nodewise = to_local_alpha(coeffs, fivenet_partition)
-        assert nodewise.stationary == report.stationary
-        agree += 1
-    assert agree == 100
+        node_sums = (np.sum(np.abs(nodewise.alpha), axis=1)
+                     + np.sum(np.abs(nodewise.beta), axis=(1, 2)))
+        assert np.allclose(node_sums, stationarity_margin(coeffs).sums[group - 1])
 
 
 def test_to_local_alpha_requires_community_variant():
@@ -380,7 +379,8 @@ def test_model_file_rejects_header_keys_of_another_variant(tmp_path, text, line,
     ("s 0 0\ns 1 1\n", 6, "community 0 outside 1..2"),
     ("s 1 1\ns 3 0\n", 7, "community 3 outside 1..2"),
     ("s 1 1\ns 2 0\ns 2 1\n", 8, "community 2 were already set on line 7"),
-], ids=["community-zero", "community-beyond-C", "repeated"])
+    ("s 30000000 1 1\n", 6, "community 30000000 outside 1..2"),
+], ids=["community-zero", "community-beyond-C", "repeated", "community-beyond-stage-bound"])
 def test_model_file_rejects_bad_stage_lines(tmp_path, body, line, what):
     path = tmp_path / "bad.txt"
     path.write_text(COMMUNITY_HEADER + body)

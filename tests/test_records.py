@@ -14,10 +14,10 @@ import pytest
 
 from gnar.autocorr import corbit_grid
 from gnar.elections import STATE_NAMES, classify, load_returns
-from gnar.estimate import (KroneckerCovariance, build_design, fit_gls, fit_ols,
-                           fit_per_community)
+from gnar.estimate import (KroneckerCovariance, build_community_design, build_design, fit_gls,
+                           fit_ols, fit_per_community)
 from gnar.forecast import ExternalForecast, ModelSpec, compare
-from gnar.model import (GnarCoefficients, parse_order, stationarity_margin,
+from gnar.model import (GnarCoefficients, abs_sums, parse_order, stationarity_margin,
                         to_local_alpha)
 from gnar.network import read_edge_list
 from gnar.partition import read_partition
@@ -81,18 +81,31 @@ def test_value_records_compare_and_hash_by_value():
 
 def test_records_store_no_copy_of_what_another_field_holds(records, fivenet, fivenet_weights,
                                                             fivenet_partition):
-    """A design's rows are its ``node_labels``, a fit's variant is its order's and the
-    classified states are ``STATE_NAMES``: none is stored a second time."""
+    """A design's rows are its ``node_labels``, a fit's variant, names, standard errors,
+    residual degrees of freedom and stationarity report derive from its seven fields, and the
+    classified states are ``STATE_NAMES``: none is stored a second time.  Each derived value
+    has the bits of the expression the fit used to store."""
     fields = {name: {f.name for f in dataclasses.fields(records[name])}
               for name in ("DesignSystem", "FitResult", "StateClassification")}
     assert not fields["DesignSystem"] & {"lag_offset", "node_ids"}
-    assert "variant" not in fields["FitResult"]
+    assert fields["FitResult"] == {"theta", "columns", "sigma2", "cov", "residuals", "order",
+                                   "group"}
     assert "states" not in fields["StateClassification"]
-    ds = records["DesignSystem"]
-    fits = [fit_ols(ds), fit_gls(ds, KroneckerCovariance(np.eye(5))),
-            *fit_per_community(records["TimeSeriesPanel"], ds.order, fivenet, fivenet_weights,
-                               fivenet_partition)]
-    assert [fit.variant for fit in fits] == [fit.order.variant for fit in fits] == \
-        ["community"] * 4
+    panel, ds = records["TimeSeriesPanel"], records["DesignSystem"]
+    blocks = [build_community_design(panel, ds.order, fivenet, fivenet_weights,
+                                     fivenet_partition, c) for c in (1, 2)]
+    local = build_design(panel, parse_order("local:1;[1]"), fivenet, fivenet_weights)
+    fits = [(ds, fit_ols(ds)), (ds, fit_gls(ds, KroneckerCovariance(np.eye(5)))),
+            *zip(blocks, fit_per_community(panel, ds.order, fivenet, fivenet_weights,
+                                           fivenet_partition)),
+            (local, fit_ols(local))]
+    assert [fit.variant for _, fit in fits] == [fit.order.variant for _, fit in fits] == \
+        ["community"] * 4 + ["local"]
+    for system, fit in fits:
+        assert fit.se.tobytes() == np.sqrt(np.diag(fit.cov)).tobytes()
+        assert fit.df_resid == system.n - system.q
+        assert fit.names == system.column_names()
+        assert (fit.stationarity.sums.tobytes()
+                == abs_sums(system.columns, fit.theta).sums.tobytes())
     rows = records["StateClassification"].to_csv_text().splitlines()[1:]
     assert tuple(row.split(",")[0] for row in rows) == STATE_NAMES

@@ -94,7 +94,7 @@ def test_per_community_fit_sum_is_its_groups_margin_sum(fivenet, fivenet_weights
     theta = np.concatenate([fit.theta for fit in fits])  # groups ascending: theta_index
     report = stationarity_margin(GnarCoefficients.from_theta(theta, order))
     for c, fit in enumerate(fits, start=1):
-        assert fit.stationarity_sums.shape == (1,)
-        assert fit.stationarity_sums[0] == report.sums[c - 1]
-        assert fit.stationary == (report.sums[c - 1] < 1.0)
+        assert fit.stationarity.sums.shape == (1,)
+        assert fit.stationarity.sums[0] == report.sums[c - 1]
+        assert fit.stationarity.stationary == (report.sums[c - 1] < 1.0)
         assert abs_sums(fit.columns, fit.theta).labels == (str(c),)
